@@ -2,7 +2,7 @@
 
 Default: run the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) under ray.init(num_cpus=$RAY_GRAFT_CPUS, default
-32) and print ONE JSON line:
+os.cpu_count()) and print ONE JSON line:
   {"metric": ..., "value": sec, "unit": "sec", "queries": {...},
    "sf": ..., "num_cpus": N, "pages": N, "pages_per_sec": N}
 
@@ -20,7 +20,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count()))
 
 HEADLINE_QUERIES = [
     "q1_pricing_summary",

@@ -25,11 +25,8 @@ def geotag_join_tiles(
     polygons: pa.Table,
     *,
     res: int = DEFAULT_RES,
-    mode: str = "inner",
-    concurrency: int | tuple | None = None,
     batch_size: int = 2048,
     final_sort: bool = False,
-    branch_cache: str = "spill",
     spill_dir: str | None = None,
     cell_scheme: str = "morton",
 ):
@@ -39,10 +36,14 @@ def geotag_join_tiles(
     Deterministic CONTENT at any parallelism: extraction is per-row pure,
     the join emits (point, poly_id)-sorted rows, and tile ids come from a
     globally sorted histogram. Row ORDER is pinned per partition by the
-    checkpointed sink (state/checkpoint.checkpointed_write sorts within
-    each bucket file) — the production shape. final_sort=True adds a
-    global all-to-all sort instead; at 10^12 pages that sort is the
-    single most expensive exchange in the pipeline, so it is opt-in.
+    checkpointed sink — the production shape: state/checkpoint's
+    checkpointed_write co-partitions on hash_exchange and sorts each
+    bucket file by all columns, so its bytes, and the sha256 of them
+    the manifest records as content_hash, are the same at any
+    parallelism. final_sort=True adds a global all-to-all sort instead;
+    at 10^12 pages that sort is the single most expensive exchange in
+    the pipeline, so it is opt-in. spill_dir (or $SFRAY_SPILL_DIR) is a
+    shared path for the branch cache; see below.
     """
     import ray
 
@@ -54,8 +55,9 @@ def geotag_join_tiles(
     #
     # The geo filter runs INSIDE the extract kernel, before analysis:
     # the analysis columns are per-row pure, so dropping geotag-less rows
-    # first (~4/5 of pages) yields identical output at a fraction of the
-    # cost, with no extra text copies between operators.
+    # first (~30% of pages: the generator geotags ~70%, 13,958 of 20,000)
+    # yields identical output at lower cost, with no extra text copies
+    # between operators.
     from ..stages.extract import extract_geo_batch
 
     extracted = pages_ds.map_batches(
@@ -73,7 +75,7 @@ def geotag_join_tiles(
 
     joined = geo.map_batches(
         spatial_join_batch,
-        fn_kwargs={"index_ref": index_ref, "mode": mode},
+        fn_kwargs={"index_ref": index_ref},  # inner join
         batch_format="pyarrow",
         batch_size=batch_size,
     )
@@ -82,7 +84,7 @@ def geotag_join_tiles(
     # without a branch cache Ray would re-execute extract+join per branch.
     #
     # Cluster-safety invariant: a parquet spill is only valid when every
-    # node can read the files back, so the "spill" variant REQUIRES an
+    # node can read the files back, so the cache spills only to an
     # explicitly shared path (spill_dir kwarg or $SFRAY_SPILL_DIR — an
     # NFS mount or object-store URI on a real cluster). With no shared
     # path configured the branch cache falls back to materialize(): the
@@ -95,7 +97,7 @@ def geotag_join_tiles(
         import os
 
         spill_dir = os.environ.get("SFRAY_SPILL_DIR") or None
-    if branch_cache == "spill" and spill_dir is not None:
+    if spill_dir is not None:
         import ray.data as rd
 
         joined.write_parquet(spill_dir)
@@ -122,8 +124,3 @@ def geotag_join_tiles(
         out = out.sort(["tile_id", "url"])
     return out
 
-
-def write_tiles(out_ds, path: str, partition_col: str = "tile_id"):
-    """Resumable partitioned sink: one directory per tile bucket."""
-    out_ds.write_parquet(path, partition_cols=[partition_col])
-    return path

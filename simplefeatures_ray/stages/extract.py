@@ -272,9 +272,9 @@ def extract_geotags_batch(batch: pa.Table) -> pa.Table:
 
 def extract_geo_batch(batch: pa.Table) -> pa.Table:
     """Extraction that drops geotag-less rows in-kernel BEFORE analysis —
-    the flagship path: only ~1/5 of pages carry geotags, and analysing
-    the rest is pure waste. One task, no extra text copies between
-    operators."""
+    the flagship path: ~70% of pages carry geotags (13,958 of 20,000 from
+    the synthetic generator), and analysing the other ~30% is pure
+    waste. One task, no extra text copies between operators."""
     from .worker_cache import get_cached
 
     ex = get_cached("extract-geo-singleton",

@@ -44,10 +44,7 @@ def encode_cells(res: int, x_col: str = "lon", y_col: str = "lat",
         cells = np.zeros(len(lon), dtype=np.uint64)
         if ok.any():
             cells[ok] = enc(lon[ok], lat[ok])
-        arr = pa.array(cells, pa.uint64())
-        if not ok.all():
-            arr = pa.array([int(c) if k else None for c, k in zip(cells, ok)], pa.uint64())
-        return batch.append_column(out_col, arr)
+        return batch.append_column(out_col, pa.array(cells, pa.uint64(), mask=~ok))
 
     return kernel
 

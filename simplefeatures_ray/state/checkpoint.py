@@ -4,17 +4,22 @@ North-rule requirement: "resumable from checkpoint with per-partition
 lineage + metrics ... any partition can resume idempotently".
 
 Design:
-  * output is bucketed by a deterministic partition key (hash of a
-    column mod n_buckets, or the column value itself);
-  * each bucket is written by ONE task (groupby(bucket).map_groups)
-    to `<out>/part=<bucket>/data.parquet` via tmp-file + atomic rename —
-    task retries are idempotent;
-  * each write task returns a lineage row: bucket, rows, bytes, sha256
-    content hash (order-insensitive), wall seconds;
+  * rows are bucketed by a deterministic hash of an integer column mod
+    n_buckets. That domain is known up front, so
+    stages/exchange.hash_exchange co-partitions them (no sampling pass,
+    no sort shuffle) and runs ONE Arrow kernel per bucket: sort by all
+    columns, write `<out>/part=<bucket>/data.parquet` via tmp file +
+    atomic rename — task retries are idempotent;
+  * the kernel returns a typed lineage row: bucket, rows, bytes,
+    content_hash, wall seconds. content_hash is the sha256 of the file
+    bytes, read from the tmp file before the rename: a sorted,
+    chunk-combined table writes the same bytes (for one pyarrow
+    version) whatever its input row order or block layout, so
+    verify_manifest re-hashes bytes without parsing parquet;
   * the driver merges lineage rows into `<out>/_manifest.json`
     (atomic rename). A resumed run loads the manifest, filters already-
-    completed buckets out of the stream (broadcast frozenset — no
-    shuffle), and only writes the missing buckets.
+    completed buckets out of the stream before the exchange, and only
+    writes the missing buckets.
 """
 from __future__ import annotations
 
@@ -24,31 +29,28 @@ import os
 import time
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-
-from ..functions._pdarrow import arrow_groups
 import pyarrow.parquet as pq
+
+from ..functions.relational import collect_table
+from ..stages.exchange import hash_exchange
 
 MANIFEST = "_manifest.json"
 
+LINEAGE = pa.schema([("bucket", pa.int64()), ("rows", pa.int64()),
+                     ("bytes", pa.int64()), ("content_hash", pa.string()),
+                     ("seconds", pa.float64())])
+
 
 def _bucket_of(values, n_buckets: int) -> np.ndarray:
-    """Deterministic bucket from a column (stable across runs/processes)."""
+    """Deterministic bucket from an integer column (stable across
+    runs/processes)."""
     arr = np.asarray(values)
-    if arr.dtype.kind in ("i", "u"):
-        return (arr.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(40)).astype(
-            np.int64
-        ) % n_buckets
-    # strings/objects: FNV over utf-8
-    out = np.zeros(len(arr), dtype=np.int64)
-    for i, v in enumerate(arr):
-        h = 0xCBF29CE484222325
-        for b in str(v).encode():
-            h ^= b
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        out[i] = h % n_buckets
-    return out
+    if arr.dtype.kind not in ("i", "u"):
+        raise TypeError(f"partition column must be integer, not {arr.dtype}")
+    return (arr.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(40)).astype(
+        np.int64
+    ) % n_buckets
 
 
 def load_manifest(out_dir: str) -> dict:
@@ -64,7 +66,7 @@ def _save_manifest(out_dir: str, partitions: dict):
     path = os.path.join(out_dir, MANIFEST)
     tmp = path + ".tmp"
     doc = {
-        "version": 1,
+        "version": 2,  # 2: content_hash is the sha256 of the file bytes
         "partitions": {str(k): v for k, v in sorted(partitions.items())},
         "n_partitions": len(partitions),
         "total_rows": int(sum(p["rows"] for p in partitions.values())),
@@ -75,11 +77,47 @@ def _save_manifest(out_dir: str, partitions: dict):
     return doc
 
 
-def _content_hash(df: pd.DataFrame) -> str:
-    """Order-insensitive content hash: sort rows by all columns, hash csv."""
-    df = df.reindex(sorted(df.columns), axis=1)
-    df = df.sort_values(list(df.columns), kind="mergesort")
-    return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()[:16]
+def _file_hash(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()[:16]
+
+
+def _write_partition(t: pa.Table, part_dir: str) -> dict:
+    """Write one bucket's rows, sorted by all columns, to
+    part_dir/data.parquet; returns its rows, bytes, content_hash and
+    seconds."""
+    t0 = time.time()
+    t = t.sort_by([(c, "ascending") for c in sorted(t.column_names)])
+    # one chunk per column and no schema metadata: the bytes depend on
+    # the rows alone
+    t = t.combine_chunks().replace_schema_metadata(None)
+    os.makedirs(part_dir, exist_ok=True)
+    final = os.path.join(part_dir, "data.parquet")
+    tmp = final + f".tmp.{os.getpid()}"
+    pq.write_table(t, tmp)
+    digest = _file_hash(tmp)
+    os.replace(tmp, final)  # idempotent under retry
+    return {"rows": t.num_rows, "bytes": os.path.getsize(final),
+            "content_hash": digest, "seconds": round(time.time() - t0, 3)}
+
+
+def write_buckets(ds, n_buckets: int, part_dir, stats=None,
+                  schema: pa.Schema = LINEAGE) -> list[dict]:
+    """hash_exchange `ds` on its int `__bucket` column ∈ [0, n_buckets)
+    and write every non-empty bucket to `part_dir(bucket)`. Returns one
+    lineage row per written bucket; `stats(rows)` supplies the fields
+    `schema` adds to LINEAGE."""
+
+    def kernel(t: pa.Table) -> pa.Table:
+        bucket = t["__bucket"][0].as_py()
+        body = t.drop_columns(["__bucket"])
+        row = {"bucket": bucket, **_write_partition(body, part_dir(bucket))}
+        if stats is not None:
+            row.update(stats(body))
+        return pa.Table.from_pylist([row], schema=schema)
+
+    out = hash_exchange(ds, n_buckets, kernel, empty_out=schema.empty_table())
+    return collect_table(out).to_pylist()
 
 
 def checkpointed_write(ds, out_dir: str, partition_col: str,
@@ -87,76 +125,39 @@ def checkpointed_write(ds, out_dir: str, partition_col: str,
     """Write `ds` to bucketed parquet under out_dir with lineage manifest.
 
     Returns the manifest document. Safe to re-run: completed buckets are
-    skipped (their rows are filtered out before the shuffle).
+    skipped (their rows are filtered out before the exchange).
     """
     os.makedirs(out_dir, exist_ok=True)
     done = load_manifest(out_dir) if resume else {}
-    done_set = frozenset(done.keys())
+    done_ids = np.fromiter(done, dtype=np.int64)
 
     def add_bucket(t: pa.Table) -> pa.Table:
         b = _bucket_of(t[partition_col], n_buckets)
         t = t.append_column("__bucket", pa.array(b, pa.int64()))
-        if done_set:
-            keep = ~np.isin(b, np.fromiter(done_set, dtype=np.int64))
-            t = t.filter(pa.array(keep))
+        if len(done_ids):
+            t = t.filter(pa.array(~np.isin(b, done_ids)))
         return t
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-
-    def write_partition(df: pd.DataFrame) -> pd.DataFrame:
-        t0 = time.time()
-        bucket = int(df["__bucket"].iloc[0])
-        body = df.drop(columns="__bucket")
-        # deterministic row order within the partition file
-        body = body.sort_values(list(sorted(body.columns)), kind="mergesort")
-        part_dir = os.path.join(out_dir, f"part={bucket}")
-        os.makedirs(part_dir, exist_ok=True)
-        final = os.path.join(part_dir, "data.parquet")
-        tmp = final + f".tmp.{os.getpid()}"
-        # strip the pandas metadata blob: Ray's block-schema dedup can't
-        # hash dict-valued metadata and warns on every read-back
-        tbl = pa.Table.from_pandas(body, preserve_index=False)
-        tbl = tbl.replace_schema_metadata(None)
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, final)  # idempotent under retry
-        return pd.DataFrame(
-            {
-                "bucket": [bucket],
-                "rows": [len(body)],
-                "bytes": [os.path.getsize(final)],
-                "content_hash": [_content_hash(body)],
-                "seconds": [round(time.time() - t0, 3)],
-            }
-        )
-
-    lineage = bucketed.groupby("__bucket").map_groups(
-        arrow_groups(write_partition), batch_format="pyarrow")
-    rows = lineage.to_pandas()
+    lineage = write_buckets(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                            n_buckets, lambda b: os.path.join(out_dir, f"part={b}"))
     partitions = dict(done)
-    for _, r in rows.iterrows():
-        partitions[int(r["bucket"])] = {
-            "rows": int(r["rows"]),
-            "bytes": int(r["bytes"]),
-            "content_hash": r["content_hash"],
-            "seconds": float(r["seconds"]),
-        }
+    for row in lineage:
+        partitions[row.pop("bucket")] = row
     return _save_manifest(out_dir, partitions)
 
 
 def verify_manifest(out_dir: str) -> dict:
-    """Re-hash every partition file and compare against the manifest.
-    Returns {bucket: 'ok' | 'missing' | 'hash-mismatch'}."""
-    manifest = load_manifest(out_dir)
+    """Re-hash every partition file's bytes and compare against the
+    manifest. Returns {bucket: 'ok' | 'missing' | 'hash-mismatch'}."""
     result = {}
-    for bucket, entry in manifest.items():
+    for bucket, entry in load_manifest(out_dir).items():
         path = os.path.join(out_dir, f"part={bucket}", "data.parquet")
         if not os.path.exists(path):
             result[bucket] = "missing"
-            continue
-        df = pq.read_table(path).to_pandas()
-        result[bucket] = (
-            "ok" if _content_hash(df) == entry["content_hash"] else "hash-mismatch"
-        )
+        elif _file_hash(path) == entry["content_hash"]:
+            result[bucket] = "ok"
+        else:
+            result[bucket] = "hash-mismatch"
     return result
 
 

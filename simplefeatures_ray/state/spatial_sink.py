@@ -7,8 +7,10 @@ directory with its lon/lat bbox recorded in a driver-side manifest.
 intersects the query window — partition pruning before any byte leaves
 storage, the spatial analogue of Parquet row-group min/max pruning.
 
-Built on state/checkpoint.py conventions: tmp-file + atomic rename
-writes (idempotent under task retries), one JSON manifest, resumable.
+The writer is state/checkpoint.write_buckets: a hash_exchange on the
+cell's index among the 4^res cells of its resolution, one Arrow kernel
+per cell (sorted rows, tmp-file + atomic rename, so task retries are
+idempotent) whose lineage row also carries the cell's data bbox.
 """
 from __future__ import annotations
 
@@ -17,10 +19,15 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..cells import cell_bounds_xy, lonlat_to_cell
+from .checkpoint import LINEAGE, write_buckets
 
 MANIFEST = "_spatial_manifest.json"
+
+_BBOX = ("lon_min", "lat_min", "lon_max", "lat_max")
+_LINEAGE_BBOX = pa.schema(list(LINEAGE) + [pa.field(c, pa.float64()) for c in _BBOX])
 
 
 def _cell_lonlat_bounds(cell: int):
@@ -38,48 +45,32 @@ def write_spatial(ds, out_dir: str, lon_col: str = "lon", lat_col: str = "lat",
                   res: int = 3) -> dict:
     """Write `ds` partitioned by spatial cell at resolution `res`
     (4^res buckets max). Returns the manifest dict."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-
     os.makedirs(out_dir, exist_ok=True)
+    first = 4 ** res  # cell ids at `res` are first .. 2*first-1
 
-    def add_cell(t: pa.Table) -> pa.Table:
+    def add_bucket(t: pa.Table) -> pa.Table:
         cells = lonlat_to_cell(np.asarray(t[lon_col], dtype=np.float64),
                                np.asarray(t[lat_col], dtype=np.float64), res)
-        return t.append_column("__scell", pa.array(cells, pa.uint64()))
+        bucket = (cells - np.uint64(first)).astype(np.int64)
+        return t.append_column("__bucket", pa.array(bucket))
 
-    bucketed = ds.map_batches(add_cell, batch_format="pyarrow")
+    def bbox(t: pa.Table) -> dict:
+        lon, lat = pc.min_max(t[lon_col]), pc.min_max(t[lat_col])
+        return {"lon_min": lon["min"].as_py(), "lat_min": lat["min"].as_py(),
+                "lon_max": lon["max"].as_py(), "lat_max": lat["max"].as_py()}
 
-    def write_partition(df: pd.DataFrame) -> pd.DataFrame:
-        cell = int(df["__scell"].iloc[0])
-        body = df.drop(columns="__scell")
-        body = body.sort_values(sorted(body.columns), kind="mergesort")
-        part_dir = os.path.join(out_dir, f"cell={cell:x}")
-        os.makedirs(part_dir, exist_ok=True)
-        final = os.path.join(part_dir, "data.parquet")
-        tmp = final + f".tmp.{os.getpid()}"
-        pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
-        os.replace(tmp, final)
-        return pd.DataFrame({
-            "cell": [cell],
-            "rows": [len(body)],
-            "lon_min": [float(df[lon_col].min())],
-            "lon_max": [float(df[lon_col].max())],
-            "lat_min": [float(df[lat_col].min())],
-            "lat_max": [float(df[lat_col].max())],
-        })
-
-    lineage = bucketed.groupby("__scell").map_groups(
-        write_partition, batch_format="pandas").to_pandas()
+    lineage = write_buckets(
+        ds.map_batches(add_bucket, batch_format="pyarrow"), first,
+        lambda b: os.path.join(out_dir, f"cell={first + b:x}"),
+        stats=bbox, schema=_LINEAGE_BBOX)
     partitions = {}
-    for _, r in lineage.iterrows():
-        cell = int(r["cell"])
-        clon0, clat0, clon1, clat1 = _cell_lonlat_bounds(cell)
+    for r in lineage:
+        cell = first + r["bucket"]
         partitions[f"{cell:x}"] = {
-            "rows": int(r["rows"]),
+            "rows": r["rows"],
             # actual data bbox (tighter than the cell bbox)
-            "bbox": [r["lon_min"], r["lat_min"], r["lon_max"], r["lat_max"]],
-            "cell_bbox": [clon0, clat0, clon1, clat1],
+            "bbox": [r[c] for c in _BBOX],
+            "cell_bbox": list(_cell_lonlat_bounds(cell)),
         }
     doc = {"version": 1, "res": res, "lon_col": lon_col, "lat_col": lat_col,
            "partitions": partitions,

@@ -214,3 +214,26 @@ def test_polyfill_empty_and_offgrid():
     assert len(polyfill(g, 4)) == 0
     with pytest.raises(ValueError):
         polyfill(Geometry(1, coords=np.array([0.0, 0.0])), 4)
+
+
+def test_encode_cells_nan_rows_get_null_cells():
+    import pyarrow as pa
+
+    from simplefeatures_ray.stages.tiling import encode_cells
+
+    rng = np.random.default_rng(5)
+    lon = rng.uniform(-180, 180, 500)
+    lat = rng.uniform(-80, 80, 500)
+    lon[::7] = np.nan
+    lat[3::11] = np.nan
+    bad = np.isnan(lon) | np.isnan(lat)
+    out = encode_cells(12)(pa.table({"lon": lon, "lat": lat}))
+    cell = out["cell"]
+    assert cell.type == pa.uint64()
+    assert np.array_equal(np.asarray(cell.is_null()), bad)
+    got = np.asarray(cell.drop_null(), dtype=np.uint64)
+    assert np.array_equal(got, lonlat_to_cell(lon[~bad], lat[~bad], 12))
+    # an all-valid batch carries no nulls
+    ok = encode_cells(12)(pa.table({"lon": lon[~bad], "lat": lat[~bad]}))
+    assert ok["cell"].null_count == 0
+    assert np.array_equal(np.asarray(ok["cell"], dtype=np.uint64), got)

@@ -149,3 +149,124 @@ def test_resume_ignores_stale_tmp_from_crash(ray_session, tmp_out):
 
     t = pq.read_table(os.path.join(pdir, "data.parquet"))
     assert t.num_rows == m2[victim]["rows"]
+
+
+def _wide_ds(n=400_000):
+    """Deterministic rows wide enough that the bucket writes take seconds."""
+    import numpy as np
+    import ray.data as rd
+
+    def rows(b):
+        i = b["id"]
+        return {"key": i % 997, "id": i, "text": np.char.mod("%0160d", i * 7919)}
+
+    return rd.range(n, override_num_blocks=16).map_batches(rows, batch_format="numpy")
+
+
+_WRITER_JOB = """
+import sys
+import ray
+from ray.data import DataContext
+
+ray.init(address=sys.argv[1], logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+sys.path.insert(0, sys.argv[3])
+from test_checkpoint import _wide_ds
+from simplefeatures_ray.state.checkpoint import checkpointed_write
+
+checkpointed_write(_wide_ds(), sys.argv[2], partition_col="key", n_buckets=16)
+"""
+
+
+def _raylet_children(gcs_address: str) -> dict:
+    """{pid: process title} of the worker processes of the raylet
+    attached to `gcs_address`."""
+    procs = {}
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                argv = f.read().decode(errors="replace").split("\0")
+            with open(f"/proc/{pid}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+        except OSError:
+            continue
+        procs[int(pid)] = (ppid, argv)
+    raylets = {pid for pid, (_, argv) in procs.items()
+               if argv[0].endswith("/raylet") and f"--gcs-address={gcs_address}" in argv}
+    return {pid: argv[0] for pid, (ppid, argv) in procs.items() if ppid in raylets}
+
+
+def test_resume_after_kill_mid_write(ray_session, tmp_path):
+    """SIGKILL a writing Ray job after some bucket files exist but before
+    the manifest; resuming writes the same files and hashes as an
+    uninterrupted run, and the killed job leaves no worker running."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import ray
+
+    from simplefeatures_ray.state.checkpoint import (
+        MANIFEST,
+        checkpointed_write,
+        load_manifest,
+        verify_manifest,
+    )
+
+    # the uninterrupted run first: it also starts Ray Data's detached
+    # cluster-wide actors, which then predate the killed job
+    ref_dir = str(tmp_path / "uninterrupted")
+    ref = checkpointed_write(_wide_ds(), ref_dir, partition_col="key", n_buckets=16)
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(tests_dir)
+    gcs = ray.get_runtime_context().gcs_address
+    killed = str(tmp_path / "killed")
+    os.makedirs(killed)
+
+    def busy():
+        return {p for p, t in _raylet_children(gcs).items()
+                if t.startswith("ray::") and t != "ray::IDLE"}
+
+    before = busy()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", _WRITER_JOB, gcs, killed, tests_dir],
+                            cwd=root, env=env)
+    job_workers = set()
+    try:
+        deadline = time.time() + 300
+        while not any(os.path.exists(os.path.join(killed, d, "data.parquet"))
+                      for d in os.listdir(killed)):
+            assert proc.poll() is None, "the job exited before writing a partition"
+            assert time.time() < deadline, "no partition written in 300 s"
+            job_workers |= busy() - before
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert not os.path.exists(os.path.join(killed, MANIFEST)), \
+        "the job finished before the kill: the test would prove nothing"
+    assert job_workers, "no worker was running the killed job's tasks"
+    # the killed job's workers die with its process
+    deadline = time.time() + 60
+    while job_workers & busy():
+        assert time.time() < deadline, f"workers still running: {job_workers & busy()}"
+        time.sleep(0.1)
+
+    resumed = checkpointed_write(_wide_ds(), killed, partition_col="key", n_buckets=16)
+
+    def written(doc):
+        return {b: (p["rows"], p["bytes"], p["content_hash"])
+                for b, p in doc["partitions"].items()}
+
+    assert written(resumed) == written(ref)
+    assert set(verify_manifest(killed).values()) == {"ok"}
+    for bucket in load_manifest(ref_dir):
+        name = os.path.join(f"part={bucket}", "data.parquet")
+        with open(os.path.join(killed, name), "rb") as a, \
+                open(os.path.join(ref_dir, name), "rb") as b:
+            assert a.read() == b.read(), bucket
