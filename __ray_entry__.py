@@ -4053,7 +4053,7 @@ def raster_tiles(sf_dir: str):
     from simplefeatures_ray.sources.polygons import make_polygons
 
     n = 20000
-    joined = geotag_join_tiles(read_pages(n), make_polygons(64), res=6, final_sort=False)
+    joined = geotag_join_tiles(read_pages(n), make_polygons(64), res=6)
 
     def to_wkb_points(t: pa.Table) -> pa.Table:
         from simplefeatures_ray.geometry.core import POLYGON, Geometry
@@ -4792,8 +4792,7 @@ def entry() -> Any:
     from simplefeatures_ray.sources.polygons import make_polygons
 
     n = _pages_count("/root/testdata/sf0.001")
-    return geotag_join_tiles(read_pages(n), make_polygons(64),
-                             final_sort=False)
+    return geotag_join_tiles(read_pages(n), make_polygons(64))
 
 
 # --------------------------------------------------------------------------- #

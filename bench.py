@@ -6,10 +6,11 @@ os.cpu_count()) and print ONE JSON line:
   {"metric": ..., "value": sec, "unit": "sec", "queries": {...},
    "sf": ..., "num_cpus": N, "pages": N, "pages_per_sec": N}
 
---scaling: run the flagship pipeline in two FRESH processes at
-num_cpus=8 and num_cpus=32 on the same input and report both
-throughputs plus scaling efficiency = t8_throughput ratio vs 4x
-(the sandbox proxy for the N vs 4N node cluster criterion).
+--scaling: run the flagship pipeline in FRESH processes at 2, 4, 8, 16
+and 32 CPUs on the same input and report the throughputs plus scaling
+efficiency of each 4x pair (the single-box proxy for the N vs 4N node
+cluster criterion). On a box with fewer than 8 CPUs the primary 2 -> 8
+pair cannot be measured, so it prints one line saying so and exits 0.
 """
 from __future__ import annotations
 
@@ -101,8 +102,7 @@ def run_flagship(n_pages: int, intl: bool = False):
     # sink with per-partition sort + lineage manifest (resumable)
     out_dir = tempfile.mkdtemp(prefix="sfray-bench-tiles-", dir="/tmp")
     t0 = time.time()
-    out = geotag_join_tiles(rd.read_parquet(path), make_polygons(64),
-                            final_sort=False)
+    out = geotag_join_tiles(rd.read_parquet(path), make_polygons(64))
     manifest = checkpointed_write(out, out_dir, partition_col="tile_id",
                                   resume=False)
     dt = time.time() - t0
@@ -211,6 +211,18 @@ def scaling_run() -> dict:
     with worker count; a pure-CPU probe of the box itself caps at ~0.85
     for 8 -> 32) and are reported for transparency.
     """
+    cpus = os.cpu_count() or 1
+    if cpus < 8:
+        # more Ray workers than cores would time the OS scheduler, not
+        # the pipeline's parallel structure
+        return {
+            "metric": "scaling efficiency (fresh processes, 4x parallelism ratio)",
+            "value": None,
+            "unit": "efficiency",
+            "num_cpus": cpus,
+            "note": f"scaling not measurable: {cpus} CPU(s); the 2 -> 8 "
+                    "pair needs at least 8",
+        }
     _gen_pages(SCALING_PAGES)
     # the sandbox box carries uncontrolled background load; noise only
     # ever SLOWS a run, so per level take the max over a few repetitions

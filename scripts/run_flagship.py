@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--out", default="/tmp/sfr_tiles_out")
     ap.add_argument("--res", type=int, default=12)
     ap.add_argument("--buckets", type=int, default=64)
-    ap.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+    ap.add_argument("--num-cpus", type=int, default=os.cpu_count())
     ap.add_argument("--no-resume", action="store_true")
     args = ap.parse_args()
 
@@ -49,8 +49,7 @@ def main():
 
     t0 = time.time()
     pages = rd.read_parquet(pages_parquet_cached(args.pages))
-    out = geotag_join_tiles(pages, make_polygons(args.polygons),
-                            res=args.res, final_sort=False)
+    out = geotag_join_tiles(pages, make_polygons(args.polygons), res=args.res)
     manifest = checkpointed_write(out, args.out, partition_col="tile_id",
                                   n_buckets=args.buckets, resume=not args.no_resume)
     elapsed = time.time() - t0

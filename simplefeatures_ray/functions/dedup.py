@@ -776,6 +776,11 @@ def exact_substring_removal(ds, *, window: int = 50,
     shift-concat, same pattern as exact_ngram_dup_pairs); size
     batch_size down for window=50 payloads.
 
+    Limit: grams are equal when their 64-bit sha256 prefixes are, not
+    their strings (as in exact_ngram_dup_pairs). A collision between two
+    distinct grams would cut a span that is not duplicated; over n
+    distinct grams its odds are about n^2 / 2^65.
+
     Returns Dataset (id_col, n_tokens, n_removed, clean_text).
     """
     import hashlib

@@ -131,8 +131,7 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
     replicated to all n_salts shards of its bucket, so a single dominant
     key (one grid cell holding a city's worth of points) spreads across
     n_salts tasks at the cost of n_salts x |right| exchange volume —
-    the classic skew-join trade, same rationale as stages/shuffle.py's
-    salted aggregation.
+    the classic skew-join trade.
 
     right_schema / left_schema: TRUSTED schema hints that skip the
     `ds.schema()` probe for that side entirely. Two reasons to pass one:

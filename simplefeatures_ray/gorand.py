@@ -192,6 +192,9 @@ class GoRand:
         self._g = _RawLFG(vec)
 
     def uint64(self) -> int:
+        """Not Go-parity in bit 63: the cooked table is kept masked to
+        63 bits (_rng_cooked), while Go's rngCooked holds full 64-bit
+        words. Every other method drops bit 63, so they stay bit-exact."""
         return self._g.step()
 
     def int63(self) -> int:

@@ -42,7 +42,9 @@ _FANIN = 512
 
 
 def _split_block(tbl, part_col: str, n_parts: int):
-    """Partition one block by its int partition column ∈ [0, n_parts)."""
+    """Partition one block by its int partition column ∈ [0, n_parts).
+    Returns the n_parts shards as a tuple, or the one shard itself when
+    n_parts == 1, to match the task's num_returns."""
     from ray.data.block import BlockAccessor
 
     if not isinstance(tbl, pa.Table):
@@ -59,8 +61,9 @@ def _split_block(tbl, part_col: str, n_parts: int):
     sb = b[order]
     tbl = tbl.take(pa.array(order))
     bounds = np.searchsorted(sb, np.arange(n_parts + 1))
-    return tuple(tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-                 for i in range(n_parts))
+    shards = tuple(tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
+                   for i in range(n_parts))
+    return shards if n_parts > 1 else shards[0]
 
 
 def _concat_shards(*shards):
@@ -172,14 +175,14 @@ def hash_exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
     import ray
     import ray.data as rd
 
-    split_task = ray.remote(num_returns=n_parts)(_split_block) \
-        if n_parts > 1 else ray.remote(_split_block)
+    split_task = ray.remote(num_returns=n_parts)(_split_block)
     reduce_task = ray.remote(_reduce_part)
 
     fn_ref = ray.put(fn)
     drop = [part_col] if drop_part_col else []
     refs = [br for bundle in ds.iter_internal_ref_bundles()
             for br in bundle.block_refs]
+    # one shard ref per partition per block (num_returns=1 gives a bare ref)
     splits = [split_task.remote(r, part_col, n_parts) for r in refs]
     if n_parts == 1:
         splits = [[s] for s in splits]

@@ -1,13 +1,15 @@
-"""Page extraction stage: html -> text + geotags.
+"""Page extraction stage: html -> text + geotags (+ text analysis).
 
-Stateless-per-row but stateful-per-actor (compiled regexes), so it runs
-as an actor pool: ds.map_batches(ExtractGeotags, concurrency=N,
-batch_format="pyarrow"). Extraction is a pure function of the html bytes
+One kernel, ExtractGeotags, run as a plain task function with its
+compiled regexes cached per worker process (extract_geo_batch, see
+stages/worker_cache.py). Extraction is a pure function of the html bytes
 (BASELINE.json per-row invariant: byte-identical text per url at any
 parallelism) — it reuses the same normalization as the fixture generator.
 
-Output drops the wide `html` column immediately (projection pushdown:
-html dominates memory; SURVEY.md §7 'wide binary rows').
+`ExtractGeotags.extract` returns every page; calling the kernel is the
+flagship shape: geotag-less rows go first, then the text analysis, and
+only the columns the pipeline carries leave the kernel (the wide `html`
+and `text` columns never reach the join; SURVEY.md §7 'wide binary rows').
 """
 from __future__ import annotations
 
@@ -16,37 +18,35 @@ import re
 import numpy as np
 import pyarrow as pa
 
+# the analysis columns (functions.text.AnalyzeText) the flagship keeps
+ANALYSIS_COLUMNS = ("n_tokens", "quality", "lang_pred", "fingerprint")
+
 
 class ExtractGeotags:
-    """Actor-pool batch kernel. pyarrow in / pyarrow out.
+    """Batch kernel, pyarrow in / pyarrow out.
 
-    Emits one row per input page:
+    extract(batch): one row per input page —
       url, warc_ts, lang, text, has_geo (bool), lat, lon (first geotag,
-      NaN when absent), n_geotags — and, with analyze=True (the flagship
-    default), the per-page text-analysis columns a training-data
-    pipeline computes in the same pass over the decoded text:
-    n_tokens, quality, lang_pred, fingerprint.
+      NaN when absent), n_geotags.
+    __call__(batch): the flagship kernel — geotagged pages only, as
+      url, lat, lon, n_tokens, quality, lang_pred, fingerprint. Rows
+      without geotags are dropped BEFORE analysis: the analysis columns
+      are per-row pure, so filtering first yields identical values for
+      the surviving rows at lower cost (~30% of pages carry no geotag).
     """
 
-    def __init__(self, analyze: bool = True, geo_only: bool = False):
-        # compiled once per actor (reference pattern: PreparedGeometry-style
-        # amortized setup, SURVEY.md §2.3)
+    def __init__(self):
+        from ..functions.text import AnalyzeText
+
+        # compiled once per worker (reference pattern: PreparedGeometry-
+        # style amortized setup, SURVEY.md §2.3)
         self.comment = re.compile(rb"<!--.*?-->", re.S)
         self.tag = re.compile(rb"<[^>]*>")
         self.geo_meta = re.compile(
             rb'<meta\s+name="geo\.position"\s+content="([-0-9.]+);([-0-9.]+)"'
         )
         self.icbm = re.compile(rb"ICBM:\s*([-0-9.]+),\s*([-0-9.]+)")
-        self.analyze = analyze
-        # geo_only: drop rows without geotags INSIDE the kernel, before
-        # analysis — the analysis columns are per-row pure, so filtering
-        # first yields identical values for surviving rows at a fraction
-        # of the cost (and with no extra text copies between operators)
-        self.geo_only = geo_only
-        if analyze:
-            from ..functions.text import AnalyzeText
-
-            self.analyzer = AnalyzeText()
+        self.analyzer = AnalyzeText()
 
     def extract_one(self, html: bytes):
         tags = [(float(a), float(b)) for a, b in self.geo_meta.findall(html)]
@@ -214,7 +214,9 @@ class ExtractGeotags:
              pa.py_buffer(out_buf.tobytes())])
         return texts, lats, lons, n_tags, sorted(fallback)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _columns(self, batch: pa.Table):
+        """(texts, lats, lons, n_tags) for every row of the batch: the
+        vectorized pass, with its fallback rows patched from extract_one."""
         texts_arr, lats, lons, n_tags, fb = self._extract_vectorized(batch)
         if fb:
             # rows the fast path cannot reproduce byte-exactly (invalid
@@ -235,20 +237,15 @@ class ExtractGeotags:
                     n_tags[i] = 0
             texts_arr = pa.compute.cast(
                 pa.array(raw, pa.large_binary()), pa.large_string())
-        texts = texts_arr
-        keep = slice(None)
-        if self.geo_only:
-            keep = np.nonzero(n_tags > 0)[0]
-            texts = texts.take(pa.array(keep))
-            lats = lats[keep]
-            lons = lons[keep]
-            n_tags = n_tags[keep]
-        out = pa.table(
+        return texts_arr, lats, lons, n_tags
+
+    def extract(self, batch: pa.Table) -> pa.Table:
+        texts, lats, lons, n_tags = self._columns(batch)
+        return pa.table(
             {
-                "url": batch["url"] if not self.geo_only else batch["url"].take(keep),
-                "warc_ts": (batch["warc_ts"] if not self.geo_only
-                            else batch["warc_ts"].take(keep)),
-                "lang": batch["lang"] if not self.geo_only else batch["lang"].take(keep),
+                "url": batch["url"],
+                "warc_ts": batch["warc_ts"],
+                "lang": batch["lang"],
                 "text": pa.compute.cast(texts, pa.string()),
                 "has_geo": pa.array(n_tags > 0),
                 "lat": pa.array(lats),
@@ -256,27 +253,22 @@ class ExtractGeotags:
                 "n_geotags": pa.array(n_tags),
             }
         )
-        if self.analyze:
-            out = self.analyzer(out)
-        return out
 
-
-def extract_geotags_batch(batch: pa.Table) -> pa.Table:
-    """Task-function variant of ExtractGeotags: regex state built once per
-    worker process (see stages/worker_cache.py)."""
-    from .worker_cache import get_cached
-
-    ex = get_cached("extract-geotags-singleton", build=lambda _: ExtractGeotags())
-    return ex(batch)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        texts, lats, lons, n_tags = self._columns(batch)
+        keep = np.flatnonzero(n_tags > 0)
+        rows = pa.array(keep)
+        analysed = self.analyzer(pa.table({"text": texts.take(rows)}))
+        out = {"url": batch["url"].take(rows),
+               "lat": pa.array(lats[keep]),
+               "lon": pa.array(lons[keep])}
+        out.update((c, analysed[c]) for c in ANALYSIS_COLUMNS)
+        return pa.table(out)
 
 
 def extract_geo_batch(batch: pa.Table) -> pa.Table:
-    """Extraction that drops geotag-less rows in-kernel BEFORE analysis —
-    the flagship path: ~70% of pages carry geotags (13,958 of 20,000 from
-    the synthetic generator), and analysing the other ~30% is pure
-    waste. One task, no extra text copies between operators."""
+    """The flagship extract task: ExtractGeotags.__call__ with the
+    kernel built once per worker process."""
     from .worker_cache import get_cached
 
-    ex = get_cached("extract-geo-singleton",
-                    build=lambda _: ExtractGeotags(analyze=True, geo_only=True))
-    return ex(batch)
+    return get_cached("extract-geo-singleton", build=lambda _: ExtractGeotags())(batch)

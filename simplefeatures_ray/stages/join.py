@@ -2,7 +2,9 @@
 
 The big side streams through map_batches; the small polygon side is
 packed into an STRtree + ring arrays, `ray.put` ONCE on the driver, and
-fetched ONCE PER ACTOR in __init__ (never per batch). Candidate
+fetched once per worker process by the task functions
+(spatial_join_batch, knn_join_batch) through stages/worker_cache, which
+also caches the kernel built from it — never per batch. Candidate
 generation is the vectorized R-tree descent; refinement is
 crossing-number point-in-polygon (reference alg_point_in_ring.go
 semantics). This is the engine's analog of the reference's
@@ -53,24 +55,19 @@ def build_polygon_index(polygons: pa.Table):
 
 
 class BroadcastSpatialJoin:
-    """Actor-pool batch kernel for the pages x polygons join.
+    """Batch kernel for the pages x polygons join.
 
-    index_ref: ray.ObjectRef of build_polygon_index(...) output.
-    x_col/y_col: names of the lon/lat (or x/y) columns in the batch.
+    index: build_polygon_index(...) output.
+    x_col/y_col: names of the lon/lat (or x/y) columns in the batch;
+    rows with a NaN coordinate never match.
     """
 
-    def __init__(self, index_ref=None, mode: str = "inner", x_col: str = "lon",
-                 y_col: str = "lat", drop_nan: bool = True, index=None):
-        if index is None:
-            import ray
-
-            # one object-store fetch per ACTOR (zero-copy for the numpy arrays)
-            index = ray.get(index_ref)
+    def __init__(self, index, mode: str = "inner", x_col: str = "lon",
+                 y_col: str = "lat"):
         self.tree, self.ring_sets, self.poly_ids, self.names = index
         self.mode = mode
         self.x_col = x_col
         self.y_col = y_col
-        self.drop_nan = drop_nan
 
     def match(self, px: np.ndarray, py: np.ndarray):
         """Return (pt_idx, poly_pos) exact-hit pairs, sorted by (pt, poly_id)."""
@@ -101,7 +98,7 @@ class BroadcastSpatialJoin:
     def __call__(self, batch: pa.Table) -> pa.Table:
         px = np.asarray(batch[self.x_col], dtype=np.float64)
         py = np.asarray(batch[self.y_col], dtype=np.float64)
-        valid = ~(np.isnan(px) | np.isnan(py)) if self.drop_nan else np.ones(len(px), bool)
+        valid = ~(np.isnan(px) | np.isnan(py))
         vidx = np.flatnonzero(valid)
         kp, ki = self.match(px[vidx], py[vidx])
         kp = vidx[kp] if len(kp) else kp
@@ -140,12 +137,7 @@ class KNNJoin:
     # pruned sweep (_knn_large) — both loop-free over points
     VECTOR_BOUND = 512
 
-    def __init__(self, index_ref=None, k: int = 1, x_col: str = "lon", y_col: str = "lat",
-                 index=None):
-        if index is None:
-            import ray
-
-            index = ray.get(index_ref)
+    def __init__(self, index, k: int = 1, x_col: str = "lon", y_col: str = "lat"):
         self.tree, self.ring_sets, self.poly_ids, self.names = index
         self.k = k
         self.x_col = x_col
@@ -311,8 +303,8 @@ class KNNJoin:
 
 
 # --------------------------------------------------------------------------- #
-# task-function variants (per-worker cached state, no actor spin-up;
-# see stages/worker_cache.py for the tradeoff vs actor pools)
+# task functions: the kernel is built once per worker process from the
+# index behind `index_ref` (stages/worker_cache.py)
 # --------------------------------------------------------------------------- #
 
 

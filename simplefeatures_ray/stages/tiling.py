@@ -20,22 +20,10 @@ import pyarrow as pa
 
 
 def encode_cells(res: int, x_col: str = "lon", y_col: str = "lat",
-                 out_col: str = "cell", scheme: str = "morton"):
-    """Cell-encode kernel. scheme='morton' (Web-Mercator quadtree,
-    simplefeatures_ray.cells — the fast default) or 's2' (standard S2
-    bit layout, simplefeatures_ray.s2 — interoperable ids whose Hilbert
-    ordering keeps range shards spatially local). Both emit uint64 and
-    plug into the same histogram/tile stages downstream."""
-    if scheme == "morton":
-        from ..cells import lonlat_to_cell
-
-        enc = lambda lon, lat: lonlat_to_cell(lon, lat, res)  # noqa: E731
-    elif scheme == "s2":
-        from ..s2 import lonlat_to_id
-
-        enc = lambda lon, lat: lonlat_to_id(lon, lat, level=res)  # noqa: E731
-    else:
-        raise ValueError(f"unknown cell scheme {scheme!r}")
+                 out_col: str = "cell"):
+    """Cell-encode kernel: Web-Mercator quadtree (Morton) uint64 cells at
+    `res` (simplefeatures_ray.cells); NaN coordinates get a null cell."""
+    from ..cells import lonlat_to_cell
 
     def kernel(batch: pa.Table) -> pa.Table:
         lon = np.asarray(batch[x_col], dtype=np.float64)
@@ -43,7 +31,7 @@ def encode_cells(res: int, x_col: str = "lon", y_col: str = "lat",
         ok = ~(np.isnan(lon) | np.isnan(lat))
         cells = np.zeros(len(lon), dtype=np.uint64)
         if ok.any():
-            cells[ok] = enc(lon[ok], lat[ok])
+            cells[ok] = lonlat_to_cell(lon[ok], lat[ok], res)
         return batch.append_column(out_col, pa.array(cells, pa.uint64(), mask=~ok))
 
     return kernel
@@ -85,21 +73,12 @@ def cell_histogram(ds, cell_col: str = "cell"):
                      "n_pages": pa.array(totals, pa.int64())})
 
 
-def tile_table(hist) -> pa.Table:
-    """Small per-cell histogram -> (cell, n_pages, tile_id) Arrow table.
-
-    hist may be a Dataset (materialized here — it is |distinct cells| rows,
-    bounded by 4^res, not by the page count) or a pyarrow Table.
-    """
-    if hasattr(hist, "to_arrow_refs"):
-        import ray
-
-        parts = [t for t in ray.get(hist.to_arrow_refs()) if t.num_rows]
-        tbl = pa.concat_tables(parts) if parts else pa.table({"cell": [], "n_pages": []})
-    else:
-        tbl = hist
-    cells = np.asarray(tbl["cell"], dtype=np.uint64)
-    counts = np.asarray(tbl["n_pages"], dtype=np.int64)
+def tile_table(hist: pa.Table) -> pa.Table:
+    """Small per-cell histogram (cell, n_pages) -> (cell, n_pages,
+    tile_id) Arrow table; it has |distinct cells| rows, bounded by 4^res,
+    not by the page count."""
+    cells = np.asarray(hist["cell"], dtype=np.uint64)
+    counts = np.asarray(hist["n_pages"], dtype=np.int64)
     order = np.lexsort((cells, -counts))  # count desc, cell asc
     tile_ids = np.empty(len(order), dtype=np.int64)
     tile_ids[order] = np.arange(len(order))
@@ -113,16 +92,12 @@ def tile_table(hist) -> pa.Table:
 
 
 class AssignTiles:
-    """Actor-pool kernel: attach tile_id by cell lookup (broadcast dict)."""
+    """Batch kernel: attach tile_id by cell lookup in the tile table
+    (cells absent from it get -1)."""
 
-    def __init__(self, tiles_ref=None, cell_col: str = "cell", tiles=None):
-        if tiles is None:
-            import ray
-
-            tiles = ray.get(tiles_ref)
-        tbl = tiles
-        cells = np.asarray(tbl["cell"], dtype=np.uint64)
-        tids = np.asarray(tbl["tile_id"], dtype=np.int64)
+    def __init__(self, tiles: pa.Table, cell_col: str = "cell"):
+        cells = np.asarray(tiles["cell"], dtype=np.uint64)
+        tids = np.asarray(tiles["tile_id"], dtype=np.int64)
         order = np.argsort(cells)
         self.sorted_cells = cells[order]
         self.sorted_tids = tids[order]
@@ -142,7 +117,8 @@ class AssignTiles:
 
 
 def assign_tiles_batch(batch: pa.Table, *, tiles_ref, cell_col: str = "cell") -> pa.Table:
-    """Task-function variant of AssignTiles (per-worker cached lookup)."""
+    """The flagship assign task: AssignTiles over the tile table behind
+    `tiles_ref`, built once per worker process."""
     from .worker_cache import get_cached
 
     def build(tbl):

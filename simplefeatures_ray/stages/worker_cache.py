@@ -10,8 +10,11 @@ Two ways to amortize stateful setup across batches in Ray Data:
      (zero-copy ray.get from the object store) and persists across
      executions. No spin-up at all.
 
-The engine's hot pipeline stages use (2); the actor-pool classes remain
-the public API for heavyweight state (see stages/join.py docstring).
+Every flagship stage uses (2): a task function (extract_geo_batch,
+spatial_join_batch, assign_tiles_batch) whose kernel object is built from
+plain values — never from an object ref inside a constructor — and
+cached here. Actor pools remain for the query-registry stages that pass
+a callable class with auto_concurrency() below.
 """
 from __future__ import annotations
 

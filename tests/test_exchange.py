@@ -178,3 +178,26 @@ def test_resilient_exchange_recovers_lost_reduce(ray_session):
     g2 = (got.groupby("k", as_index=False)["v"].sum()
           .sort_values(["k", "v"]).reset_index(drop=True))
     assert g2.equals(exp)
+
+
+def test_single_partition_multi_block(ray_session):
+    """n_parts=1: every row of every block reaches the one reduce, once."""
+    t, ds = _mk(3000, 1, seed=3, n_blocks=5)
+
+    out = hash_exchange(ds, 1, lambda g: g).to_pandas()
+    assert len(out) == 3000
+    assert sorted(out["k"]) == sorted(t["k"].to_pylist())
+    assert np.isclose(out["v"].sum(), float(np.asarray(t["v"]).sum()))
+
+
+def test_checkpointed_write_one_bucket(ray_session, tmp_path):
+    from simplefeatures_ray.state.checkpoint import (
+        checkpointed_write, load_manifest, verify_manifest)
+
+    ds = rd.range(2000).repartition(4).map_batches(
+        lambda b: {"id": b["id"], "key": b["id"] % 37}, batch_format="numpy")
+    out_dir = str(tmp_path / "one")
+    doc = checkpointed_write(ds, out_dir, partition_col="key", n_buckets=1)
+    assert doc["total_rows"] == 2000
+    assert list(load_manifest(out_dir)) == [0]
+    assert verify_manifest(out_dir) == {0: "ok"}

@@ -60,7 +60,7 @@ def _reference(ex, htmls):
 
 @pytest.mark.parametrize("batchsize", [None, 3])
 def test_unicode_extract_matches_reference(batchsize):
-    ex = ExtractGeotags(analyze=False)
+    ex = ExtractGeotags()
     htmls = UNICODE_HTMLS + INVALID_HTMLS + UNICODE_HTMLS[::-1]
     ref = _reference(ex, htmls)
     batches = ([_mk_batch(htmls)] if batchsize is None else
@@ -68,7 +68,7 @@ def test_unicode_extract_matches_reference(batchsize):
                 for i in range(0, len(htmls), batchsize)])
     got = []
     for b in batches:
-        out = ex(b)
+        out = ex.extract(b)
         for i in range(len(out)):
             t = out["text"][i].as_py()
             n = out["n_geotags"][i].as_py()
@@ -84,7 +84,7 @@ def test_unicode_extract_matches_reference(batchsize):
 
 def test_valid_unicode_rows_skip_fallback(monkeypatch):
     """The per-row path must fire ONLY for invalid UTF-8 rows."""
-    ex = ExtractGeotags(analyze=False)
+    ex = ExtractGeotags()
     calls = []
     orig = ex.extract_one
 
@@ -93,10 +93,10 @@ def test_valid_unicode_rows_skip_fallback(monkeypatch):
         return orig(h)
 
     monkeypatch.setattr(ex, "extract_one", spy)
-    ex(_mk_batch(UNICODE_HTMLS))
+    ex.extract(_mk_batch(UNICODE_HTMLS))
     assert calls == []  # all valid rows stayed vectorized
     calls.clear()
-    ex(_mk_batch(UNICODE_HTMLS + INVALID_HTMLS))
+    ex.extract(_mk_batch(UNICODE_HTMLS + INVALID_HTMLS))
     assert 1 <= len(calls) <= len(INVALID_HTMLS) + 2  # invalid (+neighbors)
 
 
@@ -107,7 +107,7 @@ def test_unicode_fuzz_extract(monkeypatch):
     pool = (list("abcdef <>") + ["é", "ü", "中", "語", "😀", " ",
             " ", "　", "\t", "\n", "<b>", "</b>", "<!--", "-->",
             "&amp;", "π", " ", "'"])
-    ex = ExtractGeotags(analyze=False)
+    ex = ExtractGeotags()
     for trial in range(60):
         htmls = []
         for _ in range(rng.randint(1, 8)):
@@ -119,7 +119,7 @@ def test_unicode_fuzz_extract(monkeypatch):
                 raw = raw[:cut] + bytes([rng.randint(0x80, 0x100)]) + raw[cut:]
             htmls.append(raw)
         ref = _reference(ex, htmls)
-        out = ex(_mk_batch(htmls))
+        out = ex.extract(_mk_batch(htmls))
         for i, (rt, rn, rc) in enumerate(ref):
             assert out["text"][i].as_py() == rt, (trial, htmls[i])
             assert out["n_geotags"][i].as_py() == rn, (trial, htmls[i])

@@ -22,12 +22,12 @@ def _wrap(htmls):
 
 def test_byte_identity_on_fixture_pages():
     batch = gen_pages_batch({"id": np.arange(2048, dtype=np.int64)})
-    out = ExtractGeotags(analyze=False)(batch)
+    out = ExtractGeotags().extract(batch)
     assert out["text"].to_pylist() == batch["text"].to_pylist()
 
 
 def test_adversarial_markup_parity():
-    ex = ExtractGeotags(analyze=False)
+    ex = ExtractGeotags()
     weird = [
         b"<html>a<b>c</b> > loose <unclosed tag",
         b"<!-- x --> keep <!-- y",
@@ -42,7 +42,7 @@ def test_adversarial_markup_parity():
         b"tab\tseparated\x1ccontrol\x1fws",
         b"> starts with gt < ends with lt",
     ]
-    out = ex(_wrap(weird))
+    out = ex.extract(_wrap(weird))
     for i, h in enumerate(weird):
         text, tags = ex.extract_one(h)
         assert out["text"][i].as_py() == text, (i, h)
@@ -54,8 +54,8 @@ def test_adversarial_markup_parity():
 
 def test_geotag_first_tag_and_counts():
     batch = gen_pages_batch({"id": np.arange(0, 4096, 3, dtype=np.int64)})
-    ex = ExtractGeotags(analyze=False)
-    out = ex(batch)
+    ex = ExtractGeotags()
+    out = ex.extract(batch)
     for i in range(0, len(batch), 97):
         _, tags = ex.extract_one(batch["html"][i].as_py())
         assert out["n_geotags"][i].as_py() == len(tags)
@@ -64,12 +64,25 @@ def test_geotag_first_tag_and_counts():
 
 
 def test_geo_only_filter_matches_reference():
+    """The flagship kernel (__call__) keeps exactly the geotagged rows
+    of .extract(), with their coordinates, plus the analysis columns."""
     batch = gen_pages_batch({"id": np.arange(1024, dtype=np.int64)})
-    ex = ExtractGeotags(analyze=False, geo_only=True)
+    ex = ExtractGeotags()
     out = ex(batch)
-    ref = ExtractGeotags(analyze=False)
     want = [i for i in range(1024)
-            if ref.extract_one(batch["html"][i].as_py())[1]]
-    assert len(out) == len(want)
-    assert out["url"].to_pylist() == [f"https://site-{i % 9973}.example.com/page/{i}"
+            if ex.extract_one(batch["html"][i].as_py())[1]]
+    full = ex.extract(batch)
+    geo = full.filter(full["has_geo"])
+    assert geo["url"].to_pylist() == [f"https://site-{i % 9973}.example.com/page/{i}"
                                       for i in want]
+    assert out["url"].to_pylist() == geo["url"].to_pylist()
+    assert out["lat"].to_pylist() == geo["lat"].to_pylist()
+    assert out["lon"].to_pylist() == geo["lon"].to_pylist()
+    assert out.column_names == ["url", "lat", "lon", "n_tokens", "quality",
+                                "lang_pred", "fingerprint"]
+    # analysing only the kept rows equals analysing every row, then filtering
+    from simplefeatures_ray.functions.text import AnalyzeText
+
+    ref = AnalyzeText()(full).filter(full["has_geo"])
+    for c in ("n_tokens", "quality", "lang_pred", "fingerprint"):
+        assert out[c].to_pylist() == ref[c].to_pylist(), c

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 
 
+def _sorted(df):
+    """Rows in (tile_id, url, poly_id) order: the pipeline pins content,
+    not row order (the checkpointed sink sorts each partition file)."""
+    return df.sort_values(["tile_id", "url", "poly_id"],
+                          kind="mergesort").reset_index(drop=True)
+
+
 @pytest.fixture(scope="module")
 def small_run(ray_session):
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
     from simplefeatures_ray.sources.pages import pages_dataset
     from simplefeatures_ray.sources.polygons import make_polygons
 
-    # final_sort=True: these tests assert on the globally-sorted variant
-    # (the default is the partitioned-sink shape, exercised by
-    # test_golden_output_hash and the checkpoint suite)
-    out = geotag_join_tiles(pages_dataset(5000), make_polygons(64),
-                            final_sort=True)
-    return out.to_pandas()
+    out = geotag_join_tiles(pages_dataset(5000), make_polygons(64))
+    return _sorted(out.to_pandas())
 
 
 def test_flagship_output_shape(small_run):
@@ -63,13 +66,12 @@ def test_deterministic_across_parallelism(ray_session, small_run):
     from simplefeatures_ray.sources.pages import pages_dataset
     from simplefeatures_ray.sources.polygons import make_polygons
 
-    out2 = geotag_join_tiles(
+    out2 = _sorted(geotag_join_tiles(
         pages_dataset(5000, override_num_blocks=3),
         make_polygons(64),
         batch_size=577,
-        final_sort=True,
-    ).to_pandas()
-    assert small_run.reset_index(drop=True).equals(out2.reset_index(drop=True))
+    ).to_pandas())
+    assert small_run.equals(out2)
 
 
 def test_skewed_cells_present(small_run):
@@ -81,17 +83,15 @@ def test_skewed_cells_present(small_run):
 
 
 def test_semi_and_anti_modes(ray_session):
-    from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
     from simplefeatures_ray.sources.pages import pages_dataset
     from simplefeatures_ray.sources.polygons import make_polygons
-    from simplefeatures_ray.stages.extract import extract_geotags_batch
+    from simplefeatures_ray.stages.extract import extract_geo_batch
     from simplefeatures_ray.stages.join import build_polygon_index, spatial_join_batch
     import ray
 
     pages = pages_dataset(2000)
     index_ref = ray.put(build_polygon_index(make_polygons(64)))
-    ex = pages.map_batches(extract_geotags_batch, batch_format="pyarrow") \
-              .filter(expr="has_geo")
+    ex = pages.map_batches(extract_geo_batch, batch_format="pyarrow")
     n_geo = ex.count()
     semi = ex.map_batches(spatial_join_batch,
                           fn_kwargs={"index_ref": index_ref, "mode": "semi"},
@@ -115,8 +115,8 @@ def test_golden_output_hash(ray_session):
     from simplefeatures_ray.sources.polygons import make_polygons
 
     def canon(df):
-        # default is now the production shape (final_sort=False): content
-        # is deterministic, row order is not — canonicalize by sorting
+        # content is deterministic, row order is not — canonicalize by
+        # sorting
         df = df.reindex(sorted(df.columns), axis=1)
         return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
@@ -126,10 +126,6 @@ def test_golden_output_hash(ray_session):
         pages_dataset(3000, override_num_blocks=2), make_polygons(64), batch_size=333
     ).to_pandas())
     assert hashlib.sha256(df2.to_csv(index=False).encode()).hexdigest() == digest
-    # the opt-in global sort must produce the same CONTENT
-    df3 = canon(geotag_join_tiles(
-        pages_dataset(3000), make_polygons(64), final_sort=True).to_pandas())
-    assert hashlib.sha256(df3.to_csv(index=False).encode()).hexdigest() == digest
     # pin (update deliberately, never casually):
     assert digest == GOLDEN_FLAGSHIP_3000, digest
 
@@ -137,8 +133,8 @@ def test_golden_output_hash(ray_session):
 # re-pinned 2026-08-17: flagship default switched to the partitioned-sink
 # shape (final_sort=False) and the gate hash is now computed over rows
 # canonicalized by sort-by-all-columns, so the digest changed while the
-# underlying join rows and tile ids are unchanged (df3 equality above
-# proves sorted-path content identity).
+# underlying join rows and tile ids are unchanged (at the time, a content
+# check against the since-removed global-sort variant proved it).
 GOLDEN_FLAGSHIP_3000 = "a78d17dab18b18121cf2f72f69e07109e1eba763d0d2a0461a4263b7d256a4f4"
 
 
@@ -153,56 +149,29 @@ def test_extracted_text_byte_identical(ray_session):
     from simplefeatures_ray.stages.extract import ExtractGeotags
 
     batch = gen_pages_batch(pa.table({"id": pa.array(np.arange(4096, dtype=np.int64))}))
-    ex = ExtractGeotags(analyze=False)
-    out = ex(batch)
+    ex = ExtractGeotags()
+    out = ex.extract(batch)
     assert out["text"].to_pylist() == batch["text"].to_pylist()
     # same under a different slicing
-    half = ex(batch.slice(1000, 500))
+    half = ex.extract(batch.slice(1000, 500))
     assert half["text"].to_pylist() == batch.slice(1000, 500)["text"].to_pylist()
 
 
-def test_branch_cache_cluster_safety(ray_session, tmp_path, monkeypatch):
+def test_branch_cache_cluster_safety(ray_session):
     """Cluster-safety invariant (VERDICT r4 #1): the branch cache never
-    spills to a node-local default path. With no shared spill dir
-    configured the pipeline must use the distributed object store
-    (materialize); an explicit shared path is honored and produces
-    identical content."""
+    spills to a node-local path; it lives in the distributed object
+    store (materialize)."""
     import glob
-    import hashlib
 
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
     from simplefeatures_ray.sources.pages import pages_dataset
     from simplefeatures_ray.sources.polygons import make_polygons
 
-    monkeypatch.delenv("SFRAY_SPILL_DIR", raising=False)
-
-    def canon(df):
-        df = df.reindex(sorted(df.columns), axis=1)
-        return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
-
-    def digest(df):
-        return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
-
     before = set(glob.glob("/tmp/sfray-branch-*"))
-    d_default = canon(geotag_join_tiles(
-        pages_dataset(2000), make_polygons(64)).to_pandas())
-    # no node-local tempdir was created by the default path
+    out = geotag_join_tiles(pages_dataset(2000), make_polygons(64)).to_pandas()
+    assert len(out) > 0
+    # no node-local tempdir was created
     assert set(glob.glob("/tmp/sfray-branch-*")) == before
-
-    shared = tmp_path / "shared-spill"  # stands in for an NFS/object-store URI
-    d_spill = canon(geotag_join_tiles(
-        pages_dataset(2000), make_polygons(64),
-        spill_dir=str(shared)).to_pandas())
-    assert len(list(shared.glob("*.parquet"))) > 0  # spill actually used
-    assert digest(d_default) == digest(d_spill)
-
-    # env-var route works too
-    shared2 = tmp_path / "shared-spill-env"
-    monkeypatch.setenv("SFRAY_SPILL_DIR", str(shared2))
-    d_env = canon(geotag_join_tiles(
-        pages_dataset(2000), make_polygons(64)).to_pandas())
-    assert len(list(shared2.glob("*.parquet"))) > 0
-    assert digest(d_env) == digest(d_default)
 
 
 def test_flagship_on_intl_corpus(ray_session):
@@ -228,7 +197,7 @@ def test_flagship_on_intl_corpus(ray_session):
     assert nonascii >= 0.5 * len(batch)
 
     # per-row invariant: engine extraction == stored reference text
-    out = ExtractGeotags(analyze=False)(batch)
+    out = ExtractGeotags().extract(batch)
     assert out["text"].to_pylist() == batch["text"].to_pylist()
 
     def canon(df):

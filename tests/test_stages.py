@@ -234,39 +234,6 @@ def test_asof_join(ray_session):
     assert vals[:3] == ["x", "y", "z"] and (vals[3] is None or vals[3] != vals[3])
 
 
-def test_salted_map_groups_matches_plain(ray_session):
-    import ray.data as rd
-
-    import pandas as pd
-    from simplefeatures_ray.stages.shuffle import detect_hot_keys, salted_map_groups
-
-    tbl = pa.table({
-        "cell": ([7] * 500 + [1] * 20 + [2] * 30),  # cell 7 is hot
-        "url": [f"u{i}" for i in range(550)],
-        "v": np.arange(550, dtype=float),
-    })
-    ds = rd.from_arrow(tbl)
-
-    def per_group(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"cell": [df["cell"].iloc[0]], "s": [df["v"].sum()],
-                             "n": [len(df)]})
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"cell": [df["cell"].iloc[0]], "s": [df["s"].sum()],
-                             "n": [df["n"].sum()]})
-
-    hist = ds.to_pandas().groupby("cell").size().reset_index(name="n")
-    hot = detect_hot_keys(pa.Table.from_pandas(hist), "cell", "n", threshold=100)
-    assert hot == [7]
-    salted = salted_map_groups(ds, "cell", per_group, merge, hot_keys=hot,
-                               n_salts=8, hash_col="url").to_pandas()
-    plain = ds.to_pandas().groupby("cell").agg(s=("v", "sum"), n=("v", "size")).reset_index()
-    merged = salted.sort_values("cell").reset_index(drop=True)
-    plain = plain.sort_values("cell").reset_index(drop=True)
-    assert merged["n"].tolist() == plain["n"].tolist()
-    assert merged["s"].tolist() == pytest.approx(plain["s"].tolist())
-
-
 def test_bucketed_join_matches_broadcast(ray_session):
     import ray.data as rd
 
@@ -717,36 +684,6 @@ def test_pack_sequences_rules(ray_session):
 
     with pytest.raises(ValueError):
         pack_sequences(rd.from_arrow(tbl), "g", "i", "sz", budget=0)
-
-
-def test_geotag_pipeline_s2_scheme(ray_session):
-    """The flagship pipeline runs unchanged on S2 cell ids, with the
-    same rows joined and deterministic tiles at any parallelism."""
-    import numpy as np
-    import ray.data as rd
-
-    from simplefeatures_ray import s2
-    from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
-    from simplefeatures_ray.sources.pages import read_pages
-    from simplefeatures_ray.sources.polygons import make_polygons
-
-    polys = make_polygons(16)
-    a = geotag_join_tiles(read_pages(2000), polys, res=10,
-                          cell_scheme="s2").to_pandas()
-    b = geotag_join_tiles(read_pages(2000, parallelism=7), polys, res=10,
-                          cell_scheme="s2").to_pandas()
-    key = ["url", "poly_id"]
-    a1 = a.sort_values(key).reset_index(drop=True)
-    b1 = b.sort_values(key).reset_index(drop=True)
-    assert a1.equals(b1[a1.columns])
-    assert len(a) > 0
-    # every cell is a valid level-10 S2 id and every row got a tile
-    cells = a["cell"].to_numpy(np.uint64)
-    assert (s2.cell_level(cells) == 10).all()
-    assert (a["tile_id"] >= 0).all()
-    # morton and s2 schemes join the same (url, poly_id) pairs
-    m = geotag_join_tiles(read_pages(2000), polys, res=10).to_pandas()
-    assert sorted(zip(m.url, m.poly_id)) == sorted(zip(a.url, a.poly_id))
 
 
 def test_bm25_topk_basic(ray_session):
