@@ -1,9 +1,13 @@
 """Geometric primitives + binary predicates.
 
-Point-in-ring uses crossing-number ray casting, the same algorithm as the
-reference (geom/alg_point_in_ring.go:19-41); Intersects mirrors the
-type-pair dispatch of geom/alg_intersects.go. All kernels are numpy-
-vectorized over points where it matters (the join hot path).
+Point-in-polygon uses crossing-number ray casting, the same algorithm as
+the reference (geom/alg_point_in_ring.go:19-41); Intersects mirrors the
+type-pair dispatch of geom/alg_intersects.go. Point-vs-area work runs in
+one flat kernel, pair_parity_on: (point, polygon) pairs are expanded over
+a flat edge table (flat_edges) and the crossing and on-edge tests run as
+one numpy pass over the (point, edge) rows, with no per-edge or
+per-polygon Python loop. The join's refinement and points_in_polygon
+share it.
 """
 from __future__ import annotations
 
@@ -128,55 +132,118 @@ def segment_intersection(a, b, c, d):
 
 
 # --------------------------------------------------------------------------- #
-# vectorized point-in-ring / point-in-polygon (crossing number)
+# flat crossing-number / on-edge kernel over (point, polygon) pairs
 # --------------------------------------------------------------------------- #
 
+# (point, edge) rows per vector pass; bounds the kernel's temporaries
+PAIR_CHUNK = 1 << 18
 
-def points_in_ring(px: np.ndarray, py: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Crossing-number parity for many points vs one ring.
 
-    Returns int8 array: 1 interior-parity (odd crossings), 0 even. Does NOT
-    detect boundary — combine with points_on_ring. Vectorized over points
-    with an edge loop (rings are short relative to point batches).
-    Algorithm: geom/alg_point_in_ring.go:19-53 (half-infinite ray to -x).
+def flat_edges(ring_sets):
+    """Per-polygon ring lists (shell first) -> one flat edge table.
+
+    Returns (x1, y1, x2, y2, ring_edge_off, poly_ring_off): contiguous
+    float64 edge arrays (edge e runs (x1[e], y1[e]) -> (x2[e], y2[e])),
+    the edges of ring r are ring_edge_off[r]:ring_edge_off[r + 1], and the
+    rings of polygon j are poly_ring_off[j]:poly_ring_off[j + 1]. Built from
+    one concatenation of all ring vertices with each ring's last vertex
+    masked out as an edge start.
     """
-    x1 = ring[:-1, 0]
-    y1 = ring[:-1, 1]
-    x2 = ring[1:, 0]
-    y2 = ring[1:, 1]
-    inside = np.zeros(len(px), dtype=bool)
-    # loop over edges, vector over points: edges ~10-10k, points ~100k
-    for ex1, ey1, ex2, ey2 in zip(x1, y1, x2, y2):
-        if ey1 == ey2:
-            continue
-        cond = (ey1 > py) != (ey2 > py)
-        if not cond.any():
-            continue
-        t = (py - ey1) / (ey2 - ey1)
-        xint = ex1 + t * (ex2 - ex1)
-        inside ^= cond & (px < xint)
-    return inside.astype(np.int8)
+    rings = [r for rs in ring_sets for r in rs]
+    poly_ring_off = np.zeros(len(ring_sets) + 1, dtype=np.int64)
+    np.cumsum([len(rs) for rs in ring_sets], out=poly_ring_off[1:])
+    lens = np.fromiter((len(r) for r in rings), dtype=np.int64, count=len(rings))
+    ring_edge_off = np.zeros(len(rings) + 1, dtype=np.int64)
+    np.cumsum(np.maximum(lens - 1, 0), out=ring_edge_off[1:])
+    if not lens.sum():
+        empty = np.zeros(0, dtype=np.float64)
+        return empty, empty, empty, empty, ring_edge_off, poly_ring_off
+    v = np.concatenate([r[:, :2] for r in rings if len(r)])
+    starts = np.ones(len(v), dtype=bool)
+    starts[np.cumsum(lens[lens > 0]) - 1] = False
+    e = np.flatnonzero(starts)
+    return v[e, 0], v[e, 1], v[e + 1, 0], v[e + 1, 1], ring_edge_off, poly_ring_off
+
+
+def pair_parity_on(px, py, pair_pt, pair_poly, edges, poly_edge_off):
+    """Crossing parity and on-boundary flag per (point, polygon) pair.
+
+    edges = (x1, y1, x2, y2) flat edge arrays; polygon j owns edges
+    poly_edge_off[j]:poly_edge_off[j + 1] (all its rings). Each pair is
+    expanded over its polygon's edges, both tests run in one vector pass
+    per chunk of <= PAIR_CHUNK (point, edge) rows, and the rows reduce
+    per pair: XOR of crossings (even-odd over all rings == shell minus
+    holes) and OR of on-edge hits. Returns (parity bool[], on bool[]).
+    Pairs whose polygon has no edges stay (False, False).
+    """
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    n = len(pair_pt)
+    parity = np.zeros(n, dtype=bool)
+    on = np.zeros(n, dtype=bool)
+    start = poly_edge_off[pair_poly]
+    count = poly_edge_off[pair_poly + 1] - start
+    # an empty segment must not reach reduceat (it yields a[start] there)
+    live = np.flatnonzero(count > 0)
+    ends = np.cumsum(count[live])
+    lo = 0
+    while lo < len(live):
+        done = ends[lo] - count[live[lo]]
+        hi = max(int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")), lo + 1)
+        sel = live[lo:hi]
+        pts = pair_pt[sel]
+        parity[sel], on[sel] = _edge_pass(px[pts], py[pts], start[sel], count[sel], edges)
+        lo = hi
+    return parity, on
+
+
+def _edge_pass(qx, qy, start, count, edges):
+    """One vector pass over the (point, edge) rows of pairs with >= 1 edge.
+
+    Per row the arithmetic is the scalar crossing-number test
+    (geom/alg_point_in_ring.go:19-53, half-infinite ray to -x; horizontal
+    edges never cross) and on_segment's box + cross-product test with its
+    math.hypot edge length.
+    """
+    x1, y1, x2, y2 = edges
+    seg = np.cumsum(count) - count  # first row of each pair
+    rep = np.repeat(np.arange(len(count)), count)
+    e = np.repeat(start - seg, count) + np.arange(int(seg[-1] + count[-1]))
+    x, y = qx[rep], qy[rep]
+    ex1, ey1, ex2, ey2 = x1[e], y1[e], x2[e], y2[e]
+    dx = ex2 - ex1
+    dy = ey2 - ey1
+    with np.errstate(divide="ignore", invalid="ignore"):  # horizontal edges
+        t = (y - ey1) / dy
+        crosses = ((ey1 > y) != (ey2 > y)) & (x < ex1 + t * dx)
+    tol = _on_tol(np.maximum(np.abs(qx), np.abs(qy)))[rep]
+    box = ((x >= np.minimum(ex1, ex2) - tol) & (x <= np.maximum(ex1, ex2) + tol)
+           & (y >= np.minimum(ey1, ey2) - tol) & (y <= np.maximum(ey1, ey2) + tol))
+    ac = np.abs(dx * (y - ey1) - dy * (x - ex1))
+    # np.hypot may differ from math.hypot by 1 ulp: decide with a
+    # relative 1e-12 margin both ways, recheck the rows in between
+    h = np.hypot(dx, dy)
+    near = box & (ac <= tol * np.maximum(h * (1 + 1e-12), 1.0))
+    on_edge = near & (ac <= tol * np.maximum(h * (1 - 1e-12), 1.0))
+    amb = np.flatnonzero(near & ~on_edge)
+    if len(amb):
+        seg_len = [max(math.hypot(a, b), 1.0) for a, b in zip(dx[amb].tolist(), dy[amb].tolist())]
+        on_edge[amb] = ac[amb] <= tol[amb] * np.asarray(seg_len)
+    return np.logical_xor.reduceat(crosses, seg), np.logical_or.reduceat(on_edge, seg)
+
+
+def _one_polygon(px, py, rings):
+    """(parity, on) of every point against one ring list."""
+    x1, y1, x2, y2, _, _ = flat_edges([rings])
+    n = len(px)
+    return pair_parity_on(px, py, np.arange(n), np.zeros(n, dtype=np.int64),
+                          (x1, y1, x2, y2), np.array([0, len(x1)], dtype=np.int64))
 
 
 def points_on_ring(px: np.ndarray, py: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Boolean array: point lies on the ring's boundary (within the snap
-    tolerance _ON_EPS — see on_segment)."""
-    on = np.zeros(len(px), dtype=bool)
-    x1 = ring[:-1, 0]
-    y1 = ring[:-1, 1]
-    x2 = ring[1:, 0]
-    y2 = ring[1:, 1]
-    tol = _on_tol(np.maximum(np.abs(px), np.abs(py)))
-    for ex1, ey1, ex2, ey2 in zip(x1, y1, x2, y2):
-        lox, hix = (ex1, ex2) if ex1 <= ex2 else (ex2, ex1)
-        loy, hiy = (ey1, ey2) if ey1 <= ey2 else (ey2, ey1)
-        box = (px >= lox - tol) & (px <= hix + tol) & (py >= loy - tol) & (py <= hiy + tol)
-        if not box.any():
-            continue
-        cross = (ex2 - ex1) * (py - ey1) - (ey2 - ey1) * (px - ex1)
-        seg_len = math.hypot(ex2 - ex1, ey2 - ey1)
-        on |= box & (np.abs(cross) <= tol * max(seg_len, 1.0))
-    return on
+    """Boolean array: point lies on the ring's (or line's) edges, within
+    the snap tolerance of on_segment."""
+    return _one_polygon(px, py, [ring])[1]
 
 
 def points_in_polygon(px: np.ndarray, py: np.ndarray, rings) -> np.ndarray:
@@ -185,14 +252,8 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, rings) -> np.ndarray:
     Returns int8 array of EXTERIOR(-1) / BOUNDARY(0) / INTERIOR(1).
     Even-odd over all rings == shell minus holes for valid polygons.
     """
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    parity = np.zeros(len(px), dtype=np.int8)
-    on = np.zeros(len(px), dtype=bool)
-    for ring in rings:
-        parity ^= points_in_ring(px, py, ring)
-        on |= points_on_ring(px, py, ring)
-    out = np.where(parity == 1, INTERIOR, EXTERIOR).astype(np.int8)
+    parity, on = _one_polygon(px, py, rings)
+    out = np.where(parity, INTERIOR, EXTERIOR).astype(np.int8)
     out[on] = BOUNDARY
     return out
 

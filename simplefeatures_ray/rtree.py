@@ -37,6 +37,12 @@ def _str_order(boxes: np.ndarray, cap: int) -> list[np.ndarray]:
     return chunks
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over (starts, counts), loop-free."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
 class STRtree:
     """Static R-tree. `boxes` is an (n, 4) float64 array [minx,miny,maxx,maxy].
 
@@ -157,7 +163,7 @@ class STRtree:
                 starts = self.node_start[ln]
                 counts = self.node_count[ln]
                 reps = np.repeat(np.arange(len(lp)), counts)
-                item_pos = np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])
+                item_pos = _ranges(starts, counts)
                 cand_items = self.items[item_pos]
                 cand_pts = lp[reps]
                 b = self.boxes[cand_items]
@@ -175,7 +181,7 @@ class STRtree:
             starts = self.node_start[inn]
             counts = self.node_count[inn]
             reps = np.repeat(np.arange(len(ip)), counts)
-            child_pos = np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])
+            child_pos = _ranges(starts, counts)
             kids = self.children[child_pos]
             cand_pts = ip[reps]
             b = self.node_boxes[kids]

@@ -1,14 +1,19 @@
 """Broadcast spatial join: pages (points) x polygons (broadcast R-tree).
 
 The big side streams through map_batches; the small polygon side is
-packed into an STRtree + ring arrays, `ray.put` ONCE on the driver, and
-fetched once per worker process by the task functions
-(spatial_join_batch, knn_join_batch) through stages/worker_cache, which
-also caches the kernel built from it — never per batch. Candidate
-generation is the vectorized R-tree descent; refinement is
-crossing-number point-in-polygon (reference alg_point_in_ring.go
-semantics). This is the engine's analog of the reference's
-PreparedGeometry reused against many probes (alg_prepared.go:17-92).
+packed on the driver into a flat PolygonIndex (build_polygon_index): an
+STRtree over the polygon boxes plus one flat edge table (four contiguous
+float64 edge arrays with ring->edge and polygon->ring offsets), poly_ids
+and the names as an Arrow string array. It is `ray.put` ONCE and fetched
+once per worker process by the task functions (spatial_join_batch,
+knn_join_batch) through stages/worker_cache, which also caches the
+kernel built from it — never per batch. Candidate generation is the
+vectorized R-tree descent; refinement is one flat array pass over all
+(point, polygon) candidates of a batch (geometry/predicates
+pair_parity_on: crossing-number parity + on-edge test per (point, edge)
+row, reference alg_point_in_ring.go semantics). This is the engine's
+analog of the reference's PreparedGeometry reused against many probes
+(alg_prepared.go:17-92).
 
 Modes:
   inner — one output row per (point, polygon) hit, poly_id attached
@@ -17,23 +22,59 @@ Modes:
 """
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 import pyarrow as pa
 
-from ..geometry.predicates import points_in_polygon
+from ..geometry.predicates import flat_edges, pair_parity_on
 from ..geometry.wkb import from_wkb
 from ..rtree import STRtree
 
 
-def build_polygon_index(polygons: pa.Table):
-    """Driver-side: polygon table -> (STRtree, rings list, poly_ids, names).
+class PolygonIndex(NamedTuple):
+    """The broadcast side of the join (build_polygon_index output).
 
-    Uses the precomputed envelope columns when present; otherwise derives
-    them from the WKB. Returns a plain tuple, cheap to ray.put.
+    Polygon j's rings are poly_ring_off[j]:poly_ring_off[j + 1]; ring r's
+    edges are ring_edge_off[r]:ring_edge_off[r + 1] of x1/y1/x2/y2.
+    """
+
+    tree: STRtree
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    ring_edge_off: np.ndarray
+    poly_ring_off: np.ndarray
+    poly_ids: np.ndarray
+    names: Optional[pa.Array]
+
+    @property
+    def edges(self):
+        return self.x1, self.y1, self.x2, self.y2
+
+    def poly_edge_off(self) -> np.ndarray:
+        """Polygon j's edges are poly_edge_off[j]:poly_edge_off[j + 1]."""
+        return self.ring_edge_off[self.poly_ring_off]
+
+
+def _rings(g) -> list:
+    """All rings of a (Multi)Polygon's parts, each part's shell first."""
+    return [r for leaf in g.flatten() for r in leaf.rings]
+
+
+def build_polygon_index(polygons: pa.Table) -> PolygonIndex:
+    """Driver-side: polygon table -> PolygonIndex.
+
+    Decodes each WKB once and flattens the rings of all its parts (shell
+    first) into the flat edge table; the per-polygon ring arrays are not
+    kept. Uses the precomputed envelope columns when present; otherwise
+    derives them from the WKB. Plain arrays, cheap to ray.put.
     """
     wkbs = polygons["wkb"].to_pylist()
     poly_ids = np.asarray(polygons["poly_id"], dtype=np.int64)
-    names = polygons["name"].to_pylist() if "name" in polygons.column_names else None
+    names = (polygons["name"].combine_chunks().cast(pa.string())
+             if "name" in polygons.column_names else None)
     ring_sets = []
     boxes = np.zeros((len(wkbs), 4))
     have_env = all(c in polygons.column_names for c in ("minx", "miny", "maxx", "maxy"))
@@ -44,14 +85,11 @@ def build_polygon_index(polygons: pa.Table):
         boxes[:, 3] = np.asarray(polygons["maxy"], dtype=np.float64)
     for i, w in enumerate(wkbs):
         g = from_wkb(w)
-        rings = []
-        for leaf in g.flatten():
-            rings.extend(leaf.rings)
-        ring_sets.append(rings)
+        ring_sets.append(_rings(g))
         if not have_env:
             xy = g.all_xy()
             boxes[i] = [xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max()]
-    return STRtree(boxes), ring_sets, poly_ids, names
+    return PolygonIndex(STRtree(boxes), *flat_edges(ring_sets), poly_ids, names)
 
 
 class BroadcastSpatialJoin:
@@ -62,9 +100,13 @@ class BroadcastSpatialJoin:
     rows with a NaN coordinate never match.
     """
 
-    def __init__(self, index, mode: str = "inner", x_col: str = "lon",
+    def __init__(self, index: PolygonIndex, mode: str = "inner", x_col: str = "lon",
                  y_col: str = "lat"):
-        self.tree, self.ring_sets, self.poly_ids, self.names = index
+        self.tree = index.tree
+        self.edges = index.edges
+        self.poly_edge_off = index.poly_edge_off()
+        self.poly_ids = index.poly_ids
+        self.names = index.names
         self.mode = mode
         self.x_col = x_col
         self.y_col = y_col
@@ -72,27 +114,11 @@ class BroadcastSpatialJoin:
     def match(self, px: np.ndarray, py: np.ndarray):
         """Return (pt_idx, poly_pos) exact-hit pairs, sorted by (pt, poly_id)."""
         cand_p, cand_i = self.tree.query_many_points(px, py)
-        if len(cand_p) == 0:
-            return cand_p, cand_i
-        keep_p, keep_i = [], []
-        order = np.argsort(cand_i, kind="stable")
-        cand_p = cand_p[order]
-        cand_i = cand_i[order]
-        # group candidates by polygon -> one vectorized PIP per polygon
-        bounds = np.flatnonzero(np.diff(cand_i)) + 1
-        for grp_p, grp_i in zip(np.split(cand_p, bounds), np.split(cand_i, bounds)):
-            poly_pos = int(grp_i[0])
-            loc = points_in_polygon(px[grp_p], py[grp_p], self.ring_sets[poly_pos])
-            hit = loc >= 0  # interior or boundary intersects
-            if hit.any():
-                keep_p.append(grp_p[hit])
-                keep_i.append(grp_i[hit])
-        if not keep_p:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        kp = np.concatenate(keep_p)
-        ki = np.concatenate(keep_i)
-        # deterministic output order: by (point, poly_id)
-        order = np.lexsort((self.poly_ids[ki], kp))
+        parity, on = pair_parity_on(px, py, cand_p, cand_i, self.edges, self.poly_edge_off)
+        hit = parity | on  # interior or boundary intersects
+        kp, ki = cand_p[hit], cand_i[hit]
+        # deterministic output order: by (point, poly_id, polygon position)
+        order = np.lexsort((ki, self.poly_ids[ki], kp))
         return kp[order], ki[order]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -106,9 +132,7 @@ class BroadcastSpatialJoin:
             out = batch.take(pa.array(kp))
             out = out.append_column("poly_id", pa.array(self.poly_ids[ki], pa.int64()))
             if self.names is not None:
-                out = out.append_column(
-                    "poly_name", pa.array([self.names[int(i)] for i in ki], pa.string())
-                )
+                out = out.append_column("poly_name", self.names.take(pa.array(ki)))
             return out
         hit_mask = np.zeros(len(px), dtype=bool)
         hit_mask[kp] = True
@@ -130,34 +154,33 @@ class KNNJoin:
     """k nearest polygons per point (the reference's nearest-neighbour
     query, rtree/nearest.go:12-55, recast as batch kernels), exact
     point-to-polygon distance; 0 inside. flat_map-style: k rows per
-    point. Ties broken by lowest poly_id (engine-defined total order)."""
+    point. Ties broken by lowest poly_id (engine-defined total order).
+    Segments and the inside test both read the index's flat edge table."""
 
     # polygon counts up to this bound use the fully vectorized
     # all-pairs distance matrix; larger sets use the MBR-lower-bound
     # pruned sweep (_knn_large) — both loop-free over points
     VECTOR_BOUND = 512
 
-    def __init__(self, index, k: int = 1, x_col: str = "lon", y_col: str = "lat"):
-        self.tree, self.ring_sets, self.poly_ids, self.names = index
+    def __init__(self, index: PolygonIndex, k: int = 1, x_col: str = "lon",
+                 y_col: str = "lat"):
+        self.tree = index.tree
+        self.edges = index.edges
+        self.poly_edge_off = index.poly_edge_off()
+        self.poly_ids = index.poly_ids
         self.k = k
         self.x_col = x_col
         self.y_col = y_col
-        # flat segment arrays per polygon for exact distance
-        self.seg_arrays = []
-        for rings in self.ring_sets:
-            segs = [np.concatenate([r[:-1, :2], r[1:, :2]], axis=1) for r in rings if len(r) > 1]
-            self.seg_arrays.append(np.concatenate(segs, axis=0) if segs else np.zeros((0, 4)))
 
     def _poly_dist_vec(self, px: np.ndarray, py: np.ndarray, j: int) -> np.ndarray:
         """Exact point-to-polygon-j distances for a point VECTOR (0 when
         inside); one vectorized segment sweep, no per-point Python."""
-        from ..geometry.predicates import points_in_polygon
-
-        segs = self.seg_arrays[j]
-        if len(segs) == 0:
+        s, e = self.poly_edge_off[j], self.poly_edge_off[j + 1]
+        if s == e:
             return np.full(len(px), np.inf)
-        a = segs[:, :2]
-        d = segs[:, 2:] - a
+        x1, y1, x2, y2 = (c[s:e] for c in self.edges)
+        a = np.stack([x1, y1], axis=1)
+        d = np.stack([x2, y2], axis=1) - a
         dd = (d * d).sum(axis=1)
         dd[dd == 0] = 1.0
         pts = np.stack([px, py], axis=1)
@@ -166,8 +189,9 @@ class KNNJoin:
         proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
         diff = pts[:, None, :] - proj
         dist = np.sqrt(diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2).min(axis=1)
-        inside = points_in_polygon(px, py, self.ring_sets[j]) >= 0
-        dist[inside] = 0.0
+        parity, on = pair_parity_on(px, py, np.arange(len(px)), np.full(len(px), j),
+                                    self.edges, self.poly_edge_off)
+        dist[parity | on] = 0.0
         return dist
 
     def _dist_matrix(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -505,17 +529,15 @@ def cell_polygon_join(points_ds, polys_ds, cell_size: float,
     """Large x large point-in-POLYGON join: envelope cells co-partition
     the sides exactly like cell_spatial_join (a point is in one cell —
     exactly-once pairs, no dedup), but the refine stage decodes each
-    candidate polygon's WKB ONCE PER DISTINCT POLYGON PER BATCH and runs
-    the vectorized crossing-number test (geometry/predicates
-    points_in_polygon, reference alg_point_in_ring.go semantics) over
-    all of its candidate points at once. This is the shuffle-path
-    complement to BroadcastSpatialJoin for polygon corpora too large to
-    ray.put; the polygon table must carry envelope columns
+    candidate polygon's WKB ONCE PER DISTINCT POLYGON PER BATCH into a
+    flat edge table and runs the flat crossing-number kernel
+    (geometry/predicates pair_parity_on, reference alg_point_in_ring.go
+    semantics) over all (point, polygon) rows at once. This is the
+    shuffle-path complement to BroadcastSpatialJoin for polygon corpora
+    too large to ray.put; the polygon table must carry envelope columns
     (minx/miny/maxx/maxy — the engine's standard polygon-table schema).
     """
     from ..functions.relational import bucketed_join
-    from ..geometry.predicates import points_in_polygon
-    from ..geometry.wkb import from_wkb
 
     def tag_points(t: pa.Table) -> pa.Table:
         x = np.asarray(t[x_col], dtype=np.float64)
@@ -554,16 +576,13 @@ def cell_polygon_join(points_ds, polys_ds, cell_size: float,
         px = np.asarray(t[x_col], dtype=np.float64)
         py = np.asarray(t[y_col], dtype=np.float64)
         pid = np.asarray(t[poly_id_col], dtype=np.int64)
-        wkbs = t[wkb_col].to_pylist()
-        keep = np.zeros(len(t), dtype=bool)
-        order = np.argsort(pid, kind="stable")
-        bounds = np.flatnonzero(np.diff(pid[order])) + 1
-        for grp in np.split(order, bounds):
-            rings = []
-            for leaf in from_wkb(wkbs[int(grp[0])]).flatten():
-                rings.extend(leaf.rings)
-            loc = points_in_polygon(px[grp], py[grp], rings)
-            keep[grp] = loc >= 0
+        _, first, poly = np.unique(pid, return_index=True, return_inverse=True)
+        wkbs = t[wkb_col].take(pa.array(first)).to_pylist()
+        x1, y1, x2, y2, ring_edge_off, poly_ring_off = flat_edges(
+            [_rings(from_wkb(w)) for w in wkbs])
+        parity, on = pair_parity_on(px, py, np.arange(len(t)), poly.reshape(-1),
+                                    (x1, y1, x2, y2), ring_edge_off[poly_ring_off])
+        keep = parity | on
         return t.filter(pa.array(keep)).drop_columns(["__cell", wkb_col])
 
     return joined.map_batches(refine, batch_format="pyarrow")
