@@ -222,7 +222,7 @@ def polyfill(geom, res: int, chunk: int = 1 << 18) -> np.ndarray:
     a fine resolution never materializes the full candidate set at
     once. PIP is the vectorized crossing-number kernel.
     """
-    from .geometry.predicates import INTERIOR, points_in_polygon
+    from .geometry.predicates import INTERIOR, points_in_polygons
 
     xs, ys = [], []
     ring_sets = list(_polygon_rings(geom))
@@ -256,9 +256,7 @@ def polyfill(geom, res: int, chunk: int = 1 << 18) -> np.ndarray:
         iy = (iy0 + flat // w).astype(np.uint64)
         cand = cell_from_xy(ix, iy, res)
         lon, lat = cell_center_lonlat(cand)
-        inside = np.zeros(len(cand), dtype=bool)
-        for rings in ring_sets:
-            inside |= points_in_polygon(lon, lat, rings) == INTERIOR
+        inside = (points_in_polygons(lon, lat, ring_sets) == INTERIOR).any(axis=0)
         hits.append(cand[inside])
     return np.sort(np.concatenate(hits)) if hits else np.empty(0, dtype=np.uint64)
 
@@ -266,7 +264,7 @@ def polyfill(geom, res: int, chunk: int = 1 << 18) -> np.ndarray:
 def _polygon_rings(geom):
     """Yield the ring list of each polygonal element of a
     Polygon/MultiPolygon (shell first, holes after — the
-    points_in_polygon input shape)."""
+    points_in_polygons input shape)."""
     from .geometry.core import MULTIPOLYGON, POLYGON
 
     if geom.tag == POLYGON:

@@ -6,8 +6,8 @@ type-pair dispatch of geom/alg_intersects.go. Point-vs-area work runs in
 one flat kernel, pair_parity_on: (point, polygon) pairs are expanded over
 a flat edge table (flat_edges) and the crossing and on-edge tests run as
 one numpy pass over the (point, edge) rows, with no per-edge or
-per-polygon Python loop. The join's refinement and points_in_polygon
-share it.
+per-polygon Python loop. The join's refinement and points_in_polygons
+(every point against every part of a multipolygon in one call) share it.
 """
 from __future__ import annotations
 
@@ -232,30 +232,52 @@ def _edge_pass(qx, qy, start, count, edges):
     return np.logical_xor.reduceat(crosses, seg), np.logical_or.reduceat(on_edge, seg)
 
 
-def _one_polygon(px, py, rings):
-    """(parity, on) of every point against one ring list."""
-    x1, y1, x2, y2, _, _ = flat_edges([rings])
-    n = len(px)
-    return pair_parity_on(px, py, np.arange(n), np.zeros(n, dtype=np.int64),
-                          (x1, y1, x2, y2), np.array([0, len(x1)], dtype=np.int64))
+def _parity_on(px, py, ring_sets):
+    """(parity, on), each shaped (len(ring_sets), len(px)), of every
+    point against every ring list: one pair_parity_on call per run of
+    <= PAIR_CHUNK (point, polygon) pairs over one flat edge table."""
+    x1, y1, x2, y2, ring_edge_off, poly_ring_off = flat_edges(ring_sets)
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    k, n = len(ring_sets), len(px)
+    parity = np.zeros((k, n), dtype=bool)
+    on = np.zeros((k, n), dtype=bool)
+    step = max(PAIR_CHUNK // max(k, 1), 1)
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        pair_pt = np.tile(np.arange(lo, lo + m), k)
+        pair_poly = np.repeat(np.arange(k), m)
+        p, o = pair_parity_on(px, py, pair_pt, pair_poly, (x1, y1, x2, y2),
+                              ring_edge_off[poly_ring_off])
+        parity[:, lo:lo + m] = p.reshape(k, m)
+        on[:, lo:lo + m] = o.reshape(k, m)
+    return parity, on
 
 
 def points_on_ring(px: np.ndarray, py: np.ndarray, ring: np.ndarray) -> np.ndarray:
     """Boolean array: point lies on the ring's (or line's) edges, within
     the snap tolerance of on_segment."""
-    return _one_polygon(px, py, [ring])[1]
+    return _parity_on(px, py, [[ring]])[1][0]
+
+
+def points_in_polygons(px: np.ndarray, py: np.ndarray, ring_sets) -> np.ndarray:
+    """Classify many points against many polygons (ring lists, shell
+    first) in one flat pass. Returns int8 (len(ring_sets), len(px)) of
+    EXTERIOR(-1) / BOUNDARY(0) / INTERIOR(1).
+    Even-odd over all rings == shell minus holes for valid polygons.
+    """
+    parity, on = _parity_on(px, py, ring_sets)
+    out = np.where(parity, INTERIOR, EXTERIOR).astype(np.int8)
+    out[on] = BOUNDARY
+    return out
 
 
 def points_in_polygon(px: np.ndarray, py: np.ndarray, rings) -> np.ndarray:
     """Classify many points against one polygon (list of rings, shell first).
 
     Returns int8 array of EXTERIOR(-1) / BOUNDARY(0) / INTERIOR(1).
-    Even-odd over all rings == shell minus holes for valid polygons.
     """
-    parity, on = _one_polygon(px, py, rings)
-    out = np.where(parity, INTERIOR, EXTERIOR).astype(np.int8)
-    out[on] = BOUNDARY
-    return out
+    return points_in_polygons(px, py, [rings])[0]
 
 
 def point_in_polygon(x: float, y: float, rings) -> int:

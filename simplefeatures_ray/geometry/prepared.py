@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Geometry, LINESTRING, POINT, POLYGON
-from .predicates import BOUNDARY, EXTERIOR, INTERIOR, points_in_polygon, points_on_ring
+from .predicates import BOUNDARY, EXTERIOR, INTERIOR, points_in_polygons, points_on_ring
 from ..rtree import STRtree
 
 
@@ -57,9 +57,8 @@ class PreparedGeometry:
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
         loc = np.full(len(px), EXTERIOR, dtype=np.int8)
-        for rings in self.poly_rings:
-            l = points_in_polygon(px, py, rings)
-            loc = np.maximum(loc, l)
+        if self.poly_rings:
+            loc = points_in_polygons(px, py, self.poly_rings).max(axis=0)
         on_line = np.zeros(len(px), dtype=bool)
         for l in self.lines:
             on_line |= points_on_ring(px, py, l)

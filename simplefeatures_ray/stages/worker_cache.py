@@ -15,10 +15,18 @@ spatial_join_batch, assign_tiles_batch) whose kernel object is built from
 plain values — never from an object ref inside a constructor — and
 cached here. Actor pools remain for the query-registry stages that pass
 a callable class with auto_concurrency() below.
+
+The cache is an LRU of at most _CAP entries: every flagship job
+`ray.put`s a fresh polygon index and tile table, so an unbounded cache
+would pin each job's broadcast state in every worker for that worker's
+life.
 """
 from __future__ import annotations
 
-_CACHE: dict = {}
+from collections import OrderedDict
+
+_CAP = 16
+_CACHE: OrderedDict = OrderedDict()
 
 
 def get_cached(ref, build=None):
@@ -33,6 +41,7 @@ def get_cached(ref, build=None):
         key = (key, getattr(build, "__cache_token__", getattr(build, "__name__", repr(build))))
     hit = _CACHE.get(key)
     if hit is not None:
+        _CACHE.move_to_end(key)
         return hit
     if hasattr(ref, "hex"):
         import ray
@@ -43,6 +52,8 @@ def get_cached(ref, build=None):
     if build is not None:
         value = build(value)
     _CACHE[key] = value
+    if len(_CACHE) > _CAP:
+        _CACHE.popitem(last=False)
     return value
 
 

@@ -9,17 +9,20 @@ Design:
     stages/exchange.hash_exchange co-partitions them (no sampling pass,
     no sort shuffle) and runs ONE Arrow kernel per bucket: sort by all
     columns, write `<out>/part=<bucket>/data.parquet` via tmp file +
-    atomic rename — task retries are idempotent;
+    atomic rename — task retries are idempotent. Each reduce task
+    writes a contiguous range of buckets in turn;
   * the kernel returns a typed lineage row: bucket, rows, bytes,
-    content_hash, wall seconds. content_hash is the sha256 of the file
-    bytes, read from the tmp file before the rename: a sorted,
-    chunk-combined table writes the same bytes (for one pyarrow
-    version) whatever its input row order or block layout, so
-    verify_manifest re-hashes bytes without parsing parquet;
-  * the driver merges lineage rows into `<out>/_manifest.json`
-    (atomic rename). A resumed run loads the manifest, filters already-
-    completed buckets out of the stream before the exchange, and only
-    writes the missing buckets.
+    content_hash, wall seconds. content_hash is the sha256 of the
+    parquet bytes, taken from the in-memory buffer that is then written
+    to the tmp file — no file is read back. A sorted, chunk-combined
+    table writes the same bytes (for one pyarrow version) whatever its
+    input row order or block layout, so verify_manifest re-hashes the
+    file bytes without parsing parquet;
+  * the driver fetches the reduce tasks' lineage tables straight from
+    their refs (no Dataset round trip) and merges the rows into
+    `<out>/_manifest.json` (atomic rename). A resumed run loads the
+    manifest, filters already-completed buckets out of the stream
+    before the exchange, and only writes the missing buckets.
 """
 from __future__ import annotations
 
@@ -32,8 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.relational import collect_table
-from ..stages.exchange import hash_exchange
+from ..stages.exchange import _exchange
 
 MANIFEST = "_manifest.json"
 
@@ -91,22 +93,27 @@ def _write_partition(t: pa.Table, part_dir: str) -> dict:
     # one chunk per column and no schema metadata: the bytes depend on
     # the rows alone
     t = t.combine_chunks().replace_schema_metadata(None)
+    buf = pa.BufferOutputStream()
+    pq.write_table(t, buf)
+    data = buf.getvalue()
     os.makedirs(part_dir, exist_ok=True)
     final = os.path.join(part_dir, "data.parquet")
     tmp = final + f".tmp.{os.getpid()}"
-    pq.write_table(t, tmp)
-    digest = _file_hash(tmp)
+    with open(tmp, "wb") as f:
+        f.write(data)
     os.replace(tmp, final)  # idempotent under retry
-    return {"rows": t.num_rows, "bytes": os.path.getsize(final),
-            "content_hash": digest, "seconds": round(time.time() - t0, 3)}
+    return {"rows": t.num_rows, "bytes": data.size,
+            "content_hash": hashlib.sha256(data).hexdigest()[:16],
+            "seconds": round(time.time() - t0, 3)}
 
 
 def write_buckets(ds, n_buckets: int, part_dir, stats=None,
                   schema: pa.Schema = LINEAGE) -> list[dict]:
     """hash_exchange `ds` on its int `__bucket` column ∈ [0, n_buckets)
     and write every non-empty bucket to `part_dir(bucket)`. Returns one
-    lineage row per written bucket; `stats(rows)` supplies the fields
-    `schema` adds to LINEAGE."""
+    lineage row per written bucket, in bucket order; `stats(rows)`
+    supplies the fields `schema` adds to LINEAGE."""
+    import ray
 
     def kernel(t: pa.Table) -> pa.Table:
         bucket = t["__bucket"][0].as_py()
@@ -116,8 +123,8 @@ def write_buckets(ds, n_buckets: int, part_dir, stats=None,
             row.update(stats(body))
         return pa.Table.from_pylist([row], schema=schema)
 
-    out = hash_exchange(ds, n_buckets, kernel, empty_out=schema.empty_table())
-    return collect_table(out).to_pylist()
+    outs = _exchange(ds, n_buckets, kernel, empty_out=schema.empty_table())
+    return pa.concat_tables(ray.get(outs)).to_pylist()
 
 
 def checkpointed_write(ds, out_dir: str, partition_col: str,

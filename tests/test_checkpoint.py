@@ -74,18 +74,40 @@ def test_resume_skips_completed(ray_session, tmp_out):
         assert os.path.getmtime(os.path.join(tmp_out, f"part={b}", "data.parquet")) == mt
 
 
-def test_deterministic_hashes_across_runs(ray_session, tmp_path):
-    from simplefeatures_ray.state.checkpoint import checkpointed_write, load_manifest
+@pytest.mark.parametrize("n_blocks", [1, 6, 24])
+def test_deterministic_hashes_across_runs(ray_session, tmp_path, n_blocks):
+    """Per-bucket content_hash is the same at any input block count,
+    equals that of a driver-side _write_partition over the bucket's
+    rows, and is the sha256 of the file on disk."""
+    import hashlib
+
+    import numpy as np
+    import pyarrow as pa
+
+    from simplefeatures_ray.state.checkpoint import (
+        _bucket_of, _write_partition, checkpointed_write, load_manifest)
 
     d1 = str(tmp_path / "a")
     d2 = str(tmp_path / "b")
     checkpointed_write(_make_ds(), d1, partition_col="key", n_buckets=8)
-    checkpointed_write(_make_ds(), d2, partition_col="key", n_buckets=8)
+    checkpointed_write(_make_ds().repartition(n_blocks), d2, partition_col="key",
+                       n_buckets=8)
     m1 = load_manifest(d1)
     m2 = load_manifest(d2)
-    assert {k: v["content_hash"] for k, v in m1.items()} == {
-        k: v["content_hash"] for k, v in m2.items()
-    }
+    hashes = {k: v["content_hash"] for k, v in m2.items()}
+    assert {k: v["content_hash"] for k, v in m1.items()} == hashes
+
+    ids = np.arange(2000, dtype=np.int64)
+    rows = pa.table({"key": ids % 37, "value": ids.astype(float) * 1.5, "id": ids})
+    bucket = _bucket_of(rows["key"], 8)
+    assert set(hashes) == set(bucket.tolist())
+    for b, h in hashes.items():
+        drv = _write_partition(rows.filter(pa.array(bucket == b)),
+                               str(tmp_path / "driver" / f"part={b}"))
+        assert (drv["content_hash"], drv["rows"], drv["bytes"]) == \
+            (h, m2[b]["rows"], m2[b]["bytes"])
+        with open(os.path.join(d2, f"part={b}", "data.parquet"), "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest()[:16] == h
 
 
 def test_spatial_sink_bbox_pruning(ray_session, tmp_path):

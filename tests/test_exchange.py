@@ -201,3 +201,120 @@ def test_checkpointed_write_one_bucket(ray_session, tmp_path):
     assert doc["total_rows"] == 2000
     assert list(load_manifest(out_dir)) == [0]
     assert verify_manifest(out_dir) == {0: "ok"}
+
+
+# --------------------------------------------------------------------------- #
+# more partitions than reduce groups: the session has 4 CPUs, so
+# R = min(n_parts, 2 × 4) = 8 reduce tasks each run `fn` over a
+# contiguous range of partitions
+# --------------------------------------------------------------------------- #
+
+
+def _sparse(n, P, seed, n_blocks):
+    """Rows over every partition but each 7th, so some partitions are
+    empty; `id` is unique."""
+    rng = np.random.default_rng(seed)
+    live = np.array([p for p in range(P) if p % 7 != 3], dtype=np.int64)
+    t = pa.table({
+        "id": np.arange(n, dtype=np.int64),
+        "v": rng.random(n),
+        "__bucket": rng.choice(live, n),
+    })
+    ds = rd.from_arrow(t)
+    return t, (ds.repartition(n_blocks) if n_blocks > 1 else ds)
+
+
+def _by_part(t: pa.Table) -> pa.Table:
+    """Per-partition reference: rows in partition order, each partition
+    sorted by id."""
+    return t.sort_by([("__bucket", "ascending"), ("id", "ascending")])
+
+
+def _blocks(ds) -> list:
+    """The output blocks of `ds`, in block order."""
+    import ray
+
+    return ray.get([r for b in ds.iter_internal_ref_bundles() for r in b.block_refs])
+
+
+@pytest.mark.parametrize("P", [64, 256])
+@pytest.mark.parametrize("n_blocks", [1, 5, 24])
+def test_grouped_reduce_once_per_partition(ray_session, P, n_blocks):
+    t, ds = _sparse(6000, P, seed=P + n_blocks, n_blocks=n_blocks)
+    counts = np.bincount(np.asarray(t["__bucket"]), minlength=P)
+    assert (counts == 0).any() and (counts > 0).sum() > P // 2
+
+    def per_part(g: pa.Table) -> pa.Table:
+        b = np.asarray(g["__bucket"], dtype=np.int64)
+        assert len(np.unique(b)) <= 1
+        return pa.table({"part": pa.array([int(b[0]) if len(b) else -1], pa.int64()),
+                         "n": pa.array([g.num_rows], pa.int64())})
+
+    # `empty`: fn runs once for EVERY partition, empties included, in
+    # partition order (empties report -1)
+    out = hash_exchange(ds, P, per_part, empty=t.slice(0, 0))
+    df = out.to_pandas()
+    assert len(df) == P
+    assert df["part"].tolist() == [p if counts[p] else -1 for p in range(P)]
+    assert df["n"].tolist() == counts.tolist()
+    # each output block is a contiguous run of whole partitions
+    blocks = [np.asarray(b["part"]) for b in _blocks(out)]
+    assert len(blocks) == 8
+    assert np.array_equal(np.concatenate(blocks), df["part"].to_numpy())
+
+    # `empty_out`: fn runs once per NON-empty partition only
+    typed = pa.schema([("part", pa.int64()), ("n", pa.int64())]).empty_table()
+    df = hash_exchange(ds, P, per_part, empty_out=typed).to_pandas()
+    assert df["part"].tolist() == np.flatnonzero(counts).tolist()
+    assert df["n"].tolist() == counts[counts > 0].tolist()
+
+    # the rows themselves, in partition order
+    rows = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0))
+    assert pa.concat_tables(_blocks(rows)).equals(_by_part(t))
+
+
+def test_schemaless_block_inside_coalesced_run(ray_session):
+    import ray
+
+    P = 64
+    t, _ = _sparse(3000, P, seed=5, n_blocks=1)
+    pieces = [t.slice(0, 1000), pa.table({}), t.slice(1000, 0),
+              t.slice(1000, 1000), pa.table({}), t.slice(2000, 1000)]
+    ds = rd.from_arrow_refs([ray.put(p) for p in pieces])
+    out = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0))
+    assert pa.concat_tables(_blocks(out)).equals(_by_part(t))
+
+
+def test_fanin_tree_level(ray_session, monkeypatch):
+    from simplefeatures_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "_FANIN", 3)
+    P = 64
+    # 24 blocks -> 8 runs of <= 3 blocks -> one concat level of 3 rows
+    t, ds = _sparse(6000, P, seed=9, n_blocks=24)
+    out = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0))
+    assert pa.concat_tables(_blocks(out)).equals(_by_part(t))
+    splits = exchange._split(ds, "__bucket", P, 8)
+    assert len(splits) <= 3 and all(len(s) == 8 for s in splits)
+
+
+def test_resilient_relaunch_one_group_of_many(ray_session):
+    import time
+
+    import ray
+    from ray._private.internal_api import free
+
+    P = 64
+    t, ds = _sparse(5000, P, seed=13, n_blocks=6)
+    handle = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0),
+                           resilient=True)
+    assert len(handle.outs) == 8
+    want = _by_part(t)
+    assert pa.concat_tables(_blocks(handle.dataset())).equals(want)
+    lost = handle.outs[3]
+    ray.get(lost)
+    free([lost])
+    time.sleep(0.5)
+    got = pa.concat_tables(_blocks(handle.dataset(recover=True)))
+    assert handle.outs[3] != lost
+    assert got.equals(want)

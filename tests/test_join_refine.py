@@ -332,3 +332,45 @@ def test_call_nan_rows_names_and_empty_batch():
     empty = BroadcastSpatialJoin(index=index)(batch.slice(0, 0))
     assert empty.num_rows == 0
     assert empty.column_names == ["lon", "lat", "row", "poly_id", "poly_name"]
+
+
+def _parts(w):
+    return [leaf.rings for leaf in from_wkb(w).flatten()]
+
+
+def test_multipart_probes_equal_per_part_oracle(sets, monkeypatch):
+    """points_in_polygons, PreparedGeometry.locate_points and
+    cells.polyfill classify every point against all parts of a
+    (holed) MultiPolygon in one call; the result equals the per-part
+    oracle loop."""
+    from simplefeatures_ray.cells import cell_center_lonlat, polyfill
+    from simplefeatures_ray.geometry.prepared import PreparedGeometry
+    from simplefeatures_ray.geometry.predicates import points_in_polygons
+
+    polygons, (px, py) = sets["multipolygon"]
+    seen = set()
+    for w in polygons["wkb"].to_pylist():
+        parts = _parts(w)
+        assert len(parts) >= 2 and any(len(r) > 1 for r in parts)
+        want = np.stack([_oracle_classify(px, py, rings) for rings in parts])
+        assert np.array_equal(points_in_polygons(px, py, parts), want)
+        assert np.array_equal(PreparedGeometry(from_wkb(w)).locate_points(px, py),
+                              want.max(axis=0))
+        seen.update(want.max(axis=0).tolist())
+    assert seen == {-1, 0, 1}
+    # point runs of PAIR_CHUNK // parts pairs: 3 points per call here
+    monkeypatch.setattr(predicates, "PAIR_CHUNK", 7)
+    w = polygons["wkb"][0].as_py()
+    parts = _parts(w)
+    want = np.stack([_oracle_classify(px[:500], py[:500], rings) for rings in parts])
+    assert np.array_equal(points_in_polygons(px[:500], py[:500], parts), want)
+    monkeypatch.undo()
+
+    for w in polygons["wkb"].to_pylist()[:6]:
+        g = from_wkb(w)
+        got = polyfill(g, 11, chunk=1000)
+        per_part = np.unique(np.concatenate([polyfill(p, 11) for p in g.flatten()]))
+        assert len(got) > 10 and np.array_equal(got, per_part)
+        lon, lat = cell_center_lonlat(got)
+        inside = np.stack([_oracle_classify(lon, lat, rings) for rings in _parts(w)])
+        assert (inside == 1).any(axis=0).all()
