@@ -18,12 +18,24 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
-from simplefeatures_ray.stages.worker_cache import auto_concurrency
+from simplefeatures_ray.stages.worker_cache import get_cached
 
 
 # --------------------------------------------------------------------------- #
 # helpers
 # --------------------------------------------------------------------------- #
+
+
+def _per_worker(cls, **kwargs):
+    """Task function applying `cls(**kwargs)` to each batch; the kernel
+    is built once per worker process (stages/worker_cache) instead of
+    per actor of an actor pool."""
+    key = f"{cls.__module__}.{cls.__qualname__}:{sorted(kwargs.items())}"
+
+    def fn(t: pa.Table) -> pa.Table:
+        return get_cached(key, build=lambda _: cls(**kwargs))(t)
+
+    return fn
 
 
 def _read(sf_dir: str, name: str, columns=None):
@@ -64,7 +76,7 @@ def _cents_cols(ds, cols, scale: int = 100):
     integer scaling is. Accepts a Dataset or a pyarrow Table."""
 
     def kernel(t: pa.Table) -> pa.Table:
-        from simplefeatures_ray.functions._pdarrow import cents_half_away
+        from simplefeatures_ray.functions._arrow import cents_half_away
 
         for col in cols:
             if col in t.column_names:
@@ -437,10 +449,8 @@ def docs_quality(sf_dir: str):
     from simplefeatures_ray.functions.text import QualityScore, TokenCount
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    ds = ds.map_batches(TokenCount, batch_format="pyarrow",
-                        concurrency=auto_concurrency())
-    ds = ds.map_batches(QualityScore, batch_format="pyarrow",
-                        concurrency=auto_concurrency())
+    ds = ds.map_batches(_per_worker(TokenCount), batch_format="pyarrow")
+    ds = ds.map_batches(_per_worker(QualityScore), batch_format="pyarrow")
     return _round_cols(
         ds.select_columns(["doc_id", "n_tokens", "n_ws_tokens", "punct_ratio", "stop_ratio", "quality"]),
         {"punct_ratio": 6, "stop_ratio": 6, "quality": 6},
@@ -1171,31 +1181,26 @@ def docs_cc_pipeline(sf_dir: str):
                                   batch_format="pyarrow")) \
         .union(docs.map_batches(tag_docs, batch_format="pyarrow"))
 
-    def resolve(df):
-        import pandas as pd
+    def resolve(t: pa.Table) -> pa.Table:
+        is_doc = pc.equal(t["tag"], T_DOC)
+        bits = aggregate(t.filter(pc.invert(is_doc)), ["doc_id"],
+                         [("bits", "tag", "sum", None)])
+        b = np.asarray(bits["bits"], dtype=np.int64)
+        ok = np.asarray(bits["doc_id"], dtype=np.int64)[
+            ((b & (T_QUAL | T_EXACT)) == (T_QUAL | T_EXACT)) & ((b & T_LOSER) == 0)]
+        docs = t.filter(is_doc)
+        pay = docs.filter(pc.is_in(docs["doc_id"], value_set=pa.array(ok)))
+        out = aggregate(pay, ["lang"], [
+            ("n_docs", None, None, None),
+            ("chars_sum", "n_chars", "sum", pc.ScalarAggregateOptions(min_count=0))])
+        return pa.table({"lang": pc.cast(out["lang"], pa.string()),
+                         "n_docs": out["n_docs"],
+                         "chars_sum": pc.cast(out["chars_sum"], pa.int64())})
 
-        if not len(df):
-            return pd.DataFrame({"lang": pd.Series([], dtype=object),
-                                 "n_docs": pd.Series([], dtype=np.int64),
-                                 "chars_sum": pd.Series([], dtype=np.int64)})
-        flags = df[df["tag"] != T_DOC]
-        bits = flags.groupby("doc_id", sort=False)["tag"].sum()
-        ok = bits[((bits & (T_QUAL | T_EXACT)) == (T_QUAL | T_EXACT))
-                  & ((bits & T_LOSER) == 0)].index
-        pay = df[df["tag"] == T_DOC]
-        pay = pay[pay["doc_id"].isin(ok)]
-        g = pay.groupby("lang", sort=False, dropna=False)
-        out = g.agg(n_docs=("doc_id", "size"),
-                    chars_sum=("n_chars", "sum")).reset_index()
-        return pd.DataFrame({"lang": out["lang"],
-                             "n_docs": out["n_docs"].astype(np.int64),
-                             "chars_sum": out["chars_sum"].astype(np.int64)})
-
-    from simplefeatures_ray.functions._pdarrow import arrow_groups
+    from simplefeatures_ray.functions._arrow import aggregate
     from simplefeatures_ray.stages.exchange import hash_exchange
 
-    part = hash_exchange(u, N_B, arrow_groups(resolve),
-                         part_col="__bucket")
+    part = hash_exchange(u, N_B, resolve, part_col="__bucket")
     out = grouped_agg(part, "lang", {"n_docs": ("n_docs", "sum"),
                                      "chars_sum": ("chars_sum", "sum")})
 
@@ -1281,7 +1286,7 @@ def events_hourly_profile(sf_dir: str):
         us = np.asarray(pc.cast(pc.cast(t["ts"], pa.timestamp("us")),
                                 pa.int64()))
         hod = (us // 3_600_000_000) % 24
-        from simplefeatures_ray.functions._pdarrow import cents_half_away
+        from simplefeatures_ray.functions._arrow import cents_half_away
         cents = cents_half_away(t["value"])
         return pa.table({"hour": pa.array(hod.astype(np.int64)),
                          "event_type": t["event_type"],
@@ -1411,29 +1416,20 @@ def events_retention_cohorts(sf_dir: str):
 
     pairs = ds.map_batches(to_day, batch_format="pyarrow")
 
-    def resolve(df):
-        import pandas as pd
+    def resolve(t: pa.Table) -> pa.Table:
+        t = drop_duplicates(t, ["user_id", "day"])
+        # each user's cohort day = the first day of its day-sorted run
+        idx, _, rank = grouped_order(t, ["user_id"], [("day", "ascending")])
+        day = np.asarray(t["day"], dtype=np.int64)[idx]
+        cohort = day[np.arange(len(day)) - rank]
+        return aggregate(pa.table({"cohort_day": cohort, "offset_days": day - cohort}),
+                         ["cohort_day", "offset_days"], [("n_users", None, None, None)])
 
-        if not len(df):
-            return pd.DataFrame({
-                "cohort_day": pd.Series([], dtype=np.int64),
-                "offset_days": pd.Series([], dtype=np.int64),
-                "n_users": pd.Series([], dtype=np.int64)})
-        df = df.drop_duplicates(["user_id", "day"])
-        cohort = df.groupby("user_id", sort=False)["day"].transform("min")
-        off = (df["day"] - cohort).to_numpy(np.int64)
-        g = pd.DataFrame({"cohort_day": cohort.to_numpy(np.int64),
-                          "offset_days": off})
-        out = g.groupby(["cohort_day", "offset_days"], sort=False) \
-               .size().rename("n_users").reset_index()
-        out["n_users"] = out["n_users"].astype(np.int64)
-        return out
-
-    from simplefeatures_ray.functions._pdarrow import arrow_groups
+    from simplefeatures_ray.functions._arrow import (aggregate, drop_duplicates,
+                                                     grouped_order)
     from simplefeatures_ray.stages.exchange import hash_exchange
 
-    part = hash_exchange(pairs, n_parts, arrow_groups(resolve),
-                         part_col="__part")
+    part = hash_exchange(pairs, n_parts, resolve, part_col="__part")
     return grouped_agg(part, ["cohort_day", "offset_days"],
                        {"n_users": ("n_users", "sum")})
 
@@ -1814,7 +1810,7 @@ def events_value_moments(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
     def cents_sq(t: pa.Table) -> pa.Table:
-        from simplefeatures_ray.functions._pdarrow import cents_half_away
+        from simplefeatures_ray.functions._arrow import cents_half_away
         v = cents_half_away(t["value"])
         return pa.table({"event_type": t["event_type"],
                          "c": pa.array(v), "c2": pa.array(v * v)})
@@ -1850,7 +1846,7 @@ def events_value_percentiles(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
     def cents(t: pa.Table) -> pa.Table:
-        from simplefeatures_ray.functions._pdarrow import cents_half_away
+        from simplefeatures_ray.functions._arrow import cents_half_away
         v = cents_half_away(t["value"])
         return pa.table({"event_type": t["event_type"],
                          "value_c": pa.array(v)})
@@ -2093,8 +2089,7 @@ def docs_langid_pred(sf_dir: str):
     from simplefeatures_ray.functions.text import LangId
 
     ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
-    ds = ds.map_batches(LangId, batch_format="pyarrow",
-                        concurrency=auto_concurrency())
+    ds = ds.map_batches(_per_worker(LangId), batch_format="pyarrow")
     return ds.select_columns(["doc_id", "lang", "lang_pred"])
 
 
@@ -2687,28 +2682,23 @@ def geom_pip_convex(sf_dir: str):
     polys = [(cid, g) for cid, g in polygon_corpus() if len(g.rings) == 1]
     polys_ref = ray.put(polys)
 
-    class PIPKernel:
-        def __init__(self):
-            self.polys = ray.get(polys_ref)
+    def pip_batch(t: pa.Table) -> pa.Table:
+        from simplefeatures_ray.geometry.predicates import points_in_polygon
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            from simplefeatures_ray.geometry.predicates import points_in_polygon
+        px = np.asarray(t["x"])
+        py = np.asarray(t["y"])
+        pid = np.asarray(t["probe_id"])
+        out_p, out_c = [], []
+        for cid, g in get_cached(polys_ref):
+            hit = points_in_polygon(px, py, g.rings) >= 0
+            out_p.append(pid[hit])
+            out_c.append(np.full(int(hit.sum()), cid, dtype=np.int64))
+        return pa.table({
+            "probe_id": pa.array(np.concatenate(out_p) if out_p else np.array([], np.int64)),
+            "case_id": pa.array(np.concatenate(out_c) if out_c else np.array([], np.int64)),
+        })
 
-            px = np.asarray(t["x"])
-            py = np.asarray(t["y"])
-            pid = np.asarray(t["probe_id"])
-            out_p, out_c = [], []
-            for cid, g in self.polys:
-                hit = points_in_polygon(px, py, g.rings) >= 0
-                out_p.append(pid[hit])
-                out_c.append(np.full(int(hit.sum()), cid, dtype=np.int64))
-            return pa.table({
-                "probe_id": pa.array(np.concatenate(out_p) if out_p else np.array([], np.int64)),
-                "case_id": pa.array(np.concatenate(out_c) if out_c else np.array([], np.int64)),
-            })
-
-    return pts.map_batches(PIPKernel, batch_format="pyarrow",
-                           concurrency=auto_concurrency())
+    return pts.map_batches(pip_batch, batch_format="pyarrow")
 
 
 def _box_pairs_ds():
@@ -4040,17 +4030,19 @@ _DISC_UY = np.sin(_DISC_ANG) * _DISC_R
 
 def raster_tiles(sf_dir: str):
     """Per-cell rasterization of joined page points buffered to discs —
-    the groupby(tile).map_groups raster stage. Gated by an independent
+    the cell-partitioned raster stage. Gated by an independent
     oracle that recomputes coverage with a DIFFERENT algorithm
     (per-pixel-center point-in-disc vs the engine's even-odd scanline
     span fill). The GATE runs at the fixed driver-gate scale (20k
     synthetic pages — the static oracle inlines exactly that recompute,
     so the gate is exact at every sf dir); entry()/bench scale the same
     pipeline with sf."""
+    from simplefeatures_ray.functions.relational import add_partition
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
     from simplefeatures_ray.raster import RasterizeTiles
     from simplefeatures_ray.sources.pages import read_pages
     from simplefeatures_ray.sources.polygons import make_polygons
+    from simplefeatures_ray.stages.exchange import hash_exchange
 
     n = 20000
     joined = geotag_join_tiles(read_pages(n), make_polygons(64), res=6)
@@ -4073,12 +4065,13 @@ def raster_tiles(sf_dir: str):
         return pa.table({"cell": t["cell"], "wkb": pa.array(wkbs, pa.binary())})
 
     pts = joined.map_batches(to_wkb_points, batch_format="pyarrow")
-    tiler = RasterizeTiles(width=64, height=64)
-
-    def rasterize_group(df):
-        return tiler(df)
-
-    out = pts.groupby("cell").map_groups(rasterize_group, batch_format="pandas")
+    # co-partition on the cell index (cell % n_parts): each partition
+    # rasterizes its whole cells in one kernel call
+    n_parts = 64
+    pts = pts.map_batches(lambda t: add_partition(t, ["cell"], n_parts),
+                          batch_format="pyarrow")
+    out = hash_exchange(pts, n_parts, RasterizeTiles(width=64, height=64),
+                        part_col="__part", drop_part_col=True)
     return out.select_columns(["cell", "width", "height", "coverage"])
 
 
@@ -4104,14 +4097,12 @@ def media_features(sf_dir: str):
     audio = real_audio_table(256)
     media = media.append_column("audio_bytes", audio["audio_bytes"])
     ds = rd.from_arrow(media)
-    ds = ds.map_batches(DecodeImage, batch_format="pyarrow",
-                        concurrency=auto_concurrency(), batch_size=64)
-    ds = ds.map_batches(DecodeAudio, batch_format="pyarrow",
-                        concurrency=auto_concurrency(), batch_size=64)
-    ds = ds.map_batches(ImageFeatures, batch_format="pyarrow",
-                        concurrency=auto_concurrency())
-    ds = ds.map_batches(SampleFrames, batch_format="pyarrow",
-                        concurrency=auto_concurrency())
+    ds = ds.map_batches(_per_worker(DecodeImage), batch_format="pyarrow",
+                        batch_size=64)
+    ds = ds.map_batches(_per_worker(DecodeAudio), batch_format="pyarrow",
+                        batch_size=64)
+    ds = ds.map_batches(_per_worker(ImageFeatures), batch_format="pyarrow")
+    ds = ds.map_batches(_per_worker(SampleFrames), batch_format="pyarrow")
 
     def finish(t: pa.Table) -> pa.Table:
         feats = t["img_features"].combine_chunks()
@@ -4158,10 +4149,10 @@ def media_audio_features(sf_dir: str):
         "video_bytes": media["video_bytes"],
     })
     ds = rd.from_arrow(tbl)
-    ds = ds.map_batches(DecodeAudio, batch_format="pyarrow",
-                        concurrency=auto_concurrency(), batch_size=64)
-    ds = ds.map_batches(SampleFrames, batch_format="pyarrow",
-                        concurrency=auto_concurrency(), batch_size=64)
+    ds = ds.map_batches(_per_worker(DecodeAudio), batch_format="pyarrow",
+                        batch_size=64)
+    ds = ds.map_batches(_per_worker(SampleFrames), batch_format="pyarrow",
+                        batch_size=64)
 
     def finish(t: pa.Table) -> pa.Table:
         af = t["audio_features"].combine_chunks()
@@ -4192,10 +4183,8 @@ def media_image_dc(sf_dir: str):
     from simplefeatures_ray.stages.multimodal import DecodeImage, dc_media_table
 
     ds = rd.from_arrow(dc_media_table(192))
-    ds = ds.map_batches(DecodeImage,
-                        fn_constructor_kwargs={"target_size": (24, 24)},
-                        batch_format="pyarrow",
-                        concurrency=auto_concurrency(), batch_size=64)
+    ds = ds.map_batches(_per_worker(DecodeImage, target_size=(24, 24)),
+                        batch_format="pyarrow", batch_size=64)
 
     def finish(t: pa.Table) -> pa.Table:
         arr = t["pixels"].combine_chunks()

@@ -2,9 +2,9 @@
 
 For LOW-CARDINALITY keys (aggregate fan-in), a full groupby exchange
 moves every row; the combiner pattern moves |keys| x |blocks| partial
-rows instead: map_batches computes per-batch partials (vectorized pandas
-groupby), and the final combine runs over that tiny set — on the driver
-(combine="driver") or as a Ray groupby when the key space is large
+rows instead: map_batches computes per-batch partials (Arrow
+group_by), and the final combine runs over that tiny set — on the driver
+(combine="driver") or through hash_exchange when the key space is large
 (combine="shuffle"). Mean decomposes into sum+count.
 
 At 100 TB this is the difference between an all-to-all of 10^12 rows
@@ -13,21 +13,23 @@ and |keys| x |blocks| partial rows (e.g. 6 x 100k for TPC-H Q1).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ._pdarrow import (arrow_groups, canon_int_keys, from_pandas_clean,
-                       restore_types)
+from ._arrow import aggregate, group_ids, nan_to_null
 
-_KINDS = {"sum", "count", "min", "max", "mean", "var", "std"}
+# sum of an all-missing group is 0, not null (pandas' skipna sum)
+_SUM0 = pc.ScalarAggregateOptions(min_count=0)
 
 
-def _partial_kernel(keys, spec):
-    # decompose: mean -> (sum, count); var/std -> (sum, M2, count) with
-    # M2 = per-batch centered sum of squares (Chan/Welford partial —
-    # E[x^2]-E[x]^2 catastrophically cancels when |mean| >> spread);
-    # count -> count of rows
-    plan = {}  # partial_col -> (src, op)
+def _plan(spec) -> dict:
+    """Partial columns of `spec`: {partial_col: (src, op)}.
+
+    mean -> (sum, count); var/std -> (sum, M2, count) with M2 = per-batch
+    centered sum of squares (Chan/Welford partial — E[x^2]-E[x]^2
+    catastrophically cancels when |mean| >> spread); (None, "count") =
+    row count, (col, "count") = that column's non-null/non-NaN count."""
+    plan = {}
     for out, (src, kind) in spec.items():
         if kind == "mean":
             plan[f"__{out}_sum"] = (src, "sum")
@@ -37,75 +39,77 @@ def _partial_kernel(keys, spec):
             plan[f"__{out}_m2"] = (src, "m2")
             plan[f"__{out}_cnt"] = (src, "count")
         elif kind == "count":
-            # (None, "count") = row count; (col, "count") = that
-            # column's NON-NULL/non-NaN count (pandas semantics — the
-            # src was previously discarded, silently making both the
-            # same)
             plan[f"__{out}_cnt"] = (src, "count")
         else:
             plan[f"__{out}_{kind}"] = (src, kind)
-
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys, sort=False, dropna=False)
-        cols = {}
-        for pcol, (src, op) in plan.items():
-            if op == "count":
-                cols[pcol] = g.size() if src is None else g[src].count()
-            elif op == "m2":
-                # centered per-batch: n * var_pop, 0 for empty/1-element
-                # groups (NaN would poison the combine sums)
-                cols[pcol] = (g[src].var(ddof=0) * g[src].count()).fillna(0.0)
-            else:
-                cols[pcol] = getattr(g[src], op)()
-        out = pd.DataFrame(cols).reset_index()
-        return out
-
-    return kernel, plan
+    return plan
 
 
-def _combine_frame(df: pd.DataFrame, keys, spec, plan) -> pd.DataFrame:
+def _partial(t: pa.Table, keys, plan) -> pa.Table:
+    """Per-batch partials of `plan` grouped by `keys`."""
+    aggs, m2 = [], []
+    for pcol, (src, op) in plan.items():
+        col = None if src is None else nan_to_null(t[src])
+        if op == "m2":
+            # centered per-batch: n * var_pop, 0 for empty/1-element
+            # groups (null would poison the combine sums)
+            aggs.append((pcol, col, "variance", pc.VarianceOptions(ddof=0)))
+            m2.append(pcol)
+        elif op == "count":  # src None: aggregate counts the rows
+            aggs.append((pcol, col, "count", None))
+        else:
+            aggs.append((pcol, col, op, _SUM0 if op == "sum" else None))
+    out = aggregate(t, keys, aggs)
+    for pcol in m2:
+        n = np.asarray(out[f"{pcol[:-len('_m2')]}_cnt"], dtype=np.float64)
+        v = np.nan_to_num(np.asarray(out[pcol].to_numpy(zero_copy_only=False),
+                                     dtype=np.float64))
+        out = out.set_column(out.schema.get_field_index(pcol), pcol,
+                             pa.array(v * n))
+    return out
+
+
+def _combine(t: pa.Table, keys, spec, plan) -> pa.Table:
+    """Merge partial rows into one row per key group and finish `spec`."""
     m2_cols = [p for p, (_, op) in plan.items() if op == "m2"]
-    if m2_cols:
+    if m2_cols and t.num_rows:
         # Chan parallel merge: M2_total = sum(M2_i) + sum(n_i*(mu_i-mu)^2).
         # Fold the between-partial term into the M2 column BEFORE the
         # final sum — mu_i - mu is an actual elementwise subtraction,
         # so no large-square cancellation at any mean magnitude.
-        df = df.copy()
-        gt = df.groupby(keys, sort=False, dropna=False)
+        gid = group_ids(t, keys)
         for pcol in m2_cols:
             base = pcol[: -len("_m2")]
-            ni = df[f"{base}_cnt"].to_numpy(dtype=np.float64)
-            si = df[f"{base}_sum"].to_numpy(dtype=np.float64)
-            N = gt[f"{base}_cnt"].transform("sum").to_numpy(dtype=np.float64)
-            S = gt[f"{base}_sum"].transform("sum").to_numpy(dtype=np.float64)
+            ni = np.asarray(t[f"{base}_cnt"], dtype=np.float64)
+            si = np.nan_to_num(np.asarray(
+                t[f"{base}_sum"].to_numpy(zero_copy_only=False), dtype=np.float64))
+            N = np.bincount(gid, ni)[gid]
+            S = np.bincount(gid, si)[gid]
             with np.errstate(invalid="ignore", divide="ignore"):
                 d = np.where(ni > 0, si / np.where(ni > 0, ni, 1.0)
                              - S / np.where(N > 0, N, 1.0), 0.0)
-            df[pcol] = df[pcol].to_numpy(dtype=np.float64) + ni * d * d
-    g = df.groupby(keys, sort=False, dropna=False)
-    partial = {}
-    for pcol, (_, op) in plan.items():
-        if op in ("sum", "count", "m2"):
-            partial[pcol] = g[pcol].sum()
-        else:
-            partial[pcol] = getattr(g[pcol], op)()
-    combined = pd.DataFrame(partial).reset_index()
-    out = combined[list(keys)].copy()
+            m2 = np.asarray(t[pcol], dtype=np.float64) + ni * d * d
+            t = t.set_column(t.schema.get_field_index(pcol), pcol, pa.array(m2))
+    combined = aggregate(t, keys, [
+        (pcol, pcol, "sum" if op in ("sum", "count", "m2") else op,
+         _SUM0 if op in ("sum", "count", "m2") else None)
+        for pcol, (_, op) in plan.items()])
+    out = {k: combined[k] for k in keys}
     for name, (src, kind) in spec.items():
-        if kind == "mean":
-            out[name] = combined[f"__{name}_sum"] / combined[f"__{name}_cnt"]
-        elif kind in ("var", "std"):
-            # population variance = merged M2 / n (Chan/Welford — stable
-            # for float data whose mean dwarfs its spread)
-            n = combined[f"__{name}_cnt"].to_numpy(dtype=np.float64)
-            v = np.maximum(
-                combined[f"__{name}_m2"].to_numpy(dtype=np.float64), 0.0) / n
-            out[name] = np.sqrt(v) if kind == "std" else v
+        if kind in ("mean", "var", "std"):
+            n = np.asarray(combined[f"__{name}_cnt"], dtype=np.float64)
+            top = combined[f"__{name}_sum" if kind == "mean" else f"__{name}_m2"]
+            top = np.asarray(top.to_numpy(zero_copy_only=False), dtype=np.float64)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                # variance is the merged M2 / n (Chan/Welford — stable
+                # for float data whose mean dwarfs its spread)
+                v = top / n if kind == "mean" else np.maximum(top, 0.0) / n
+            out[name] = pa.array(np.sqrt(v) if kind == "std" else v)
         elif kind == "count":
-            out[name] = combined[f"__{name}_cnt"].astype(np.int64)
+            out[name] = pc.cast(combined[f"__{name}_cnt"], pa.int64())
         else:
             out[name] = combined[f"__{name}_{kind}"]
-    return out
+    return pa.table(out)
 
 
 def grouped_agg(ds, keys, spec: dict, combine: str = "driver"):
@@ -113,51 +117,41 @@ def grouped_agg(ds, keys, spec: dict, combine: str = "driver"):
 
     combine="driver": partials stream to the driver (correct when
     |keys| x |blocks| is small); returns a pyarrow Table.
-    combine="shuffle": final combine via Ray groupby; returns a Dataset.
+    combine="shuffle": final combine on a hash partition of the keys
+    (hash_exchange); returns a Dataset.
 
     Missing-value semantics are pandas' (skipna): NULL and float NaN
     are both treated as missing by sum/min/max/mean/var/std and by
-    (col, "count"); (None, "count") counts rows. SQL differs on NaN
-    (a value there) — the oracle-gated queries never feed NaN, and
-    callers comparing against SQL should pre-filter NaN if it can
-    occur.
+    (col, "count"); (None, "count") counts rows; the sum of an
+    all-missing group is 0. SQL differs on NaN (a value there) — the
+    oracle-gated queries never feed NaN, and callers comparing against
+    SQL should pre-filter NaN if it can occur. Key columns keep their
+    Arrow type; a NULL key is one group.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
-    kernel, plan = _partial_kernel(keys, spec)
+    plan = _plan(spec)
+    partial = ds.map_batches(lambda t: _partial(t, keys, plan),
+                             batch_format="pyarrow")
+    return _finish_combine(partial, keys, combine,
+                           lambda t: _combine(t, keys, spec, plan))
 
-    def typed_partial(t: pa.Table) -> pa.Table:
-        # null-stable integer keys (see _pdarrow.canon_int_keys): a
-        # null-bearing block must emit the SAME arrow key type (int64)
-        # and group the same values as a null-free one
-        return from_pandas_clean(kernel(canon_int_keys(t, keys)))
 
-    partial = ds.map_batches(typed_partial, batch_format="pyarrow")
+def _finish_combine(partial, keys, combine, final):
+    """Run `final` over the collected partials (combine="driver") or
+    once per hash partition of `keys` (combine="shuffle"): a vectorized
+    combine per partition, never per group."""
     if combine == "driver":
         from .relational import collect_table
 
-        tbl = collect_table(partial)
-        df = _combine_frame(canon_int_keys(tbl, keys), keys, spec, plan)
-        return restore_types(df, tbl.schema, only=keys)
-    # shuffle combine on a COARSE partition of the key hash: the final
-    # vectorized pandas groupby runs once per partition, not once per
-    # group (Ray's map_groups pays per GROUP — ruinous at 10^5+ groups)
-    n_parts = 64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        df = canon_int_keys(t, keys)
-        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-        df["__part"] = (h % n_parts).astype(np.int32)
-        return restore_types(df, t.schema, only=keys)
-
-    def final(t: pa.Table) -> pa.Table:
-        df = _combine_frame(canon_int_keys(t, keys).drop(columns="__part"),
-                            keys, spec, plan)
-        return restore_types(df, t.schema, only=keys)
-
-    parted = partial.map_batches(add_part, batch_format="pyarrow")
+        return final(collect_table(partial))
     from ..stages.exchange import hash_exchange
+    from .relational import add_partition
 
-    return hash_exchange(parted, n_parts, final, part_col="__part")
+    n_parts = 64
+    parted = partial.map_batches(lambda t: add_partition(t, keys, n_parts),
+                                 batch_format="pyarrow")
+    return hash_exchange(parted, n_parts, final, part_col="__part",
+                         drop_part_col=True)
 
 
 def rollup_agg(ds, keys, spec: dict, grouping: str = "rollup",
@@ -205,70 +199,30 @@ def rollup_agg(ds, keys, spec: dict, grouping: str = "rollup",
     else:
         raise ValueError(
             f"grouping must be rollup|cube|list of sets, got {grouping!r}")
-    gsets = []
-    for gkeys in included:
-        gid = sum(1 << (n - 1 - i) for i, k in enumerate(keys)
-                  if k not in gkeys)
-        kern, plan = _partial_kernel(gkeys + ["__gid"], spec)
-        gsets.append((gid, gkeys, kern))
-
-    def _null_like(field_type: pa.DataType, index) -> pd.Series:
-        if pa.types.is_integer(field_type):
-            return pd.Series(pd.NA, index=index, dtype="Int64")
-        if pa.types.is_floating(field_type):
-            return pd.Series(np.nan, index=index, dtype="float64")
-        return pd.Series([None] * len(index), index=index, dtype=object)
+    gsets = [(sum(1 << (n - 1 - i) for i, k in enumerate(keys)
+                  if k not in gkeys), gkeys) for gkeys in included]
+    plan = _plan(spec)
+    gkeys_all = keys + ["__gid"]
 
     def typed_partial(t: pa.Table) -> pa.Table:
-        df = canon_int_keys(t, keys)
-        df["__gid"] = np.int64(0)
         outs = []
-        for gid, gkeys, kern in gsets:
-            df["__gid"] = np.int64(gid)
-            sub = kern(df)
-            for k in keys:
-                if k not in gkeys:
-                    sub[k] = _null_like(
-                        t.schema.field(t.schema.get_field_index(k)).type,
-                        sub.index)
-            outs.append(sub[[*keys, "__gid",
-                             *[c for c in sub.columns
-                               if c not in keys and c != "__gid"]]])
-        return restore_types(pd.concat(outs, ignore_index=True),
-                             t.schema, only=keys)
-
-    _, plan = _partial_kernel(keys + ["__gid"], spec)
-    gkeys_all = keys + ["__gid"]
-    partial = ds.map_batches(typed_partial, batch_format="pyarrow")
-
-    def _finish(df: pd.DataFrame, in_sch: pa.Schema) -> pa.Table:
-        out = _combine_frame(df, gkeys_all, spec, plan)
-        out = out.rename(columns={"__gid": grouping_col})
-        out[grouping_col] = out[grouping_col].astype(np.int64)
-        return restore_types(out, in_sch, only=keys)
-
-    if combine == "driver":
-        from .relational import collect_table
-
-        tbl = collect_table(partial)
-        return _finish(canon_int_keys(tbl, gkeys_all), tbl.schema)
-
-    n_parts = 64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        df = canon_int_keys(t, gkeys_all)
-        h = pd.util.hash_pandas_object(df[gkeys_all], index=False).to_numpy()
-        df["__part"] = (h % n_parts).astype(np.int32)
-        return restore_types(df, t.schema, only=keys)
+        for gid, gkeys in gsets:
+            tg = t.append_column("__gid", pa.array(np.full(t.num_rows, gid, np.int64)))
+            sub = _partial(tg, gkeys + ["__gid"], plan)
+            cols = {k: (sub[k] if k in gkeys
+                        else pa.nulls(sub.num_rows, t.schema.field(k).type))
+                    for k in keys}
+            cols.update({c: sub[c] for c in ["__gid", *plan]})
+            outs.append(pa.table(cols))
+        return pa.concat_tables(outs)
 
     def final(t: pa.Table) -> pa.Table:
-        return _finish(canon_int_keys(t, gkeys_all).drop(columns="__part"),
-                       t.schema)
+        out = _combine(t, gkeys_all, spec, plan)
+        return out.rename_columns(
+            [grouping_col if c == "__gid" else c for c in out.column_names])
 
-    parted = partial.map_batches(add_part, batch_format="pyarrow")
-    from ..stages.exchange import hash_exchange
-
-    return hash_exchange(parted, n_parts, final, part_col="__part")
+    partial = ds.map_batches(typed_partial, batch_format="pyarrow")
+    return _finish_combine(partial, gkeys_all, combine, final)
 
 
 def exact_quantiles(ds, col: str, qs, group_keys=None):
@@ -288,13 +242,9 @@ def exact_quantiles(ds, col: str, qs, group_keys=None):
     group_keys = ([group_keys] if isinstance(group_keys, str)
                   else list(group_keys or []))
 
-    def hist(t: pa.Table) -> pa.Table:
-        df = t.select(group_keys + [col]).to_pandas()
-        out = (df.groupby(group_keys + [col], sort=False, dropna=False)
-               .size().reset_index(name="__n"))
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    partial = ds.map_batches(hist, batch_format="pyarrow")
+    partial = ds.map_batches(
+        lambda t: aggregate(t, group_keys + [col], [("__n", None, None, None)]),
+        batch_format="pyarrow")
     from .relational import collect_table
 
     merged = collect_table(partial).to_pandas()

@@ -12,10 +12,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from ._pdarrow import arrow_groups
+from ._arrow import drop_duplicates, grouped_order
 
 
 def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
@@ -30,6 +29,26 @@ def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
                           dtype=np.float32).reshape(n, -1)
     flat = np.asarray(arr.values, dtype=np.float32)
     return flat.reshape(n, -1)
+
+
+def merge_topk(partial, k: int, id_col: str, n_parts: int):
+    """Final per-query top-k of the per-batch candidate rows (query_id,
+    id, cosine): one hash exchange on query_id % n_parts, then a
+    vectorized (cosine desc, id asc) rank per query inside each
+    partition. Adds rank (0 = best)."""
+    from ..stages.exchange import hash_exchange
+    from .relational import add_partition
+
+    def merge(t: pa.Table) -> pa.Table:
+        idx, _, rank = grouped_order(
+            t, ["query_id"], [("cosine", "descending"), (id_col, "ascending")])
+        keep = rank < k
+        return t.take(idx[keep]).append_column("rank", pa.array(rank[keep]))
+
+    parted = partial.map_batches(lambda t: add_partition(t, ["query_id"], n_parts),
+                                 batch_format="pyarrow")
+    return hash_exchange(parted, n_parts, merge, part_col="__part",
+                         drop_part_col=True)
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -92,15 +111,7 @@ def brute_force_topk(ds, query_ids, query_matrix, k: int, *, id_col="vec_id",
 
     # task-based with per-worker cached state: no actor-pool spin-up
     partial = ds.map_batches(partial_fn, batch_format="pyarrow")
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["cosine", id_col], ascending=[False, True], kind="mergesort").head(k)
-        df = df.reset_index(drop=True)
-        df["rank"] = np.arange(len(df), dtype=np.int64)
-        return df
-
-    return partial.groupby("query_id").map_groups(
-        arrow_groups(merge), batch_format="pyarrow")
+    return merge_topk(partial, k, id_col, max(1, min(len(query_ids), 64)))
 
 
 def kmeans_lite(sample: np.ndarray, n_clusters: int, iters: int = 8, seed: int = 7):
@@ -216,15 +227,7 @@ def ivf_topk(ds, query_ids, query_matrix, k: int, *, n_clusters=16, nprobe=4,
         return get_cached(qsel_ref, build=lambda _: ProbedTopK())(batch)
 
     partial = pruned.map_batches(probed_fn, batch_format="pyarrow")
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["cosine", id_col], ascending=[False, True], kind="mergesort").head(k)
-        df = df.reset_index(drop=True)
-        df["rank"] = np.arange(len(df), dtype=np.int64)
-        return df
-
-    return partial.groupby("query_id").map_groups(
-        arrow_groups(merge), batch_format="pyarrow")
+    return merge_topk(partial, k, id_col, max(1, min(len(query_ids), 64)))
 
 
 # --------------------------------------------------------------------------- #
@@ -347,8 +350,6 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
         small and the same shape is genuinely sublinear; the gate keeps
         0.4 because the synthetic tables contain no higher-cosine pairs.
     """
-    import pandas as pd
-
     dim = len(ds.take(1)[0][vec_col])
     # size the partition fan-out to the corpus: fixed 256-way coarse
     # partitions + 32 join buckets drown a small input in task overhead
@@ -386,20 +387,19 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
 
     parted = sigs.map_batches(add_part, batch_format="pyarrow")
 
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(t: pa.Table) -> pa.Table:
         # vectorized per coarse partition (functions.dedup helper): one
         # task per __part, no per-bucket Python loop
         from .dedup import bucketed_pairs_vectorized
 
-        key = (df["lsh_table"].to_numpy(np.uint64) << np.uint64(48)) \
-            ^ df["lsh_bucket"].to_numpy(np.uint64)
-        ia, ib = bucketed_pairs_vectorized(key, df[id_col].to_numpy(np.int64))
-        return pd.DataFrame({"id_a": ia, "id_b": ib}).drop_duplicates()
+        key = (np.asarray(t["lsh_table"], dtype=np.uint64) << np.uint64(48)) \
+            ^ np.asarray(t["lsh_bucket"], dtype=np.uint64)
+        ia, ib = bucketed_pairs_vectorized(key, np.asarray(t[id_col], dtype=np.int64))
+        return drop_duplicates(pa.table({"id_a": ia, "id_b": ib}))
 
     from ..stages.exchange import hash_exchange
 
-    cand = hash_exchange(parted, n_parts, arrow_groups(bucket_pairs),
-                         part_col="__part")
+    cand = hash_exchange(parted, n_parts, bucket_pairs, part_col="__part")
     from .dedup import dedup_pairs
 
     # pin the candidate set: both downstream hash joins probe/consume
@@ -444,25 +444,21 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
                       right_schema=pa.schema([("id_b", pa.int64()),
                                               ("__vec_b", fsb_ty)]))
 
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
-                                 "id_b": pd.Series([], dtype=np.int64),
-                                 "cosine": pd.Series([], dtype=np.float64)})
-
+    def verify(t: pa.Table) -> pa.Table:
         def decode(col):
-            flat = np.frombuffer(b"".join(col.to_numpy()), dtype=np.float32)
-            return flat.reshape(len(df), -1).astype(np.float64)
+            flat = np.frombuffer(b"".join(col.to_pylist()), dtype=np.float32)
+            return flat.reshape(t.num_rows, dim).astype(np.float64)
 
-        va = _normalize(decode(df["__vec_a"]))
-        vb = _normalize(decode(df["__vec_b"]))
+        va = _normalize(decode(t["__vec_a"]))
+        vb = _normalize(decode(t["__vec_b"]))
         cos = np.einsum("ij,ij->i", va, vb)
         keep = cos >= threshold
-        return pd.DataFrame({"id_a": df["id_a"].to_numpy()[keep],
-                             "id_b": df["id_b"].to_numpy()[keep],
-                             "cosine": np.round(cos[keep], 6)})
+        return pa.table({
+            "id_a": pa.array(np.asarray(t["id_a"], dtype=np.int64)[keep]),
+            "id_b": pa.array(np.asarray(t["id_b"], dtype=np.int64)[keep]),
+            "cosine": pa.array(np.round(cos[keep], 6), pa.float64())})
 
-    return j.map_batches(arrow_groups(verify), batch_format="pyarrow")
+    return j.map_batches(verify, batch_format="pyarrow")
 
 
 # --------------------------------------------------------------------------- #

@@ -129,10 +129,8 @@ def _local_top_pair(t: pa.Table) -> pa.Table:
     (n DESC, left ASC, right ASC)."""
     if not len(t):
         return t
-    df = t.to_pandas().sort_values(
-        ["n", "left", "right"], ascending=[False, True, True],
-        kind="mergesort").head(1)
-    return pa.Table.from_pandas(df, preserve_index=False)
+    return t.sort_by([("n", "descending"), ("left", "ascending"),
+                      ("right", "ascending")]).slice(0, 1)
 
 
 def _vocab_top_pair(words_ds, merges: list[tuple[str, str]]):

@@ -16,10 +16,10 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ._pdarrow import arrow_groups
+from ._arrow import aggregate, dictionary_codes, drop_duplicates, group_ids
 
 _WORD = re.compile(r"[\w']+", re.U)
 
@@ -222,24 +222,22 @@ def minhash_lsh_pairs(ds, *, num_perm=64, bands=16, ngram=3, id_col="doc_id",
     # Ray map_groups pays per-group overhead; with mostly-singleton band
     # buckets that dominates. Shuffle on a COARSE partition of the band
     # key (same co-location guarantee), then do the fine-grained grouping
-    # vectorized in pandas inside each partition.
+    # vectorized inside each partition.
     def add_part(t: pa.Table) -> pa.Table:
         part = (np.asarray(t["band_key"], dtype=np.uint64) % np.uint64(256)).astype(np.int32)
         return t.append_column("band_part", pa.array(part, pa.int32()))
 
     bandrows = bandrows.map_batches(add_part, batch_format="pyarrow")
 
-    def pairs_in_part(df: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_part(t: pa.Table) -> pa.Table:
         ia, ib = bucketed_pairs_vectorized(
-            df["band_key"].to_numpy(np.uint64),
-            df[id_col].to_numpy(np.int64))
-        out = pd.DataFrame({"id_a": ia, "id_b": ib})
-        return out.drop_duplicates()
+            np.asarray(t["band_key"], dtype=np.uint64),
+            np.asarray(t[id_col], dtype=np.int64))
+        return drop_duplicates(pa.table({"id_a": ia, "id_b": ib}))
 
     from ..stages.exchange import hash_exchange
 
-    pairs = hash_exchange(bandrows, 256, arrow_groups(pairs_in_part),
-                          part_col="band_part")
+    pairs = hash_exchange(bandrows, 256, pairs_in_part, part_col="band_part")
     return dedup_pairs(pairs)
 
 
@@ -254,7 +252,7 @@ def bucketed_pairs_vectorized(keys: np.ndarray, ids: np.ndarray,
 
     Returns (id_a, id_b) or (id_a, id_b, value_a, value_b) arrays;
     pairs surfacing from several buckets in the same partition are NOT
-    deduped here — callers drop_duplicates once.
+    deduped here — callers drop the duplicates once.
     """
     order = np.lexsort((ids, keys))
     k, i = keys[order], ids[order]
@@ -295,7 +293,7 @@ def bucketed_pairs_vectorized(keys: np.ndarray, ids: np.ndarray,
 
 def dedup_pairs(pairs_ds, extra_cols=()):
     """Distinct (id_a, id_b) rows: coarse-partition shuffle + vectorized
-    drop_duplicates per partition (a pair surfaces from several bands)."""
+    duplicate drop per partition (a pair surfaces from several bands)."""
 
     def add_part(t: pa.Table) -> pa.Table:
         with np.errstate(over="ignore"):
@@ -305,13 +303,10 @@ def dedup_pairs(pairs_ds, extra_cols=()):
 
     parts = pairs_ds.map_batches(add_part, batch_format="pyarrow")
 
-    def uniq(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["id_a", "id_b"]).drop(columns="pair_part")
-
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(parts, 64, arrow_groups(uniq),
-                         part_col="pair_part")
+    return hash_exchange(parts, 64, lambda t: drop_duplicates(t, ["id_a", "id_b"]),
+                         part_col="pair_part", drop_part_col=True)
 
 
 def jaccard(text_a: str, text_b: str, ngram: int = 3) -> float:
@@ -458,21 +453,21 @@ def simhash_near_dup_pairs(ds, *, max_hamming=3, id_col="doc_id", text_col="text
 
     rows = rows.map_batches(add_part, batch_format="pyarrow")
 
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
+    def pairs(t: pa.Table) -> pa.Table:
         ia, ib, sa, sb = bucketed_pairs_vectorized(
-            df["band_key"].to_numpy(np.uint64),
-            df[id_col].to_numpy(np.int64),
-            df["simhash"].to_numpy().astype(np.uint64))
+            np.asarray(t["band_key"], dtype=np.uint64),
+            np.asarray(t[id_col], dtype=np.int64),
+            np.asarray(t["simhash"], dtype=np.uint64))
         hd = hamming64(sa, sb)
         keep = hd <= max_hamming
-        out = pd.DataFrame({"id_a": ia[keep], "id_b": ib[keep],
-                            "hamming": hd[keep].astype(np.int64)})
-        return out.drop_duplicates(["id_a", "id_b"])
+        return drop_duplicates(pa.table({
+            "id_a": pa.array(ia[keep], pa.int64()),
+            "id_b": pa.array(ib[keep], pa.int64()),
+            "hamming": pa.array(hd[keep].astype(np.int64))}), ["id_a", "id_b"])
 
     from ..stages.exchange import hash_exchange
 
-    cand = hash_exchange(rows, 256, arrow_groups(pairs),
-                         part_col="band_part")
+    cand = hash_exchange(rows, 256, pairs, part_col="band_part")
     return dedup_pairs(cand)
 
 
@@ -602,11 +597,10 @@ def connected_components(pairs_ds, a_col: str = "id_a", b_col: str = "id_b",
             pa.table({id_out: node, label_out: label}))
 
     # ---- strategy="shuffle": fully distributed rounds ---- #
-    # bucketed_join's union-side null padding promotes int64 -> float64
-    # through pandas; left uncast, the float labels would then bucket by
-    # the STRING-key hash path while the int edges bucket by the int
-    # path (empty joins, stalled propagation) and mixed int/float keys
-    # split groups in grouped_agg. Canonicalize to int64 every round.
+    # Labels must stay int64 every round: a float label would bucket by
+    # the non-integer hash path of key_partition while the int edges
+    # bucket by the int path (empty joins, stalled propagation), and
+    # mixed int/float keys would split groups in grouped_agg.
     def canon(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
@@ -691,38 +685,35 @@ def exact_ngram_dup_pairs(ds, *, ngram: int = 8, min_shared: int = 2,
     from .text import _ngram_table
 
     def gram_rows(t: pa.Table) -> pa.Table:
-        g = _ngram_table(t, id_col, text_col, ngram)
-        df = g.to_pandas().drop_duplicates()
-        codes, uniq = pd.factorize(df["g"], use_na_sentinel=False)
+        g = drop_duplicates(_ngram_table(t, id_col, text_col, ngram))
+        codes, dic = dictionary_codes(g["g"])
         hu = np.fromiter(
             (int(hashlib.sha256(s.encode()).hexdigest()[:16], 16)
-             for s in uniq),
-            dtype=np.uint64, count=len(uniq))
+             for s in dic.to_pylist()),
+            dtype=np.uint64, count=len(dic))
         gh = hu[codes]
         return pa.table({
             "gh": pa.array(gh),
-            id_col: pa.array(df[id_col].to_numpy(np.int64)),
+            id_col: pc.cast(g[id_col], pa.int64()),
             "gpart": pa.array((gh % np.uint64(n_parts)).astype(np.int32)),
         })
 
     rows = ds.map_batches(gram_rows, batch_format="pyarrow")
 
-    def pairs_in_part(df: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_part(t: pa.Table) -> pa.Table:
         # global df bound: every copy of a gram is in this partition
-        cnt = df.groupby("gh")["gh"].transform("size")
-        df = df[(cnt >= 2) & (cnt <= max_df)]
+        gid = group_ids(t, ["gh"])
+        cnt = np.bincount(gid, minlength=1)[gid]
+        keep = (cnt >= 2) & (cnt <= max_df)
         ia, ib = bucketed_pairs_vectorized(
-            df["gh"].to_numpy(np.uint64), df[id_col].to_numpy(np.int64))
-        out = pd.DataFrame({"id_a": ia, "id_b": ib})
-        g = out.groupby(["id_a", "id_b"], sort=False).size() \
-               .rename("n").reset_index()
-        g["n"] = g["n"].astype(np.int64)
-        return g
+            np.asarray(t["gh"], dtype=np.uint64)[keep],
+            np.asarray(t[id_col], dtype=np.int64)[keep])
+        return aggregate(pa.table({"id_a": ia, "id_b": ib}), ["id_a", "id_b"],
+                         [("n", None, None, None)])
 
     from ..stages.exchange import hash_exchange
 
-    partial = hash_exchange(rows, n_parts, arrow_groups(pairs_in_part),
-                            part_col="gpart")
+    partial = hash_exchange(rows, n_parts, pairs_in_part, part_col="gpart")
     counts = grouped_agg(partial, ["id_a", "id_b"],
                          {"n_shared": ("n", "sum")}, combine="shuffle")
 
@@ -772,8 +763,8 @@ def exact_substring_removal(ds, *, window: int = 50,
          cut. Join fan-out is 1:<=1 (position lists pre-aggregated), so
          document text is never replicated.
 
-    Per-batch gram materialization is window * text bytes (pandas
-    shift-concat, same pattern as exact_ngram_dup_pairs); size
+    Per-batch gram materialization is window * text bytes (Arrow
+    element-wise join of the window's token columns); size
     batch_size down for window=50 payloads.
 
     Limit: grams are equal when their 64-bit sha256 prefixes are, not
@@ -809,15 +800,15 @@ def exact_substring_removal(ds, *, window: int = 50,
         doc_of = np.repeat(np.arange(len(t), dtype=np.int64), n_win)
         starts = np.arange(total, dtype=np.int64) - np.repeat(
             np.cumsum(n_win) - n_win, n_win)  # 0-based window pos in doc
-        vals = pd.Series(flat.values.to_pylist(), dtype=object)
+        vals = flat.values
         first = offs[doc_of] + starts  # flat index of window's first token
-        parts = vals.iloc[first].reset_index(drop=True)
-        for j in range(1, window):
-            parts = parts + " " + vals.iloc[first + j].reset_index(drop=True)
-        codes, uniq = pd.factorize(parts, use_na_sentinel=False)
+        gram = pc.binary_join_element_wise(
+            *[vals.take(pa.array(first + j)) for j in range(window)], " ")
+        codes, dic = dictionary_codes(gram)
         hu = np.fromiter(
             (int(hashlib.sha256(s.encode()).hexdigest()[:16], 16)
-             for s in uniq), dtype=np.uint64, count=len(uniq))
+             for s in dic.to_pylist()),
+            dtype=np.uint64, count=len(dic))
         gh = hu[codes]
         return pa.table({
             id_col: pa.array(ids[doc_of]),

@@ -25,10 +25,10 @@ shards/sources — bounded by construction in a web corpus layout.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from .relational import arrow_groups
+from ._arrow import grouped_order, run_starts
+from .relational import add_partition
 
 
 def _pack_group(sizes: np.ndarray, budget: int, out: np.ndarray) -> None:
@@ -54,35 +54,20 @@ def pack_sequences(ds, group_col: str, order_col: str, size_col: str,
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    def add_part(t: pa.Table) -> pa.Table:
-        from ._pdarrow import canon_int_keys
+    parted = ds.map_batches(lambda t: add_partition(t, [group_col], n_parts),
+                            batch_format="pyarrow")
 
-        col = canon_int_keys(t.select([group_col]), [group_col])[group_col]
-        h = pd.util.hash_pandas_object(col, index=False).to_numpy()
-        return t.append_column(
-            "__part", pa.array((h % n_parts).astype(np.int32), pa.int32()))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow")
-
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__part")
-        df = df.sort_values([group_col, order_col],
-                            kind="mergesort").reset_index(drop=True)
-        n = len(df)
-        seq = np.zeros(n, dtype=np.int64)
-        if n:
-            grp = df[group_col].to_numpy()
-            sizes = df[size_col].to_numpy().astype(np.int64)
-            starts = np.empty(n, dtype=bool)
-            starts[0] = True
-            starts[1:] = grp[1:] != grp[:-1]
-            idx = np.flatnonzero(starts)
-            for gs, ge in zip(idx, np.append(idx[1:], n)):
-                _pack_group(sizes[gs:ge], budget, seq[gs:ge])
-        df["seq_id"] = seq
-        return df
+    def per_part(t: pa.Table) -> pa.Table:
+        idx, g, _ = grouped_order(t, [group_col], [(order_col, "ascending")])
+        t = t.take(idx)
+        seq = np.zeros(len(g), dtype=np.int64)
+        sizes = np.asarray(t[size_col], dtype=np.int64)
+        starts = run_starts(g)
+        for gs, ge in zip(starts, np.append(starts[1:], len(g))):
+            _pack_group(sizes[gs:ge], budget, seq[gs:ge])
+        return t.append_column("seq_id", pa.array(seq))
 
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(parted, n_parts, arrow_groups(per_part),
-                         part_col="__part")
+    return hash_exchange(parted, n_parts, per_part, part_col="__part",
+                         drop_part_col=True)

@@ -4,15 +4,58 @@ Join strategy (SURVEY.md §4 'Broadcast'): the engine broadcasts the
 SMALLER side — `ray.put` an Arrow table once, join inside map_batches
 with pyarrow's vectorized hash join (acero) per batch. No shuffle of the
 big side. For large×large joins use bucketed_join (hash-partition both
-sides on the key via groupby, join per bucket) — an explicit partitioned
+sides on the key via hash_exchange, join per bucket) — an explicit partitioned
 hash join, the portable Ray Data pattern.
 """
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ._pdarrow import arrow_groups
+from ._arrow import dictionary_codes, grouped_order, run_starts
+
+
+def _column_hash(col) -> np.ndarray:
+    """Deterministic int64 hash of one key column, the same in every
+    process: integer keys hash to their value, any other type to the
+    blake2b hash of str(value) (computed once per distinct value).
+    NULL hashes to 0 — all null keys share a partition."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_integer(col.type):
+        return np.asarray(pc.fill_null(pc.cast(col, pa.int64(), safe=False), 0),
+                          dtype=np.int64)
+    from .dedup import _hash64
+
+    codes, dic = dictionary_codes(col)
+    uniq = np.fromiter((0 if v is None else _hash64(str(v)) & 0x7FFFFFFFFFFFFFFF
+                        for v in dic.to_pylist()), dtype=np.int64, count=len(dic))
+    return uniq[codes]
+
+
+def key_partition(t: pa.Table, keys, n_parts: int) -> np.ndarray:
+    """Shuffle partition in [0, n_parts) of every row of `t` by its
+    `keys` columns — the one function that decides which exchange
+    partition a key lands in. Equal keys land together in every block
+    and process, NULL included (a NULL key is one group); a single
+    integer key maps to value mod n_parts."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    h = _column_hash(t[keys[0]])
+    if len(keys) > 1:
+        from .dedup import _splitmix64_u64
+
+        with np.errstate(over="ignore"):
+            u = h.view(np.uint64)
+            for k in keys[1:]:
+                u = _splitmix64_u64(u) + _column_hash(t[k]).view(np.uint64)
+        return (u % np.uint64(n_parts)).astype(np.int32)
+    return (h % n_parts).astype(np.int32)
+
+
+def add_partition(t: pa.Table, keys, n_parts: int, col: str = "__part") -> pa.Table:
+    """`t` plus its key_partition as int32 column `col`."""
+    return t.append_column(col, pa.array(key_partition(t, keys, n_parts)))
 
 
 def collect_table(ds_or_table) -> pa.Table:
@@ -49,45 +92,15 @@ def collect_table(ds_or_table) -> pa.Table:
     return pa.concat_tables(parts, promote_options="permissive").combine_chunks()
 
 
-class JoinSmall:
-    """Actor-pool kernel: batch JOIN broadcast small table (pyarrow acero).
-
-    join_type: 'inner' | 'left outer' | 'left semi' | 'left anti'
-    """
-
-    def __init__(self, small_ref, keys, right_keys=None, join_type="inner",
-                 small_cols=None):
-        import ray
-
-        small = ray.get(small_ref) if not isinstance(small_ref, pa.Table) else small_ref
-        if small_cols:
-            small = small.select(small_cols)
-        self.small = small.combine_chunks()
-        self.keys = [keys] if isinstance(keys, str) else list(keys)
-        self.right_keys = (
-            self.keys if right_keys is None
-            else ([right_keys] if isinstance(right_keys, str) else list(right_keys))
-        )
-        self.join_type = join_type
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return batch.join(
-            self.small, keys=self.keys, right_keys=self.right_keys,
-            join_type=self.join_type,
-        )
-
-
 def broadcast_join(big_ds, small, keys, right_keys=None, join_type="inner",
-                   small_cols=None, concurrency=None):
+                   small_cols=None):
     """big Dataset ⋈ small table/Dataset without shuffling the big side.
 
     Runs as PLAIN-FUNCTION tasks with a per-worker-process cache of the
     broadcast table (stages/worker_cache.py): the table rides ONE
     ray.put, each standing worker fetches it zero-copy once, and — unlike
     an actor-pool stage — no processes spin up per execution (a 32-actor
-    pool costs ~4s of startup EVERY run; the task path costs none).
-    `concurrency` caps concurrent tasks when set (default: let the
-    scheduler use the whole worker pool)."""
+    pool costs ~4s of startup EVERY run; the task path costs none)."""
     import ray
 
     from ..stages.worker_cache import get_cached
@@ -106,10 +119,7 @@ def broadcast_join(big_ds, small, keys, right_keys=None, join_type="inner",
         return batch.join(s, keys=keys_l, right_keys=rkeys_l,
                           join_type=join_type)
 
-    kwargs = {}
-    if concurrency is not None and not isinstance(concurrency, tuple):
-        kwargs["concurrency"] = concurrency
-    return big_ds.map_batches(join_small, batch_format="pyarrow", **kwargs)
+    return big_ds.map_batches(join_small, batch_format="pyarrow")
 
 
 def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
@@ -117,9 +127,10 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
                   right_schema: pa.Schema | None = None,
                   left_schema: pa.Schema | None = None,
                   bucket_fn=None):
-    """Large×large partitioned hash join: add bucket = hash(key) % B to both
-    sides, then join per bucket inside map_groups. The all-to-all cost is
-    one groupby shuffle per side; B bounds per-task memory.
+    """Large×large partitioned hash join: add bucket = key_partition(key)
+    to both sides, then join per bucket inside one hash_exchange. The
+    all-to-all cost is one exchange of both sides; B bounds per-task
+    memory.
 
     join_type: 'inner' | 'left outer' | 'left semi' | 'left anti' |
     'full outer' (full outer is incompatible with n_salts > 1 — the
@@ -181,48 +192,15 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
         return left_ds.map_batches(lambda t: t.slice(0, 0),
                                    batch_format="pyarrow")
 
-    def _bucket_of(col: pa.ChunkedArray) -> pa.Array:
-        # NULL keys never equi-match, so their bucket only needs to be
-        # deterministic (left-outer keeps the row whichever bucket it
-        # lands in) — fill_null before bucketing instead of crashing on
-        # the null->numpy conversion / garbage NaN->int casts.
-        if pa.types.is_integer(col.type):
-            h = pc.fill_null(pc.cast(col, pa.int64()), 0)
-            if (n_buckets & (n_buckets - 1)) == 0:
-                b = pc.bit_wise_and(h, n_buckets - 1)
-                return pc.cast(b, pa.int32())
-            # this pyarrow has no modulo kernel — numpy for non-pow2 B
-            b = (np.asarray(h, dtype=np.int64) % n_buckets).astype(np.int32)
-            return pa.array(b, pa.int32())
-        # string/binary keys (URLs, doc hashes): stable content hash, seed-
-        # independent across processes. Hash unique values only (dictionary
-        # encode bounds the Python loop to the batch's distinct keys).
-        from .dedup import _hash64
-
-        d = pc.dictionary_encode(col).combine_chunks()
-        chunks = d.chunks if isinstance(d, pa.ChunkedArray) else [d]
-        out = []
-        for ch in chunks:
-            dic = ch.dictionary.to_pylist()
-            if not dic:  # all-null chunk: empty dictionary
-                out.append(np.zeros(len(ch), np.int32))
-                continue
-            uniq = np.fromiter((_hash64(str(v)) % n_buckets for v in dic),
-                               dtype=np.int32, count=len(dic))
-            idx = np.asarray(ch.indices.fill_null(0), dtype=np.int64)
-            out.append(uniq[idx])
-        return pa.array(np.concatenate(out) if out else np.array([], np.int32),
-                        pa.int32())
-
     def add_bucket_left(t: pa.Table) -> pa.Table:
-        b = np.asarray(_bucket_of(t[key]), dtype=np.int32)
+        b = key_partition(t, [key], n_buckets)
         if n_salts > 1:
             salt = (np.arange(len(t)) % n_salts).astype(np.int32)
             b = b * np.int32(n_salts) + salt
         return t.append_column("__bucket", pa.array(b, pa.int32()))
 
     def add_bucket_right(t: pa.Table) -> pa.Table:
-        b = np.asarray(_bucket_of(t[key]), dtype=np.int32)
+        b = key_partition(t, [key], n_buckets)
         if n_salts > 1:
             rep = np.repeat(np.arange(len(t), dtype=np.int64), n_salts)
             salt = np.tile(np.arange(n_salts, dtype=np.int32), len(t))
@@ -233,7 +211,7 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
     lt = left_ds.map_batches(add_bucket_left, batch_format="pyarrow")
     rt = right_ds.map_batches(add_bucket_right, batch_format="pyarrow")
 
-    # tag sides, union, then per-bucket join in map_groups
+    # tag sides, union, then per-bucket join in the exchange
     lt = lt.map_batches(
         lambda t: t.append_column("__side", pa.array(np.zeros(len(t), dtype=np.int8))),
         batch_format="pyarrow",
@@ -306,39 +284,25 @@ def dedup_exact(ds, key_cols, keep_col: str | list | None = None,
     vectorized on a COARSE hash partition of the keys — Ray's map_groups
     pays per GROUP, so one task per distinct key is ruinous at 10^5+
     keys, while n_parts partitions keep task count flat."""
-    import pandas as pd
-
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     keep_cols = ([keep_col] if isinstance(keep_col, str)
                  else list(keep_col) if keep_col else None)
 
-    # null-stability + dedup is a pass-through selection, so the output
-    # schema must equal the input schema even when null keys appear —
-    # see _pdarrow.canon_int_keys / restore_types
-    from ._pdarrow import canon_int_keys, restore_types
-
-    def _first(df: pd.DataFrame) -> pd.DataFrame:
+    def first(t: pa.Table) -> pa.Table:
         extra = (keep_cols if keep_cols else
-                 sorted(c for c in df.columns
-                        if c not in key_cols and c != "__part"))
-        asc = [True] * len(key_cols) + [not descending] * len(extra)
-        df = df.sort_values(key_cols + extra, ascending=asc, kind="mergesort")
-        return df.drop_duplicates(subset=key_cols, keep="first")
+                 sorted(f.name for f in t.schema
+                        if f.name not in key_cols and f.name != "__part"
+                        and not pa.types.is_nested(f.type)))
+        d = "descending" if descending else "ascending"
+        idx, _, rank = grouped_order(t, key_cols, [(c, d) for c in extra])
+        return t.take(idx[rank == 0])
 
-    def partial(t: pa.Table) -> pa.Table:
-        out = _first(canon_int_keys(t, key_cols)).copy()
-        h = pd.util.hash_pandas_object(out[key_cols], index=False).to_numpy()
-        out["__part"] = (h % n_parts).astype(np.int32)
-        return restore_types(out, t.schema)
-
-    def final(t: pa.Table) -> pa.Table:
-        out = _first(canon_int_keys(t, key_cols).drop(columns="__part"))
-        return restore_types(out, t.schema)
-
-    part = ds.map_batches(partial, batch_format="pyarrow")
+    part = ds.map_batches(lambda t: add_partition(first(t), key_cols, n_parts),
+                          batch_format="pyarrow")
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(part, n_parts, final, part_col="__part")
+    return hash_exchange(part, n_parts, first, part_col="__part",
+                         drop_part_col=True)
 
 
 def topk(ds, key: str, k: int, descending: bool = True, tie_cols=None):
@@ -465,42 +429,27 @@ def grouped_topk(ds, keys, order_col: str, k: int, descending: bool = True,
     bounds the shuffle to k rows per (group, block); the final per-group
     selection runs vectorized on a COARSE hash partition of the keys
     (never one task per group). Deterministic ties via tie_col."""
-    import pandas as pd
-
-    from ._pdarrow import canon_int_keys, restore_types
-
     keys = [keys] if isinstance(keys, str) else list(keys)
 
-    def _order(sch: pa.Schema):
+    def head(t: pa.Table) -> pa.Table:
         # explicit tie_col, else every other orderable column in schema
         # order — without a total order, which tied rows survive depends
         # on shuffle arrival order (parallelism-dependent output)
         ties = ([tie_col] if tie_col else
-                [f.name for f in sch
+                [f.name for f in t.schema
                  if f.name not in keys + [order_col, "__part"]
                  and not pa.types.is_nested(f.type)])
-        return [order_col] + ties, [not descending] + [True] * len(ties)
+        order = [(order_col, "descending" if descending else "ascending")] \
+            + [(c, "ascending") for c in ties]
+        idx, _, rank = grouped_order(t, keys, order)
+        return t.take(idx[rank < k])
 
-    def _head(df: pd.DataFrame, sch: pa.Schema) -> pd.DataFrame:
-        order, asc = _order(sch)
-        df = df.sort_values(order, ascending=asc, kind="mergesort")
-        return df.groupby(keys, sort=False, dropna=False).head(k)
-
-    def partial(t: pa.Table) -> pa.Table:
-        out = _head(canon_int_keys(t, keys), t.schema).copy()
-        h = pd.util.hash_pandas_object(out[keys], index=False).to_numpy()
-        out["__part"] = (h % n_parts).astype(np.int32)
-        return restore_types(out, t.schema)
-
-    def final(t: pa.Table) -> pa.Table:
-        df = canon_int_keys(t, keys).drop(columns="__part")
-        sch = t.schema.remove(t.schema.get_field_index("__part"))
-        return restore_types(_head(df, sch), t.schema)
-
-    part = ds.map_batches(partial, batch_format="pyarrow")
+    part = ds.map_batches(lambda t: add_partition(head(t), keys, n_parts),
+                          batch_format="pyarrow")
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(part, n_parts, final, part_col="__part")
+    return hash_exchange(part, n_parts, head, part_col="__part",
+                         drop_part_col=True)
 
 
 def grouped_nunique(ds, keys, value_col: str):
@@ -539,10 +488,6 @@ def exact_stratified_split(ds, group_col: str, key_col: str, splits,
     at any parallelism and expressible in SQL."""
     import hashlib
 
-    import pandas as pd
-
-    from .dedup import _hash64
-
     names = list(splits)
     bounds = np.cumsum([int(splits[n]) for n in names])
     if bounds[-1] != 100:
@@ -560,33 +505,26 @@ def exact_stratified_split(ds, group_col: str, key_col: str, splits,
                 (int(hashlib.sha256(f"{salt}:{k}".encode())
                      .hexdigest()[:16], 16)
                  for k in keys), dtype=np.uint64, count=len(keys))
-        gvals = pd.Series(t[group_col].to_pylist(), dtype=object)
-        uniq = pd.unique(gvals)
-        gh = np.fromiter((_hash64(str(g)) % n_parts for g in uniq),
-                         dtype=np.int64, count=len(uniq))
-        part = gvals.map(pd.Series(gh, index=uniq)).to_numpy(dtype=np.int64)
-        t = t.append_column("__h", pa.array(h, pa.uint64()))
-        return t.append_column("__part", pa.array(part.astype(np.int32)))
+        return add_partition(t.append_column("__h", pa.array(h, pa.uint64())),
+                             [group_col], n_parts)
 
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([group_col, "__h", key_col], kind="mergesort")
-        g = df.groupby(group_col, sort=False, dropna=False)
-        rank = g.cumcount().to_numpy(np.int64)
-        n = g[key_col].transform("size").to_numpy(np.int64)
-        idx = np.zeros(len(df), dtype=np.int64)
+    def assign(t: pa.Table) -> pa.Table:
+        idx, g, rank = grouped_order(
+            t, [group_col], [("__h", "ascending"), (key_col, "ascending")])
+        sizes = np.diff(np.append(run_starts(g), len(g)))
+        n = np.repeat(sizes, sizes)
+        split = np.zeros(len(g), dtype=np.int64)
         for cum in bounds[:-1]:
-            idx += (rank * 100 >= n * int(cum)).astype(np.int64)
-        out = df.drop(columns=["__h", "__part"]).copy()
-        out["split"] = np.asarray(names, dtype=object)[idx]
-        return out
-
-    from ._pdarrow import arrow_groups
+            split += (rank * 100 >= n * int(cum)).astype(np.int64)
+        out = t.take(idx).drop_columns(["__h"])
+        return out.append_column(
+            "split", pa.array(np.asarray(names, dtype=object)[split], pa.string()))
 
     parted = ds.map_batches(add_hash_part, batch_format="pyarrow")
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(parted, n_parts, arrow_groups(assign),
-                         part_col="__part")
+    return hash_exchange(parted, n_parts, assign, part_col="__part",
+                         drop_part_col=True)
 
 
 def budget_select(ds, *, score_col: str, cost_col: str, budget: int,
@@ -622,16 +560,35 @@ def budget_select(ds, *, score_col: str, cost_col: str, budget: int,
             for br in bundle.block_refs]
 
     @ray.remote
-    def block_total(tbl) -> int:
+    def block_total(tbl):
+        """(cost total, first (score, id), last (score, id)) of a block."""
         from ray.data.block import BlockAccessor
 
         if not isinstance(tbl, pa.Table):
             tbl = BlockAccessor.for_block(tbl).to_arrow()
         if tbl.num_rows == 0 or cost_col not in tbl.column_names:
-            return 0
-        return int(np.asarray(tbl[cost_col], dtype=np.int64).sum())
+            return 0, None, None
+        ends = tbl.select([score_col, id_col]).take([0, tbl.num_rows - 1])
+        first, last = (tuple(r.values()) for r in ends.to_pylist())
+        return int(np.asarray(tbl[cost_col], dtype=np.int64).sum()), first, last
 
-    totals = ray.get([block_total.remote(r) for r in refs])
+    stats = ray.get([block_total.remote(r) for r in refs])
+    # the offsets are only right if the blocks arrive in sorted order:
+    # check that each block starts at or after where the previous one
+    # ended in the (score, id) rank order
+    ends = [(f, la) for _, f, la in stats if f is not None]
+
+    def rank(end):
+        score, i = end
+        return (-score if descending else score, i)
+
+    for (_, prev_last), (nxt_first, _) in zip(ends, ends[1:]):
+        if None not in prev_last + nxt_first and rank(nxt_first) < rank(prev_last):
+            raise RuntimeError(
+                "budget_select: sorted blocks arrived out of rank order "
+                f"(block ending at {prev_last} precedes one starting at "
+                f"{nxt_first}); running cost offsets would be wrong")
+    totals = [tot for tot, _, _ in stats]
     offsets = np.concatenate([[0], np.cumsum(totals[:-1], dtype=np.int64)]) \
         if totals else np.zeros(0, dtype=np.int64)
 

@@ -130,12 +130,9 @@ def bigram_lm_perplexity(ds, id_col: str = "doc_id", text_col: str = "text",
 
     Returns a Dataset (id_col, ppl, n_bigrams).
     """
-    import pandas as pd
-
     import ray
 
     from .agg import grouped_agg
-    from ._pdarrow import arrow_groups
     from .relational import collect_table
 
     # ONE pass + ONE shuffle for both count tables: each batch tokenizes

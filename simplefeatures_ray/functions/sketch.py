@@ -27,13 +27,19 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._pdarrow import arrow_groups
+from ._arrow import aggregate, dictionary_codes
 
 
-def _h32(values, salt: str) -> np.ndarray:
+def _distinct(col) -> tuple[np.ndarray, list]:
+    """(code per row, distinct values as Python objects; NULL is None)."""
+    codes, dic = dictionary_codes(col)
+    return codes, dic.to_pylist()
+
+
+def _h32(col, salt: str) -> np.ndarray:
     """sha256-derived 32-bit hashes (first 8 hex chars) of the string
-    form of each value. Hash unique values once per batch (factorize)."""
-    codes, uniq = pd.factorize(pd.Series(values), use_na_sentinel=False)
+    form of each value. Hash unique values once per batch."""
+    codes, uniq = _distinct(col)
     hu = np.fromiter(
         (int(hashlib.sha256(f"{salt}:{v}".encode()).hexdigest()[:8], 16)
          for v in uniq),
@@ -62,22 +68,19 @@ def hll_distinct(ds, keys, value_col: str, p: int = 8, salt: str = "hll",
     q = 32 - p  # rho bits
     keys = [keys] if isinstance(keys, str) else list(keys)
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        h = _h32(df[value_col].to_numpy(), salt)
+    def partial(t: pa.Table) -> pa.Table:
+        h = _h32(t[value_col], salt)
         j = h >> q
         w = h & ((1 << q) - 1)
         # rho = leading-zero count of w within q bits, + 1; w == 0 -> q + 1
         rho = np.where(w > 0, q - np.floor(np.log2(np.maximum(w, 1))).astype(np.int64),
                        q + 1)
-        out = df[keys].copy()
-        out["__j"] = j
-        out["__rho"] = rho
-        return (out.groupby(keys + ["__j"], sort=False)["__rho"]
-                .max().reset_index())
+        return aggregate(t.append_column("__j", pa.array(j)), keys + ["__j"],
+                         [("__rho", pa.array(rho), "max", None)])
 
     from .agg import grouped_agg
 
-    regs_ds = ds.map_batches(arrow_groups(partial), batch_format="pyarrow")
+    regs_ds = ds.map_batches(partial, batch_format="pyarrow")
     regs = grouped_agg(regs_ds, keys + ["__j"], {"M": ("__rho", "max")},
                        combine="driver").to_pandas()
 
@@ -147,9 +150,8 @@ def cms_counts(ds, value_col: str, query_values, depth: int = 4,
     """
     depth_salts = [f"{salt}{d}" for d in range(depth)]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        vals = df[value_col].to_numpy()
-        codes, uniq = pd.factorize(pd.Series(vals), use_na_sentinel=False)
+    def partial(t: pa.Table) -> pa.Table:
+        codes, uniq = _distinct(t[value_col])
         cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
         ds_, cells, ns = [], [], []
         for d, dsalt in enumerate(depth_salts):
@@ -164,13 +166,13 @@ def cms_counts(ds, value_col: str, query_values, depth: int = 4,
             ds_.append(np.full(len(nz), d, dtype=np.int64))
             cells.append(nz.astype(np.int64))
             ns.append(agg[nz])
-        return pd.DataFrame({"__d": np.concatenate(ds_),
-                             "__cell": np.concatenate(cells),
-                             "__n": np.concatenate(ns)})
+        return pa.table({"__d": np.concatenate(ds_),
+                         "__cell": np.concatenate(cells),
+                         "__n": np.concatenate(ns)})
 
     from .agg import grouped_agg
 
-    part = ds.map_batches(arrow_groups(partial), batch_format="pyarrow")
+    part = ds.map_batches(partial, batch_format="pyarrow")
     sk = grouped_agg(part, ["__d", "__cell"], {"n": ("__n", "sum")},
                      combine="driver").to_pandas()
     mat = np.zeros((depth, width), dtype=np.int64)
@@ -236,7 +238,7 @@ def bloom_anti_filter(ds, key_col: str, bits: np.ndarray, k: int = 3,
     by n_bits/k), never the reverse — the right trade for a blocklist
     prefilter feeding an exact verification stage. Pure streaming
     map_batches over a ray.put bitset; per-batch hashing touches each
-    DISTINCT key once (factorize)."""
+    DISTINCT key once (dictionary encode)."""
     import ray
 
     n_bits = len(bits)
@@ -245,8 +247,7 @@ def bloom_anti_filter(ds, key_col: str, bits: np.ndarray, k: int = 3,
 
     def kernel(t: pa.Table) -> pa.Table:
         b = ray.get(bits_ref)
-        vals = t[key_col].to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(pd.Series(vals), use_na_sentinel=False)
+        codes, uniq = _distinct(t[key_col])
         hit = np.ones(len(uniq), dtype=bool)
         for dsalt in depth_salts:
             pos = np.fromiter(

@@ -719,7 +719,7 @@ def _ngram_table(batch: pa.Table, id_col: str, text_col: str,
                  k: int) -> "pa.Table":
     """(id, gram) rows for word k-grams of each document, tokenized
     exactly like _word_table (RE2 extract-then-lower)."""
-    import pandas as pd
+    import pyarrow.compute as pc
 
     w = _word_table(batch, id_col, text_col)
     ids = np.asarray(w[id_col].to_numpy(), dtype=np.int64)
@@ -730,14 +730,12 @@ def _ngram_table(batch: pa.Table, id_col: str, text_col: str,
     same = np.ones(n - k + 1, dtype=bool)
     for j in range(1, k):
         same &= ids[: n - k + 1] == ids[j: n - k + 1 + j]
-    idx = np.nonzero(same)[0]
-    s = pd.Series(w["g" if "g" in w.column_names else "term"].to_pylist(),
-                  dtype=object)
-    parts = s.iloc[: n - k + 1].reset_index(drop=True)
-    for j in range(1, k):
-        parts = parts + " " + s.shift(-j).iloc[: n - k + 1].reset_index(drop=True)
-    return pa.table({id_col: pa.array(ids[idx], pa.int64()),
-                     "g": pa.array(parts.iloc[idx].tolist(), pa.string())})
+    idx = pa.array(np.nonzero(same)[0])
+    terms = w["g" if "g" in w.column_names else "term"].combine_chunks()
+    grams = pc.binary_join_element_wise(
+        *[terms.slice(j, n - k + 1).take(idx) for j in range(k)], " ")
+    return pa.table({id_col: pa.array(ids[np.asarray(idx)], pa.int64()),
+                     "g": pc.cast(grams, pa.string())})
 
 
 def contamination_check(corpus_ds, bench_ds, id_col: str = "doc_id",
@@ -757,8 +755,9 @@ def contamination_check(corpus_ds, bench_ds, id_col: str = "doc_id",
 
     Returns (id_col, n_hits) for corpus docs with >= 1 overlap.
     """
-    import pandas as pd
     import pyarrow.compute as pc
+
+    from ._arrow import aggregate
 
     from .relational import collect_table
 
@@ -777,10 +776,9 @@ def contamination_check(corpus_ds, bench_ds, id_col: str = "doc_id",
         if not hit.num_rows:
             return pa.table({id_col: pa.array([], pa.int64()),
                              "n_hits": pa.array([], pa.int64())})
-        cnt = (hit.to_pandas().groupby(id_col, sort=False)
-               .size().rename("n_hits").reset_index())
-        cnt["n_hits"] = cnt["n_hits"].astype(np.int64)
-        return pa.Table.from_pandas(cnt, preserve_index=False)
+        cnt = aggregate(hit, [id_col], [("n_hits", None, None, None)])
+        return pa.table({id_col: pc.cast(cnt[id_col], pa.int64()),
+                         "n_hits": cnt["n_hits"]})
 
     return corpus_ds.map_batches(hits, batch_format="pyarrow")
 
@@ -991,34 +989,31 @@ def pivot_counts(ds, row_key: str, col_key: str, col_values,
     """Wide (crosstab) counts: one output row per row_key with a count
     column per listed col_value plus `other` and a total — the
     pivot/aggregation shape reports and stratified rebalancing need.
-    Combiner pattern: per-batch pandas crosstab partials, one small
+    Combiner pattern: per-batch Arrow grouped-count partials, one small
     grouped-sum exchange; returns a pyarrow Table (driver combine —
     |row_key| domain is the report's row count, small by definition).
+    Rows with a NULL row_key are not counted; a NULL col_key counts as
+    `other`.
     """
-    import pandas as pd
+    import pyarrow.compute as pc
 
+    from ._arrow import aggregate
     from .agg import grouped_agg
-    from ._pdarrow import arrow_groups
 
     col_values = list(col_values)
     out_cols = [f"n_{v}" for v in col_values] + [f"n_{other}", "n_total"]
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        c = df[col_key].astype(object)
-        c = c.where(c.isin(col_values), other)
-        x = pd.crosstab(df[row_key], c)
-        for v in col_values + [other]:
-            if v not in x.columns:
-                x[v] = 0
-        out = pd.DataFrame({
-            row_key: x.index,
-            **{f"n_{v}": x[v].to_numpy(dtype=np.int64)
-               for v in col_values + [other]},
-        })
-        out["n_total"] = out[[f"n_{v}" for v in col_values + [other]]].sum(axis=1)
-        return out
+    def partial(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[row_key]))
+        hit = {f"n_{v}": np.asarray(pc.fill_null(pc.equal(t[col_key], v), False),
+                                    dtype=np.int64) for v in col_values}
+        n = t.num_rows
+        hit[f"n_{other}"] = 1 - sum(hit.values(), np.zeros(n, np.int64))
+        hit["n_total"] = np.ones(n, dtype=np.int64)
+        return aggregate(t, [row_key], [(c, pa.array(v), "sum", None)
+                                        for c, v in hit.items()])
 
-    part = ds.map_batches(arrow_groups(partial), batch_format="pyarrow")
+    part = ds.map_batches(partial, batch_format="pyarrow")
     return grouped_agg(part, row_key,
                        {c: (c, "sum") for c in out_cols}, combine="driver")
 
@@ -1038,40 +1033,34 @@ def inverted_index(ds, id_col: str = "doc_id", text_col: str = "text",
     max_postings ids. The cap bounds output row width; a full postings
     sink would write list<int64> parquet per partition instead.
     """
-    import pandas as pd
     import pyarrow.compute as pc
 
-    from ._pdarrow import arrow_groups
-    from .dedup import _hash64
+    from ._arrow import drop_duplicates, grouped_order, run_starts
+    from .relational import add_partition
 
     def pairs(batch: pa.Table) -> pa.Table:
-        from ._pdarrow import from_pandas_clean
+        w = drop_duplicates(_word_table(batch, id_col, text_col), [id_col, "term"])
+        return add_partition(w, ["term"], n_parts)
 
-        w = _word_table(batch, id_col, text_col)
-        df = w.to_pandas().drop_duplicates([id_col, "term"])
-        uniq = pd.unique(df["term"])
-        h = np.fromiter((_hash64(t) % n_parts for t in uniq),
-                        dtype=np.int64, count=len(uniq))
-        part = pd.Series(h, index=uniq)
-        df["__part"] = part[df["term"]].to_numpy().astype(np.int32)
-        return from_pandas_clean(df)
-
-    def build(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["term", id_col], kind="mergesort")
-        g = df.groupby("term", sort=False)
-        dfreq = g.size().rename("df")
-        capped = df[g.cumcount() < max_postings].copy()
-        capped["s"] = capped[id_col].astype(str)
-        posts = capped.groupby("term", sort=False)["s"].agg(",".join)
-        out = pd.DataFrame({"df": dfreq, "postings": posts}).reset_index()
-        out["df"] = out["df"].astype(np.int64)
-        return out
+    def build(t: pa.Table) -> pa.Table:
+        idx, g, rank = grouped_order(t, ["term"], [(id_col, "ascending")])
+        t = t.take(idx)
+        starts = run_starts(g)
+        dfreq = np.diff(np.append(starts, len(g)))
+        cap = np.minimum(dfreq, max_postings)
+        ids = pc.cast(t[id_col].filter(pa.array(rank < max_postings)), pa.string())
+        posts = pa.ListArray.from_arrays(
+            pa.array(np.concatenate([[0], np.cumsum(cap)]), pa.int32()),
+            ids.combine_chunks())
+        return pa.table({"term": t["term"].take(pa.array(starts)),
+                         "df": pa.array(dfreq, pa.int64()),
+                         "postings": pc.binary_join(posts, ",")})
 
     parted = ds.map_batches(pairs, batch_format="pyarrow")
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(parted, n_parts, arrow_groups(build),
-                         part_col="__part")
+    return hash_exchange(parted, n_parts, build, part_col="__part",
+                         drop_part_col=True)
 
 
 def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -1097,12 +1086,11 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     """
     import hashlib
 
-    import pandas as pd
     import pyarrow.compute as pc
 
-    from ._pdarrow import arrow_groups
+    from ._arrow import grouped_order, run_starts
     from .agg import grouped_agg
-    from .relational import bucketed_join
+    from .relational import add_partition, bucketed_join
 
     def lines_kernel(t: pa.Table) -> pa.Table:
         # Arrow/numpy-native (VERDICT r4 #9): per-doc rank by run
@@ -1175,27 +1163,25 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     n_parts = 32
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = pc.fill_null(pc.cast(t["doc"], pa.int64()), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        return t.append_column("__part",
-                               pa.array((h % n_parts).astype(np.int32)))
-
-    def reassemble(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["doc", "li"], kind="mergesort")
-        g = df.groupby("doc", sort=True)
-        text = g["line"].agg("\n".join)
-        sha = [hashlib.sha256(s.encode()).hexdigest()[:16] for s in text]
-        return pd.DataFrame({"doc": text.index.to_numpy(np.int64),
-                             "n_kept": g.size().to_numpy(np.int64),
-                             "clean_sha": sha})
+    def reassemble(t: pa.Table) -> pa.Table:
+        idx, g, _ = grouped_order(t, ["doc"], [("li", "ascending")])
+        t = t.take(idx)
+        starts = run_starts(g)
+        text = pc.binary_join(pa.ListArray.from_arrays(
+            pa.array(np.append(starts, len(g)), pa.int32()),
+            t["line"].combine_chunks()), "\n")
+        sha = [hashlib.sha256(s.encode()).hexdigest()[:16]
+               for s in text.to_pylist()]
+        return pa.table({"doc": pc.cast(t["doc"].take(pa.array(starts)), pa.int64()),
+                         "n_kept": pa.array(np.diff(np.append(starts, len(g))), pa.int64()),
+                         "clean_sha": pa.array(sha, pa.string())})
 
     from ..stages.exchange import hash_exchange
 
     kept_agg = hash_exchange(
-        kept.map_batches(add_part, batch_format="pyarrow"), n_parts,
-        arrow_groups(lambda d: reassemble(d.drop(columns="__part"))),
-        part_col="__part")
+        kept.map_batches(lambda t: add_partition(t, ["doc"], n_parts),
+                         batch_format="pyarrow"),
+        n_parts, reassemble, part_col="__part", drop_part_col=True)
 
     out = bucketed_join(totals, kept_agg, key="doc",
                         n_buckets=n_buckets, join_type="left outer",

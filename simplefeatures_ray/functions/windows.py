@@ -8,23 +8,45 @@ event-time semantics are expressed as deterministic window keys:
     aggregation — no per-event shuffle);
   * sliding windows: each event flat-maps into the windows covering it,
     then the same combiner aggregation;
-  * as-of join: bucket both sides by key, per-bucket pandas merge_asof
+  * as-of join: bucket both sides by key, per-bucket sorted search
     (sort-merge within co-located buckets — the guide's portable
     pattern).
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-
-from ._pdarrow import arrow_groups, cents_half_away
-from ..stages.exchange import hash_exchange
 import pyarrow.compute as pc
+
+from ..stages.exchange import hash_exchange
+from ._arrow import (aggregate, as_int64, cents_half_away, grouped_cumsum,
+                     grouped_order, run_starts)
+from .relational import add_partition
 
 
 def _epoch_us(col: pa.ChunkedArray) -> np.ndarray:
     return np.asarray(pc.cast(col, pa.int64()))
+
+
+def _asof_match(lk, lt, rk, rt, direction: str) -> pa.Array:
+    """For each left (key, ts), the index of the right row with the same
+    key and the latest rt <= ts ("backward") or the earliest rt >= ts
+    ("forward"); null where there is none. Both sides' (key, ts) pairs
+    are ranked into one int64 sort key so a single searchsorted finds
+    every match."""
+    kc = np.unique(np.concatenate([lk, rk]), return_inverse=True)[1]
+    tc = np.unique(np.concatenate([lt, rt]), return_inverse=True)[1]
+    comp = kc.astype(np.int64) * (int(tc.max(initial=0)) + 1) + tc
+    lc, rc = comp[:len(lk)], comp[len(lk):]
+    order = np.argsort(rc, kind="stable")
+    if direction == "backward":
+        pos = np.searchsorted(rc[order], lc, side="right") - 1
+    else:
+        pos = np.searchsorted(rc[order], lc, side="left")
+    ok = (pos >= 0) & (pos < len(rc))
+    pos = np.where(ok, pos, 0)
+    ok &= rk[order][pos] == lk
+    return pa.array(order[pos], mask=~ok)
 
 
 def align_union_schema(ds_a, ds_b):
@@ -130,7 +152,11 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
     same (key, ts_right) — the row with the maximum tie_break value wins.
     Without it, merge_asof's pick among tied timestamps depends on block
     arrival order and is nondeterministic across runs. Defaults to the
-    first entry of right_cols."""
+    first entry of right_cols.
+
+    Output: the left columns, then ts_right and the other right_cols
+    (suffixed _right where a left column has the name); a left row
+    without a match carries nulls there."""
     if tie_break is None and right_cols:
         tie_break = right_cols[0]
 
@@ -155,32 +181,34 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
     lcols = list(left_ds.schema().names)
     rhs_cols = [key, ts_right] + [c for c in right_cols if c not in (key, ts_right)]
 
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # explicit column lists — never infer sides via dropna(how="all"),
-        # which drops EVERY column of a zero-row side and breaks buckets
-        # where one side is empty
-        lhs = df[df["__side"] == 0][lcols]
-        lhs = lhs.sort_values(ts_left, kind="mergesort")
-        rhs = df[df["__side"] == 1][rhs_cols]
-        if tie_break is not None and tie_break in rhs.columns:
+    rout = [c for c in rhs_cols if c != key]
+    rnames = [c + "_right" if c in lcols else c for c in rout]
+
+    def merge_bucket(t: pa.Table) -> pa.Table:
+        # explicit column lists: a bucket where one side is empty still
+        # selects every column of both sides
+        side = pc.equal(t["__side"], 0)
+        lhs = t.filter(side).select(lcols)
+        lhs = lhs.take(pc.sort_indices(lhs, [(ts_left, "ascending")]))
+        rhs = t.filter(pc.invert(side)).select(rhs_cols)
+        if tie_break is not None and tie_break in rhs_cols:
             # Deterministic tie-break: keep the max-tie_break row per
-            # (key, ts_right). Sorting by [ts_right, tie_break] keeps the
-            # ts ordering merge_asof requires while making keep="last"
-            # pick the maximum.
-            rhs = rhs.sort_values([ts_right, tie_break], kind="mergesort")
-            rhs = rhs.drop_duplicates(subset=[key, ts_right], keep="last")
+            # (key, ts_right).
+            idx, _, rank = grouped_order(rhs, [key, ts_right],
+                                         [(tie_break, "descending")])
+            rhs = rhs.take(idx[rank == 0])
+        right = rhs.select(rout).columns
+        if rhs.num_rows:
+            match = _asof_match(
+                np.asarray(lhs[key], dtype=np.int64), as_int64(lhs[ts_left]),
+                np.asarray(rhs[key], dtype=np.int64), as_int64(rhs[ts_right]),
+                direction)
+            right = [c.take(match) for c in right]
         else:
-            rhs = rhs.sort_values(ts_right, kind="mergesort")
-        if len(lhs) == 0:
-            return lhs
-        if len(rhs) == 0:
-            for c in [ts_right] + list(right_cols):
-                lhs[c] = None
-            return lhs
-        return pd.merge_asof(
-            lhs, rhs, left_on=ts_left, right_on=ts_right, by=key,
-            direction=direction, suffixes=("", "_right"),
-        )
+            right = [pa.nulls(lhs.num_rows, c.type) for c in right]
+        for name, c in zip(rnames, right):
+            lhs = lhs.append_column(name, c)
+        return lhs
 
     # static union pad from the INPUT schemas: a zero-row side reports
     # schema None after the bucket-tag maps, and aligning to only the
@@ -223,7 +251,7 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
     rt = rt.map_batches(pad, batch_format="pyarrow")
     both = lt.union(rt)
     empty = pa.table({n: pa.nulls(0, ty) for n, ty in fields.items()})
-    return hash_exchange(both, n_buckets, arrow_groups(merge_bucket),
+    return hash_exchange(both, n_buckets, merge_bucket,
                          part_col="__bucket", empty=empty)
 
 
@@ -244,39 +272,20 @@ def sessionize(ds, key: str, ts_col: str, gap_s: float, id_cols=(),
     gap_us = int(gap_s * 1_000_000)
     id_cols = list(id_cols)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        p = (np.asarray(t[key], dtype=np.int64) % n_parts).astype(np.int32)
-        return t.append_column("__part", pa.array(p, pa.int32()))
+    parted = ds.map_batches(lambda t: add_partition(t, [key], n_parts),
+                            batch_format="pyarrow")
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow")
+    def per_part(t: pa.Table) -> pa.Table:
+        order = [(ts_col, "ascending")] + ([(tie_col, "ascending")] if tie_col else [])
+        idx, g, rank = grouped_order(t, [key], order)
+        t = t.take(idx)
+        us = as_int64(t[ts_col])
+        new_sess = np.zeros(len(g), dtype=np.int64)
+        new_sess[1:] = (np.diff(us) > gap_us) & (rank[1:] > 0)
+        return t.select([key] + id_cols + [ts_col]).append_column(
+            "session_seq", pa.array(grouped_cumsum(new_sess, g)))
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        order = [key, ts_col] + ([tie_col] if tie_col else [])
-        df = df.sort_values(order, kind="mergesort").reset_index(drop=True)
-        ts = df[ts_col].to_numpy()
-        if np.issubdtype(ts.dtype, np.datetime64):
-            us = ts.astype("datetime64[us]").astype(np.int64)
-        else:
-            us = ts.astype(np.int64)
-        keys = df[key].to_numpy()
-        n = len(df)
-        if n == 0:
-            return df[[key] + id_cols + [ts_col]].assign(session_seq=[])
-        gaps = np.diff(us, prepend=us[0])
-        key_change = np.empty(n, dtype=bool)
-        key_change[0] = True
-        key_change[1:] = keys[1:] != keys[:-1]
-        new_sess = ((gaps > gap_us) & ~key_change).astype(np.int64)
-        # per-key cumulative count: global cumsum minus the value carried
-        # in from before each key's first row
-        c = np.cumsum(new_sess)
-        carried = np.where(key_change, c - new_sess, 0)
-        df["session_seq"] = c - np.maximum.accumulate(
-            np.where(key_change, carried, -1))
-        return df[[key] + id_cols + [ts_col, "session_seq"]]
-
-    return hash_exchange(parted, n_parts, arrow_groups(per_part),
-                         part_col="__part")
+    return hash_exchange(parted, n_parts, per_part, part_col="__part")
 
 
 def interval_join(left_ds, intervals_ds, t_col: str, start_col: str,
@@ -335,40 +344,30 @@ def rolling_mean(ds, key: str, ts_col: str, value_col: str,
     signal (fraud velocity, rate smoothing).
 
     Scale shape: one coarse hash-partition shuffle on the key (all rows
-    of a key co-locate, same as sessionize), then a vectorized pandas
-    sort + grouped rolling per partition — never a task per key.
+    of a key co-locate, same as sessionize), then a vectorized
+    sort + grouped running-sum difference per partition — never a task per key.
 
     Exactness contract: values are summed as ROUND(value*100) cents
     (int64, order-independent), the mean divides once in float64, and
     the result is ROUNDed — so the SQL window-function twin reproduces
     identical doubles.
     """
-    import pandas as pd
 
-    from ._pdarrow import arrow_groups, cents_half_away
+    def per_part(t: pa.Table) -> pa.Table:
+        idx, g, rank = grouped_order(
+            t, [key], [(ts_col, "ascending"), (tie_col, "ascending")])
+        t = t.take(idx)
+        c = grouped_cumsum(cents_half_away(t[value_col]), g)
+        # window sum = running sum minus the running sum window_rows back
+        back = np.arange(len(g)) - window_rows
+        s = c - np.where(rank >= window_rows, c[np.maximum(back, 0)], 0)
+        cnt = np.minimum(rank + 1, window_rows)
+        mean = np.round(s / (100.0 * cnt), 6) + 0.0
+        return pa.table({tie_col: t[tie_col], out_col: pa.array(mean)})
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = np.asarray(t[key], dtype=np.int64)
-        return t.append_column(
-            "__part", pa.array((h % n_parts).astype(np.int32)))
-
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, tie_col], kind="mergesort")
-        cents = cents_half_away(df[value_col].to_numpy(dtype=np.float64))
-        df = df.assign(__cents=cents)
-        g = df.groupby(key, sort=False)["__cents"]
-        s = g.rolling(window_rows, min_periods=1).sum() \
-             .reset_index(level=0, drop=True)
-        c = g.rolling(window_rows, min_periods=1).count() \
-             .reset_index(level=0, drop=True)
-        mean = np.round(s.to_numpy() / (100.0 * c.to_numpy()), 6) + 0.0
-        out = df[[tie_col]].copy()
-        out[out_col] = mean
-        return out
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow")
-    return hash_exchange(parted, n_parts, arrow_groups(per_part),
-                         part_col="__part")
+    parted = ds.map_batches(lambda t: add_partition(t, [key], n_parts),
+                            batch_format="pyarrow")
+    return hash_exchange(parted, n_parts, per_part, part_col="__part")
 
 
 def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
@@ -387,75 +386,59 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
     stage types inside map_batches (everything else never enters the
     exchange), then ONE coarse hash-partition shuffle on the user key —
     all of a user's stage events co-locate, per-partition work is a
-    vectorized pandas pass (grouped mins + merges, one per stage, no
+    vectorized numpy pass (grouped mins + sorted lookups, one per stage, no
     Python per user) — then a tiny combiner sum of per-partition stage
     counts. Timestamps compare as integer microseconds so "strictly
     after" is exact and the SQL twin reproduces it bit-for-bit.
     """
-    import pandas as pd
-
-    from ._pdarrow import arrow_groups, cents_half_away
+    from .agg import grouped_agg
 
     stages = list(stages)
 
     def project(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        keep = pc.is_in(t[type_col], value_set=pa.array(stages))
-        t = t.filter(keep)
-        us = _epoch_us(t[ts_col])
-        h = np.asarray(t[user_col], dtype=np.int64)
-        return pa.table({
+        t = t.filter(pc.is_in(t[type_col], value_set=pa.array(stages)))
+        return add_partition(pa.table({
             user_col: t[user_col],
-            "__t": pa.array(us, pa.int64()),
+            "__t": pa.array(_epoch_us(t[ts_col]), pa.int64()),
             type_col: t[type_col],
-            "__part": pa.array((h % n_parts).astype(np.int32)),
-        })
+        }), [user_col], n_parts)
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
+    def first_per_user(u: np.ndarray, ts: np.ndarray):
+        """(users ascending, each one's earliest ts)."""
+        o = np.lexsort((ts, u))
+        u, ts = u[o], ts[o]
+        s = run_starts(u)
+        return u[s], ts[s]
+
+    def per_part(t: pa.Table) -> pa.Table:
         counts = np.zeros(len(stages), dtype=np.int64)
-        if len(df):
-            # reached: per-user epoch-us of the chosen event at the
-            # current stage; starts as the first stage's per-user min
-            cur = (df[df[type_col] == stages[0]]
-                   .groupby(user_col)["__t"].min())
-            counts[0] = len(cur)
-            for k in range(1, len(stages)):
-                if cur.empty:
-                    break
-                nxt = df[df[type_col] == stages[k]].merge(
-                    cur.rename("__prev"), left_on=user_col,
-                    right_index=True)
-                nxt = nxt[nxt["__t"] > nxt["__prev"]]
-                cur = nxt.groupby(user_col)["__t"].min()
-                counts[k] = len(cur)
-        return pd.DataFrame({
-            "stage_idx": np.arange(len(stages), dtype=np.int64),
-            "stage": stages,
-            "n_users": counts,
+        users = np.asarray(t[user_col], dtype=np.int64)
+        ts = np.asarray(t["__t"], dtype=np.int64)
+        types = t[type_col]
+        # reached: per-user epoch-us of the chosen event at the current
+        # stage; starts as the first stage's per-user min
+        sel = np.asarray(pc.fill_null(pc.equal(types, stages[0]), False))
+        cu, ct = first_per_user(users[sel], ts[sel])
+        counts[0] = len(cu)
+        for k in range(1, len(stages)):
+            if not len(cu):
+                break
+            sel = np.asarray(pc.fill_null(pc.equal(types, stages[k]), False))
+            eu, et = users[sel], ts[sel]
+            pos = np.minimum(np.searchsorted(cu, eu), len(cu) - 1)
+            keep = (cu[pos] == eu) & (et > ct[pos])
+            cu, ct = first_per_user(eu[keep], et[keep])
+            counts[k] = len(cu)
+        return pa.table({
+            "stage_idx": pa.array(np.arange(len(stages), dtype=np.int64)),
+            "stage": pa.array(stages, pa.string()),
+            "n_users": pa.array(counts),
         })
 
     parted = ds.map_batches(project, batch_format="pyarrow")
-    per = hash_exchange(parted, n_parts, arrow_groups(per_part),
-                         part_col="__part")
-
-    from .agg import grouped_agg
-
-    out = grouped_agg(per, ["stage_idx", "stage"],
-                      {"n_users": ("n_users", "sum")}, combine="driver")
-
-    def finish(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "stage_idx": pc.cast(t["stage_idx"], pa.int64()),
-            "stage": t["stage"],
-            "n_users": pc.cast(t["n_users"], pa.int64()),
-        })
-
-    if isinstance(out, pa.Table):
-        return finish(out)
-    return out.map_batches(finish, batch_format="pyarrow")
+    per = hash_exchange(parted, n_parts, per_part, part_col="__part")
+    return grouped_agg(per, ["stage_idx", "stage"],
+                       {"n_users": ("n_users", "sum")}, combine="driver")
 
 
 def transition_counts(ds, key: str, ts_col: str, type_col: str,
@@ -470,47 +453,27 @@ def transition_counts(ds, key: str, ts_col: str, type_col: str,
     (|types|^2-bounded) pair counts then combine through grouped_agg's
     combiner. The transition matrix itself never exceeds |types|^2 rows.
     """
-    import pandas as pd
-    import pyarrow.compute as pc
-
     from .agg import grouped_agg
 
-    def add_part(t: pa.Table) -> pa.Table:
-        # NULL keys hash to one deterministic partition (SQL PARTITION BY
-        # groups all NULLs together — they must co-locate like any key)
-        h = pc.fill_null(pc.cast(t[key], pa.int64()), -1).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        p = (h % n_parts).astype(np.int32)
-        return t.append_column("__part", pa.array(p, pa.int32()))
+    # NULL keys share one partition (SQL PARTITION BY groups all NULLs
+    # together — they must co-locate like any key) and one group
+    parted = ds.map_batches(lambda t: add_partition(t, [key], n_parts),
+                            batch_format="pyarrow")
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow")
+    def per_part(t: pa.Table) -> pa.Table:
+        idx, g, _ = grouped_order(
+            t, [key], [(ts_col, "ascending"), (tie_col, "ascending")])
+        types = t[type_col].take(idx)
+        same = pa.array(g[1:] == g[:-1])
+        n = max(len(g) - 1, 0)
+        pairs = pa.table({"prev_type": types.slice(0, n).filter(same),
+                          "next_type": types.slice(1, n).filter(same)})
+        # transitions to/from a NULL event type are rows, exactly as the
+        # LEAD-based SQL GROUP BY keeps them
+        return aggregate(pairs, ["prev_type", "next_type"],
+                          [("n", None, None, None)])
 
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, tie_col],
-                            kind="mergesort").reset_index(drop=True)
-        if len(df) < 2:
-            return pd.DataFrame({"prev_type": pd.Series([], dtype=object),
-                                 "next_type": pd.Series([], dtype=object),
-                                 "n": pd.Series([], dtype=np.int64)})
-        # factorize keys so NULL forms ONE group (NaN != NaN would
-        # silently break every null-key sequence apart)
-        codes, _ = pd.factorize(df[key], use_na_sentinel=False)
-        same = codes[:-1] == codes[1:]
-        types = df[type_col].to_numpy(dtype=object)
-        out = pd.DataFrame({"prev_type": types[:-1][same],
-                            "next_type": types[1:][same]})
-        # dropna=False: transitions to/from a NULL event type are rows,
-        # exactly as the LEAD-based SQL GROUP BY keeps them
-        g = (out.groupby(["prev_type", "next_type"], sort=False,
-                         dropna=False)
-             .size().rename("n").reset_index())
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    from ._pdarrow import arrow_groups, cents_half_away
-
-    partial = hash_exchange(parted, n_parts, arrow_groups(per_part),
-                         part_col="__part")
+    partial = hash_exchange(parted, n_parts, per_part, part_col="__part")
     return grouped_agg(partial, ["prev_type", "next_type"],
                        {"n": ("n", "sum")}, combine="shuffle")
 
@@ -526,24 +489,14 @@ def running_total(ds, key: str, ts_col: str, value_col: str, tie_col: str,
     Scale shape: the same single coarse key co-location shuffle as
     sessionize/rolling above, vectorized per-partition sort + grouped
     cumsum."""
-    import pandas as pd
 
-    from ._pdarrow import arrow_groups, cents_half_away
+    def per_part(t: pa.Table) -> pa.Table:
+        idx, g, _ = grouped_order(
+            t, [key], [(ts_col, "ascending"), (tie_col, "ascending")])
+        t = t.take(idx)
+        run = grouped_cumsum(cents_half_away(t[value_col]), g)
+        return t.select([key, tie_col]).append_column(out_col, pa.array(run))
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = np.asarray(t[key], dtype=np.int64)
-        return t.append_column(
-            "__part", pa.array((h % n_parts).astype(np.int32)))
-
-    def per_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, ts_col, tie_col], kind="mergesort")
-        cents = cents_half_away(df[value_col].to_numpy(dtype=np.float64))
-        df = df.assign(__cents=cents)
-        run = df.groupby(key, sort=False)["__cents"].cumsum()
-        out = df[[key, tie_col]].copy()
-        out[out_col] = run.to_numpy(np.int64)
-        return out
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow")
-    return hash_exchange(parted, n_parts, arrow_groups(per_part),
-                         part_col="__part")
+    parted = ds.map_batches(lambda t: add_partition(t, [key], n_parts),
+                            batch_format="pyarrow")
+    return hash_exchange(parted, n_parts, per_part, part_col="__part")

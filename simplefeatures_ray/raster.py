@@ -1,7 +1,8 @@
 """Raster <-> vector (reference internal/cartodemo/rasterize/
 rasterizer.go:15-108 scan-converts geometries; we implement a numpy
 scanline rasterizer plus the reverse direction — mask boundary tracing
-back to polygons — and the per-tile map_groups stage).
+back to polygons — and the per-tile kernel that runs inside a
+cell-partitioned hash_exchange).
 
 rasterize: even-odd scanline fill sampled at pixel centers, optional
 supersampling for anti-aliased coverage. vectorize: pixel-boundary edge
@@ -131,8 +132,11 @@ def vectorize_mask(mask: np.ndarray, bounds) -> Geometry:
 
 
 class RasterizeTiles:
-    """Per-tile rasterization for groupby(tile).map_groups: each group's
-    geometries (WKB column) are burned into one image per tile."""
+    """Per-tile rasterization kernel (Arrow in, Arrow out): the
+    geometries (WKB column) of every distinct cell in the table are
+    burned into one image per cell. Emits one row per cell, ascending,
+    so it runs as the per-partition kernel of a cell-keyed
+    hash_exchange, a partition holding any number of whole cells."""
 
     def __init__(self, width=256, height=256, cell_col="cell", wkb_col="wkb"):
         self.width = width
@@ -140,25 +144,33 @@ class RasterizeTiles:
         self.cell_col = cell_col
         self.wkb_col = wkb_col
 
-    def __call__(self, df):
-        import pandas as pd
+    def __call__(self, t):
+        import pyarrow as pa
 
         from .cells import cell_bounds_xy
+        from .functions._arrow import run_starts
         from .geometry.wkb import from_wkb
 
-        cell = np.uint64(df[self.cell_col].iloc[0])
-        x0, y0, x1, y1 = (float(v[0]) for v in cell_bounds_xy(np.array([cell])))
-        img = np.zeros((self.height, self.width), dtype=np.uint8)
-        for w in df[self.wkb_col]:
-            img = np.maximum(
-                img, rasterize(from_wkb(w), self.width, self.height, (x0, y0, x1, y1))
-            )
-        return pd.DataFrame(
-            {
-                self.cell_col: [int(cell)],
-                "png_bytes": [img.tobytes()],
-                "width": [self.width],
-                "height": [self.height],
-                "coverage": [float((img > 0).mean())],
-            }
-        )
+        cells = np.asarray(t[self.cell_col], dtype=np.uint64)
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        wkbs = t[self.wkb_col].take(pa.array(order)).to_pylist()
+        starts = run_starts(cells)
+        uniq = cells[starts]
+        bounds = np.stack(cell_bounds_xy(uniq), axis=1)
+        imgs, cover = [], []
+        for i, (lo, hi) in enumerate(zip(starts, np.append(starts[1:], len(cells)))):
+            img = np.zeros((self.height, self.width), dtype=np.uint8)
+            box = tuple(float(v) for v in bounds[i])
+            for w in wkbs[lo:hi]:
+                img = np.maximum(img, rasterize(from_wkb(w), self.width, self.height, box))
+            imgs.append(img.tobytes())
+            cover.append(float((img > 0).mean()))
+        n = len(uniq)
+        return pa.table({
+            self.cell_col: pa.array(uniq.astype(np.int64), pa.int64()),
+            "png_bytes": pa.array(imgs, pa.binary()),
+            "width": pa.array(np.full(n, self.width, np.int64)),
+            "height": pa.array(np.full(n, self.height, np.int64)),
+            "coverage": pa.array(cover, pa.float64()),
+        })

@@ -1,20 +1,16 @@
 """Per-worker-process state cache for stateless map_batches tasks.
 
-Two ways to amortize stateful setup across batches in Ray Data:
-  1. actor pools (callable class + concurrency=N) — dedicated processes;
-     right when state is heavyweight (GPU models, multi-GB indexes) or
-     needs isolation. Cost: every Dataset execution spawns fresh actor
-     processes (~0.3-0.5s each; measured ~4s per pool per run here).
-  2. plain-function tasks + this module-level cache — tasks run in Ray's
-     standing worker pool, so state builds ONCE PER WORKER PROCESS
-     (zero-copy ray.get from the object store) and persists across
-     executions. No spin-up at all.
-
-Every flagship stage uses (2): a task function (extract_geo_batch,
-spatial_join_batch, assign_tiles_batch) whose kernel object is built from
-plain values — never from an object ref inside a constructor — and
-cached here. Actor pools remain for the query-registry stages that pass
-a callable class with auto_concurrency() below.
+Every stateful stage runs as a plain-function task whose kernel object
+is built ONCE PER WORKER PROCESS and cached here: tasks run in Ray's
+standing worker pool, so the state (zero-copy ray.get from the object
+store, or a kernel built from plain values) persists across batches
+and executions with no process spin-up. An actor pool (callable class +
+concurrency=N) would spawn fresh actor processes on every Dataset
+execution (~0.3-0.5s each; measured ~4s per pool per run). The
+flagship stages (extract_geo_batch, spatial_join_batch,
+assign_tiles_batch) and the query registry's kernels all build their
+kernel from plain values — never from an object ref inside a
+constructor.
 
 The cache is an LRU of at most _CAP entries: every flagship job
 `ray.put`s a fresh polygon index and tile table, so an unbounded cache
@@ -55,21 +51,3 @@ def get_cached(ref, build=None):
     if len(_CACHE) > _CAP:
         _CACHE.popitem(last=False)
     return value
-
-
-def auto_concurrency(lo: int = 1, cap: int | None = None) -> tuple:
-    """Autoscaling actor-pool bounds sized from the live cluster: (lo,
-    total CPUs), optionally capped. A hard-coded (1, 2)-style pool
-    starves the stage on a big cluster; sizing hi to cluster CPUs lets
-    Ray's autoscaling pool grow with demand while backpressure keeps
-    concurrent stages from oversubscribing."""
-    import ray
-
-    try:
-        hi = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    except Exception:
-        hi = 0
-    hi = hi or 8
-    if cap is not None:
-        hi = min(hi, cap)
-    return (lo, max(lo, hi))

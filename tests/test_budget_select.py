@@ -68,3 +68,24 @@ def test_ascending_mode(ray_session):
                         cost_col="cost", budget=8, descending=False) \
         .to_pandas().sort_values("doc_id")
     assert out["picked"].tolist() == [False, True, True]
+
+
+def test_out_of_order_blocks_fail_loudly(ray_session, monkeypatch):
+    """The per-block offsets are only right if iter_internal_ref_bundles
+    yields the sorted blocks in rank order. If it ever does not,
+    budget_select must raise rather than flag the wrong rows."""
+    from types import SimpleNamespace
+
+    ids, scores, costs = make(400, 11)
+    tbl = pa.table({"doc_id": pa.array(ids), "score": pa.array(scores),
+                    "cost": pa.array(costs)})
+    orig = rd.Dataset.iter_internal_ref_bundles
+
+    def reversed_blocks(self):
+        refs = [r for b in orig(self) for r in b.block_refs]
+        return [SimpleNamespace(block_refs=[r]) for r in reversed(refs)]
+
+    monkeypatch.setattr(rd.Dataset, "iter_internal_ref_bundles", reversed_blocks)
+    with pytest.raises(RuntimeError, match="out of rank order"):
+        budget_select(rd.from_arrow(tbl).repartition(3), score_col="score",
+                      cost_col="cost", budget=137).to_pandas()

@@ -187,7 +187,7 @@ def test_raster_tile_disc_coverage_nonzero():
     discs; pin that a disc group rasterizes to nonzero coverage and
     that the per-pixel-center recompute (the oracle's algorithm)
     agrees with the scanline span fill."""
-    import pandas as pd
+    import pyarrow as pa
 
     import __ray_entry__ as e
     from simplefeatures_ray.cells import cell_bounds_xy
@@ -201,10 +201,11 @@ def test_raster_tile_disc_coverage_nonzero():
     cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
     ring = np.stack([cx + e._DISC_UX, cy + e._DISC_UY], axis=1)
     ring = np.concatenate([ring, ring[:1]], axis=0)
-    df = pd.DataFrame({"cell": [int(cell)],
-                       "wkb": [to_wkb(Geometry(POLYGON, 0, rings=[ring]))]})
-    out = RasterizeTiles(width=64, height=64)(df)
-    cov = float(out["coverage"].iloc[0])
+    tbl = pa.table({"cell": pa.array([cell], pa.uint64()),
+                    "wkb": pa.array([to_wkb(Geometry(POLYGON, 0, rings=[ring]))])})
+    out = RasterizeTiles(width=64, height=64)(tbl)
+    assert out["cell"].to_pylist() == [cell]
+    cov = out["coverage"][0].as_py()
     assert cov > 0.0
 
     # oracle's independent algorithm: pixel centers inside the disc

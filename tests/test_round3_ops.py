@@ -41,30 +41,68 @@ def test_funnel_counts(ray_session):
     assert df["n_users"].dtype == np.int64
 
 
-def test_dedup_exact_null_keys_and_dtype(ray_session):
-    """Null-bearing int64 keys: (1) the key's dtype survives the pandas
-    round trip (no silent int64 -> float64 block-schema change), (2) a
-    key value present in BOTH a null-bearing and a null-free block
-    still dedups to one row (hash canonicalization across batches),
-    (3) all null keys collapse to one row (DISTINCT semantics)."""
-    import pyarrow as pa
+def _null_key_blocks():
+    """Three 1100-row blocks of int64 keys {1, 7, 3}; only the first and
+    third hold NULL keys, so some batches carry nulls and some do not."""
     import ray.data as rd
 
-    from simplefeatures_ray.functions.relational import dedup_exact
+    tables = []
+    for b in range(3):
+        keys = [[1, 7, 3][i % 3] for i in range(1100)]
+        if b != 1:
+            keys = [None if i % 10 == 0 else k for i, k in enumerate(keys)]
+        tables.append(pa.table({
+            "k": pa.array(keys, pa.int64()),
+            "v": pa.array(np.arange(1100, dtype=np.int64) + 10_000 * b),
+            "size": pa.array(np.ones(1100, dtype=np.int64)),
+        }))
+    ds = rd.from_arrow(tables[0])
+    for t in tables[1:]:
+        ds = ds.union(rd.from_arrow(t))
+    return ds, pa.concat_tables(tables).to_pandas()
 
-    t1 = pa.table({"k": pa.array([1, None, 7], pa.int64()),
-                   "v": pa.array([5, 9, 1], pa.int64())})
-    t2 = pa.table({"k": pa.array([1, 7, None], pa.int64()),
-                   "v": pa.array([3, 2, 8], pa.int64())})
-    ds = rd.from_arrow(t1).union(rd.from_arrow(t2))
-    out = dedup_exact(ds, "k", keep_col="v")
-    blocks = [b for b in out.iter_batches(batch_format="pyarrow") if b.num_rows]
+
+@pytest.mark.parametrize("op", ["dedup_exact", "grouped_topk",
+                                "pack_sequences", "grouped_agg"])
+def test_dedup_exact_null_keys_and_dtype(ray_session, op):
+    """Null-bearing int64 keys through every hash-partitioned kernel:
+    (1) the key stays int64 in every output block (no silent int64 ->
+    float64 block-schema change), (2) a key value present in both
+    null-bearing and null-free blocks is ONE group (partitioning and
+    grouping agree across batches), (3) all null keys are one group
+    (SQL GROUP BY / DISTINCT semantics)."""
+    from simplefeatures_ray.functions.agg import grouped_agg
+    from simplefeatures_ray.functions.packing import pack_sequences
+    from simplefeatures_ray.functions.relational import dedup_exact, grouped_topk
+
+    ds, df = _null_key_blocks()
+    run = {
+        "dedup_exact": lambda: dedup_exact(ds, "k", keep_col="v"),
+        "grouped_topk": lambda: grouped_topk(ds, "k", "v", k=1),
+        "pack_sequences": lambda: pack_sequences(ds, "k", "v", "size", budget=2),
+        "grouped_agg": lambda: grouped_agg(ds, "k", {"n": (None, "count")},
+                                           combine="shuffle"),
+    }[op]()
+    blocks = [b for b in run.iter_batches(batch_format="pyarrow") if b.num_rows]
     for b in blocks:
         assert b.schema.field("k").type == pa.int64()
-    tbl = pa.concat_tables(blocks)
-    got = {(None if k is None else int(k)): int(v)
-           for k, v in zip(tbl["k"].to_pylist(), tbl["v"].to_pylist())}
-    assert got == {1: 3, 7: 1, None: 8}
+    got = pa.concat_tables(blocks).to_pandas()
+    groups = df.groupby("k", dropna=False)
+    if op == "pack_sequences":
+        # budget 2 over unit sizes: a group's rows in v order get seq ids
+        # 0, 0, 1, 1, ... — a split group would restart at 0
+        assert len(got) == len(df)
+        for key, sub in got.groupby("k", dropna=False):
+            seq = sub.sort_values("v")["seq_id"].tolist()
+            assert seq == [i // 2 for i in range(len(seq))], key
+        return
+    assert len(got) == 4 and got["k"].isna().sum() == 1
+    assert sorted(got["k"].dropna().astype(int)) == [1, 3, 7]
+    want = {"dedup_exact": groups["v"].min(), "grouped_topk": groups["v"].max(),
+            "grouped_agg": groups.size()}[op]
+    col = "n" if op == "grouped_agg" else "v"
+    for key, val in zip(got["k"], got[col]):
+        assert int(val) == int(want[np.nan if pd.isna(key) else key]), key
 
 
 def test_bucketed_join_null_keys_all_types(ray_session):
