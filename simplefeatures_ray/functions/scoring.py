@@ -132,6 +132,7 @@ def bigram_lm_perplexity(ds, id_col: str = "doc_id", text_col: str = "text",
     """
     import ray
 
+    from ._arrow import aggregate
     from .agg import grouped_agg
     from .relational import collect_table
 
@@ -143,10 +144,8 @@ def bigram_lm_perplexity(ds, id_col: str = "doc_id", text_col: str = "text",
         import pyarrow.compute as pc
 
         bi, uni = _bigram_arrow(t, id_col, text_col)
-        gb = (bi.select(["prev", "cur"]).group_by(["prev", "cur"])
-              .aggregate([([], "count_all")]))
-        gu = (uni.select(["term"]).group_by("term")
-              .aggregate([([], "count_all")]))
+        gb = aggregate(bi, ["prev", "cur"], [("count_all", None, None, None)])
+        gu = aggregate(uni, ["term"], [("count_all", None, None, None)])
         return pa.table({
             "kind": pa.array(
                 np.concatenate([np.zeros(len(gb), np.int64),

@@ -598,17 +598,14 @@ def term_stats(ds, n_docs: int, id_col: str = "doc_id",
     tfidf = round(tf * ln(n_docs / df), round_digits) + 0.0 (signed-zero
     canonicalized like the proj oracles).
     """
-    import pandas as pd
     import pyarrow.compute as pc
 
+    from ._arrow import aggregate
     from .relational import bucketed_join
 
     def tf_kernel(batch: pa.Table) -> pa.Table:
-        # Arrow-native group_by (VERDICT r4 #9): no to_pandas in the
-        # per-batch hot path
-        w = _word_table(batch, id_col, text_col)
-        g = w.group_by([id_col, "term"]).aggregate([([], "count_all")])
-        return g.rename_columns([id_col, "term", "tf"])
+        return aggregate(_word_table(batch, id_col, text_col), [id_col, "term"],
+                         [("tf", None, None, None)])
 
     tf = ds.map_batches(tf_kernel, batch_format="pyarrow")
 
@@ -1088,7 +1085,7 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     import pyarrow.compute as pc
 
-    from ._arrow import grouped_order, run_starts
+    from ._arrow import drop_duplicates, grouped_order, run_starts
     from .agg import grouped_agg
     from .relational import add_partition, bucketed_join
 
@@ -1124,11 +1121,8 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     lines = ds.map_batches(lines_kernel, batch_format="pyarrow")
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        return (t.select(["line", "doc"])
-                .group_by(["line", "doc"]).aggregate([]))
-
-    pairs = lines.map_batches(pair_partial, batch_format="pyarrow")
+    pairs = lines.map_batches(lambda t: drop_duplicates(t.select(["line", "doc"])),
+                              batch_format="pyarrow")
     df_ds = grouped_agg(pairs, "line", {"df": ("doc", "count")},
                         combine="shuffle")
 
