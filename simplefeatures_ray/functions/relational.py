@@ -40,7 +40,6 @@ def key_partition(t: pa.Table, keys, n_parts: int) -> np.ndarray:
     partition a key lands in. Equal keys land together in every block
     and process, NULL included (a NULL key is one group); a single
     integer key maps to value mod n_parts."""
-    keys = [keys] if isinstance(keys, str) else list(keys)
     h = _column_hash(t[keys[0]])
     if len(keys) > 1:
         from .dedup import _splitmix64_u64
@@ -53,9 +52,9 @@ def key_partition(t: pa.Table, keys, n_parts: int) -> np.ndarray:
     return (h % n_parts).astype(np.int32)
 
 
-def add_partition(t: pa.Table, keys, n_parts: int, col: str = "__part") -> pa.Table:
-    """`t` plus its key_partition as int32 column `col`."""
-    return t.append_column(col, pa.array(key_partition(t, keys, n_parts)))
+def add_partition(t: pa.Table, keys, n_parts: int) -> pa.Table:
+    """`t` plus its key_partition as int32 column `__part`."""
+    return t.append_column("__part", pa.array(key_partition(t, keys, n_parts)))
 
 
 def collect_table(ds_or_table) -> pa.Table:

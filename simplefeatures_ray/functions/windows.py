@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 from ..stages.exchange import hash_exchange
 from ._arrow import (aggregate, as_int64, cents_half_away, grouped_cumsum,
                      grouped_order, run_starts)
-from .relational import add_partition
+from .relational import add_partition, key_partition
 
 
 def _epoch_us(col: pa.ChunkedArray) -> np.ndarray:
@@ -47,39 +47,6 @@ def _asof_match(lk, lt, rk, rt, direction: str) -> pa.Array:
     pos = np.where(ok, pos, 0)
     ok &= rk[order][pos] == lk
     return pa.array(order[pos], mask=~ok)
-
-
-def align_union_schema(ds_a, ds_b):
-    """Pad both Datasets with typed null columns so their schemas match
-    (same names, same order) before a union — mismatched block schemas
-    trigger per-bundle warnings and pandas dtype upcasts downstream."""
-    sa, sb = ds_a.schema(), ds_b.schema()
-    # a pipeline over zero input rows reports schema None — there is
-    # nothing to pad on that side, so align to whichever side has one
-    # (both None: the union of two empties needs no alignment)
-    if sa is None and sb is None:
-        return ds_a, ds_b
-    if sa is None:
-        sa = sb
-    if sb is None:
-        sb = sa
-    names = list(sa.names) + [n for n in sb.names if n not in sa.names]
-    types = {}
-    for s in (sa, sb):
-        for n, t in zip(s.names, s.types):
-            types.setdefault(n, t)
-
-    def pad(t: pa.Table) -> pa.Table:
-        cols = []
-        for n in names:
-            if n in t.column_names:
-                cols.append(pc.cast(t[n], types[n]))
-            else:
-                cols.append(pa.nulls(len(t), types[n]))
-        return pa.table(dict(zip(names, cols)))
-
-    return ds_a.map_batches(pad, batch_format="pyarrow"), \
-        ds_b.map_batches(pad, batch_format="pyarrow")
 
 
 def tumbling_window_agg(ds, ts_col: str, width_s: float, keys, spec,
@@ -143,16 +110,17 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
     """For each left row, the latest right row with ts_right <= ts_left
     (direction='backward') or the earliest with ts_right >= ts_left
     (direction='forward') sharing `key`. Bucketed sort-merge: both sides
-    shuffle once on key%%B; merge_asof runs per bucket.
+    shuffle once on key_partition(key); each bucket is matched by one
+    sorted search over its (key, ts) pairs.
 
     right_cols: columns of the right side to carry (suffixed _right if
     clashing).
 
     tie_break: column used to pick ONE right row when several share the
     same (key, ts_right) — the row with the maximum tie_break value wins.
-    Without it, merge_asof's pick among tied timestamps depends on block
-    arrival order and is nondeterministic across runs. Defaults to the
-    first entry of right_cols.
+    Without it, the pick among tied timestamps would depend on block
+    arrival order and differ across runs. Defaults to the first entry of
+    right_cols.
 
     Output: the left columns, then ts_right and the other right_cols
     (suffixed _right where a left column has the name); a left row
@@ -160,29 +128,43 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
     if tie_break is None and right_cols:
         tie_break = right_cols[0]
 
-    def add_bucket(col):
+    def tag(side: int):
         def kernel(t: pa.Table) -> pa.Table:
-            b = (np.asarray(t[col], dtype=np.int64) % n_buckets).astype(np.int32)
-            return t.append_column("__bucket", pa.array(b, pa.int32()))
+            b = key_partition(t, [key], n_buckets)
+            return t.append_column("__bucket", pa.array(b)).append_column(
+                "__side", pa.array(np.full(len(t), side, np.int8)))
 
         return kernel
 
-    lt = left_ds.map_batches(add_bucket(key), batch_format="pyarrow")
-    lt = lt.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.zeros(len(t), np.int8))),
-        batch_format="pyarrow",
-    )
-    rt = right_ds.map_batches(add_bucket(key), batch_format="pyarrow")
-    rt = rt.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.ones(len(t), np.int8))),
-        batch_format="pyarrow",
-    )
+    # Each side runs exactly once, here, and its schema is read off the
+    # materialized blocks. A schema() probe of a lazy side would run part
+    # of its lineage a second time and cancel the rest. Only a side that
+    # produced no rows has no block schema; its input schema is probed
+    # then, as the union pad below needs the column types.
+    lt = left_ds.map_batches(tag(0), batch_format="pyarrow").materialize()
+    rt = right_ds.map_batches(tag(1), batch_format="pyarrow").materialize()
+    sl = lt.schema() or left_ds.schema()
+    sr = rt.schema() or right_ds.schema()
+    if sl is None:
+        return left_ds  # no left rows -> no output rows
 
-    lcols = list(left_ds.schema().names)
+    tags = ("__bucket", "__side")
+    lcols = [c for c in sl.names if c not in tags]
     rhs_cols = [key, ts_right] + [c for c in right_cols if c not in (key, ts_right)]
 
     rout = [c for c in rhs_cols if c != key]
     rnames = [c + "_right" if c in lcols else c for c in rout]
+
+    if sr is None:
+        # no right rows: every left row stands alone with null right
+        # columns (same shape merge_bucket's empty-rhs branch emits)
+        def left_only(t: pa.Table) -> pa.Table:
+            t = t.drop_columns(list(tags))
+            for name in rnames:
+                t = t.append_column(name, pa.nulls(len(t)))
+            return t
+
+        return lt.map_batches(left_only, batch_format="pyarrow")
 
     def merge_bucket(t: pa.Table) -> pa.Table:
         # explicit column lists: a bucket where one side is empty still
@@ -210,37 +192,16 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
             lhs = lhs.append_column(name, c)
         return lhs
 
-    # static union pad from the INPUT schemas: a zero-row side reports
-    # schema None after the bucket-tag maps, and aligning to only the
-    # non-empty side would drop its columns (KeyError in merge_bucket's
-    # explicit column selects)
-    sl, sr = left_ds.schema(), right_ds.schema()
-    if sl is None:
-        return left_ds  # no left rows -> no output rows
-    if sr is None:
-        # no right rows: every left row stands alone with null right
-        # columns (same shape merge_bucket's empty-rhs branch emits)
-        extra = [ts_right] + [c for c in right_cols
-                              if c not in (key, ts_right)]
-
-        def left_only(t: pa.Table) -> pa.Table:
-            for c in extra:
-                name = c if c not in t.column_names else c + "_right"
-                t = t.append_column(name, pa.nulls(len(t)))
-            return t
-
-        return left_ds.map_batches(left_only, batch_format="pyarrow")
+    # pad both sides to one static union schema: a bucket's table then
+    # holds every column of both sides whichever side its rows came from
     fields: dict = {}
     for s in (sl, sr):
-        if s is not None:
-            for n, ty in zip(s.names, s.types):
-                fields.setdefault(n, ty)
+        for n, ty in zip(s.names, s.types):
+            fields.setdefault(n, ty)
     fields["__bucket"] = pa.int32()
     fields["__side"] = pa.int8()
 
     def pad(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         cols = {}
         for n, ty in fields.items():
             cols[n] = (pc.cast(t[n], ty) if n in t.column_names

@@ -245,11 +245,10 @@ def hash_exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
     `fn` for partitions that received no rows (required when the input
     may be empty — a from-refs Dataset can't infer schema otherwise).
     `empty_out`: typed zero-row OUTPUT table returned directly for empty
-    partitions — use for kernels that don't tolerate empty input (the
-    groupby().map_groups path never called them on empty groups).
-    `drop_part_col`: strip `part_col` before calling `fn`. Default False
-    for drop-in parity with groupby().map_groups, which keeps the key
-    column in the group table.
+    partitions — use for kernels that don't tolerate empty input.
+    `drop_part_col`: strip `part_col` before calling `fn`. By default
+    `fn` sees it, as kernels that read their partition id need it
+    (checkpoint's bucket writer, cluster's per-cluster dedup).
     `resilient`: return an ExchangeHandle instead of a Dataset — the
     handle pins the split shards and can relaunch lost reduce outputs
     (handle.dataset(recover=True)); see ExchangeHandle.

@@ -234,6 +234,33 @@ def test_asof_join(ray_session):
     assert vals[:3] == ["x", "y", "z"] and (vals[3] is None or vals[3] != vals[3])
 
 
+def test_asof_join_runs_each_input_once(ray_session, tmp_path):
+    """asof_join executes each input lineage exactly once: no schema()
+    probe runs part of a lazy side a second time."""
+    import ray.data as rd
+
+    from simplefeatures_ray.functions.windows import asof_join
+
+    def counted(name):
+        def kernel(t: pa.Table) -> pa.Table:
+            with open(tmp_path / name, "a") as f:
+                f.write("x")
+            return t
+
+        return kernel
+
+    left = rd.from_arrow(pa.table({"id": [1, 2], "key": [0, 1], "t": [10, 10]}))
+    right = rd.from_arrow(pa.table({"key": [0, 1], "rt": [5, 20],
+                                    "val": ["x", "y"]}))
+    out = asof_join(left.map_batches(counted("left"), batch_format="pyarrow"),
+                    right.map_batches(counted("right"), batch_format="pyarrow"),
+                    key="key", ts_left="t", ts_right="rt",
+                    right_cols=["val"]).to_pandas().sort_values("id")
+    assert out["val"].tolist()[0] == "x" and out["val"].isna().tolist() == [False, True]
+    assert (tmp_path / "left").read_text() == "x"
+    assert (tmp_path / "right").read_text() == "x"
+
+
 def test_bucketed_join_matches_broadcast(ray_session):
     import ray.data as rd
 
