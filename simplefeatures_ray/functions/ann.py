@@ -428,21 +428,11 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
     # spins up num_partitions aggregator ACTORS per join — two chained
     # joins paid ~20s of pool spin-up at 32 CPUs); candidate pairs and
     # corpus both stream, nothing lands on the driver
-    fsb_ty = pa.binary(dim * 4)
-    pair_sch = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
     emb = ds.select_columns([id_col, vec_col])
     emb_a = emb.map_batches(rename("id_a", "__vec_a"), batch_format="pyarrow")
     emb_b = emb.map_batches(rename("id_b", "__vec_b"), batch_format="pyarrow")
-    j = bucketed_join(pairs, emb_a, key="id_a", n_buckets=n_join_buckets,
-                      left_schema=pair_sch,
-                      right_schema=pa.schema([("id_a", pa.int64()),
-                                              ("__vec_a", fsb_ty)]))
-    j = bucketed_join(j, emb_b, key="id_b", n_buckets=n_join_buckets,
-                      left_schema=pa.schema([("id_a", pa.int64()),
-                                             ("id_b", pa.int64()),
-                                             ("__vec_a", fsb_ty)]),
-                      right_schema=pa.schema([("id_b", pa.int64()),
-                                              ("__vec_b", fsb_ty)]))
+    j = bucketed_join(pairs, emb_a, key="id_a", n_buckets=n_join_buckets)
+    j = bucketed_join(j, emb_b, key="id_b", n_buckets=n_join_buckets)
 
     def verify(t: pa.Table) -> pa.Table:
         def decode(col):

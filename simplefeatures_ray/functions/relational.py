@@ -91,6 +91,21 @@ def collect_table(ds_or_table) -> pa.Table:
     return pa.concat_tables(parts, promote_options="permissive").combine_chunks()
 
 
+def known_empty(ds) -> pa.Table | None:
+    """A typed 0-row table of `ds`'s columns when Ray knows them without
+    running `ds`'s lineage: the plan's schema (a parquet read, a
+    non-empty from_arrow) or a materialized dataset's block schema.
+    None for a lazy map, whose output columns only running it reveals."""
+    from ray.data.dataset import MaterializedDataset
+
+    s = ds.schema(fetch_if_missing=False)
+    if s is None and isinstance(ds, MaterializedDataset):
+        s = next((b.schema for b in ds.iter_internal_ref_bundles()
+                  if b.schema is not None), None)
+    s = getattr(s, "base_schema", s)
+    return s.empty_table() if isinstance(s, pa.Schema) else None
+
+
 def broadcast_join(big_ds, small, keys, right_keys=None, join_type="inner",
                    small_cols=None):
     """big Dataset ⋈ small table/Dataset without shuffling the big side.
@@ -124,16 +139,20 @@ def broadcast_join(big_ds, small, keys, right_keys=None, join_type="inner",
 def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
                   join_type: str = "inner", n_salts: int = 1,
                   right_schema: pa.Schema | None = None,
-                  left_schema: pa.Schema | None = None,
                   bucket_fn=None):
     """Large×large partitioned hash join: add bucket = key_partition(key)
-    to both sides, then join per bucket inside one hash_exchange. The
-    all-to-all cost is one exchange of both sides; B bounds per-task
-    memory.
+    to both sides, then join per bucket inside one two-input
+    hash_exchange. The all-to-all cost is one exchange of both sides; B
+    bounds per-task memory. Each side executes exactly once and no
+    `schema()` probe runs: the kernel reads both sides' columns off
+    their blocks.
 
     join_type: 'inner' | 'left outer' | 'left semi' | 'left anti' |
     'full outer' (full outer is incompatible with n_salts > 1 — the
     right-side replication would duplicate unmatched right rows).
+    Right non-key columns whose name is also a left column come out
+    suffixed `_r`. A right key of another integer type than the left
+    key is cast to the left key's type.
 
     n_salts > 1 is the HOT-KEY guard: every left row additionally takes an
     arbitrary salt in [0, n_salts) (salting is pure load-splitting — the
@@ -143,22 +162,13 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
     n_salts tasks at the cost of n_salts x |right| exchange volume —
     the classic skew-join trade.
 
-    right_schema / left_schema: TRUSTED schema hints that skip the
-    `ds.schema()` probe for that side entirely. Two reasons to pass one:
-      1. PERFORMANCE — `schema()` on a side that sits downstream of an
-         all-to-all (a grouped_agg, another bucketed_join, a map_groups)
-         executes that whole upstream shuffle just to learn the column
-         names, and the real execution then runs it AGAIN (Ray does not
-         cache non-materialized lineage). A hint makes the chained join
-         single-execution. Any call site whose input is post-shuffle and
-         whose columns are statically known should pass one.
-      2. EMPTY-LAZY CORRECTNESS — a zero-row lazy side reports schema
-         None; without a hint a 'left outer' join against it returns the
-         left rows with NO right columns, so a downstream select of a
-         right column KeyErrors only in the empty-lazy case. WITH the
-         hint the right columns are appended as typed nulls (the general
-         per-bucket acero path pads them; same contract as asof_join's
-         non-lazy empty path).
+    right_schema: the right side's schema, used only when the right side
+    has no rows at all and Ray cannot know its columns without running
+    it (a lazy map over zero rows emits schema-less blocks). Without it
+    a 'left outer' join then returns the left rows with NO right
+    columns, so a downstream select of a right column KeyErrors only in
+    the empty-lazy case; with it the right columns are appended as
+    typed nulls.
 
     bucket_fn: optional Arrow-table kernel applied to each bucket's
     joined table INSIDE the co-partition task. When the join key
@@ -168,28 +178,8 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
     schema-stable (empty bucket in, typed empty out). Note: with
     n_salts > 1 a key's rows SPLIT across salt shards, so group-complete
     aggregation inside bucket_fn is only exact when n_salts == 1."""
-    import pyarrow.compute as pc
-
-    # a zero-row LAZY side can report schema None (Ray cannot infer a
-    # schema with no blocks to run the maps on): the join result is then
-    # fully determined without any shuffle. inner/semi with an unknowable
-    # side are empty; anti/left-outer with an unknowable RIGHT return the
-    # left rows as-is (left outer pads the right columns as typed nulls
-    # when the right_schema hint supplies their types).
     if join_type == "full outer" and n_salts != 1:
         raise ValueError("full outer join cannot be salted")
-    sl = left_schema if left_schema is not None else left_ds.schema()
-    sr = right_schema if right_schema is not None else right_ds.schema()
-    if sl is None:
-        # unknowable empty left: full outer degenerates to the right
-        # rows (left columns unknowable — same caveat as the left-outer
-        # empty-right case below)
-        return right_ds if join_type == "full outer" else left_ds
-    if sr is None:
-        if join_type in ("left anti", "left outer", "full outer"):
-            return left_ds
-        return left_ds.map_batches(lambda t: t.slice(0, 0),
-                                   batch_format="pyarrow")
 
     def add_bucket_left(t: pa.Table) -> pa.Table:
         b = key_partition(t, [key], n_buckets)
@@ -207,67 +197,44 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
             b = b[rep] * np.int32(n_salts) + salt
         return t.append_column("__bucket", pa.array(b, pa.int32()))
 
-    lt = left_ds.map_batches(add_bucket_left, batch_format="pyarrow")
-    rt = right_ds.map_batches(add_bucket_right, batch_format="pyarrow")
-
-    # tag sides, union, then per-bucket join in the exchange
-    lt = lt.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.zeros(len(t), dtype=np.int8))),
-        batch_format="pyarrow",
-    )
-    rt = rt.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.ones(len(t), dtype=np.int8))),
-        batch_format="pyarrow",
-    )
-
-    lcols = list(sl.names)
-    rcols = list(sr.names)
+    # A side with no rows loses its schema in the bucket map (Ray's map
+    # operators emit schema-less blocks for zero-row input) and reaches
+    # join_bucket as pa.table({}); it is typed from the right_schema hint
+    # or from what Ray knows of the side without running it.
+    l_empty = known_empty(left_ds)
+    r_empty = (right_schema.empty_table() if right_schema is not None
+               else known_empty(right_ds))
 
     # per-bucket join in pure Arrow (acero hash join): keeps exact column
-    # types — the union pads each side's missing columns with nulls, and a
-    # pandas round-trip would silently promote int64-with-nulls to float64.
-    def join_bucket(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        side = pc.equal(t["__side"], 0)
-        lhs = t.filter(side).select(lcols).combine_chunks()
-        rhs = t.filter(pc.invert(side)).select(rcols).combine_chunks()
-        out = lhs.join(rhs, keys=key, join_type=join_type)\
+    # types — a pandas round-trip would silently promote int64-with-nulls
+    # to float64.
+    def join_bucket(lhs: pa.Table, rhs: pa.Table) -> pa.Table:
+        if not lhs.num_columns and l_empty is not None:
+            lhs = l_empty
+        if not rhs.num_columns and r_empty is not None:
+            rhs = r_empty
+        # a side still schema-less has no rows and unknown columns:
+        # inner/semi with it are empty; anti and left outer against it
+        # return the left rows; full outer with it returns the other side
+        if not lhs.num_columns:
+            return rhs if join_type == "full outer" else lhs
+        if not rhs.num_columns:
+            keep = join_type in ("left anti", "left outer", "full outer")
+            return lhs if keep else lhs.slice(0, 0)
+        if rhs[key].type != lhs[key].type:
+            # acero rejects joining keys of different types
+            rhs = rhs.set_column(rhs.schema.get_field_index(key), key,
+                                 pc.cast(rhs[key], lhs[key].type))
+        out = lhs.join(rhs, keys=key, join_type=join_type, right_suffix="_r")\
                  .replace_schema_metadata(None)
         return bucket_fn(out) if bucket_fn is not None else out
 
-    # pad both sides to ONE static union schema built from the INPUT
-    # schemas (not the post-map executed schemas — a zero-row side
-    # reports schema None after map_batches, and aligning to only the
-    # non-empty side would drop the empty side's columns and break
-    # join_bucket's select)
-    fields: dict = {}
-    for s in (sl, sr):
-        for n, ty in zip(s.names, s.types):
-            fields.setdefault(n, ty)
-    fields["__bucket"] = pa.int32()
-    fields["__side"] = pa.int8()
-
-    def pad(t: pa.Table) -> pa.Table:
-        cols = {}
-        for n, ty in fields.items():
-            cols[n] = (pc.cast(t[n], ty) if n in t.column_names
-                       else pa.nulls(len(t), ty))
-        return pa.table(cols)
-
-    lt = lt.map_batches(pad, batch_format="pyarrow")
-    rt = rt.map_batches(pad, batch_format="pyarrow")
-    both = lt.union(rt)
-    # co-partition through the task-based exchange (stages/exchange.py)
-    # instead of groupby().map_groups — no sampling pass, no comparison
-    # sort, and downstream schema probes read a materialized block
-    # instead of re-executing this shuffle. Empty buckets flow through
-    # join_bucket on a typed empty so the output schema is stable.
     from ..stages.exchange import hash_exchange
 
-    empty = pa.table({n: pa.nulls(0, ty) for n, ty in fields.items()})
-    return hash_exchange(both, n_buckets * n_salts, join_bucket,
-                         part_col="__bucket", empty=empty)
+    lt = left_ds.map_batches(add_bucket_left, batch_format="pyarrow")
+    rt = right_ds.map_batches(add_bucket_right, batch_format="pyarrow")
+    return hash_exchange((lt, rt), n_buckets * n_salts, join_bucket,
+                         part_col="__bucket", drop_part_col=True)
 
 
 def dedup_exact(ds, key_cols, keep_col: str | list | None = None,

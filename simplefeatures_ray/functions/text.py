@@ -613,16 +613,7 @@ def term_stats(ds, n_docs: int, id_col: str = "doc_id",
 
     df_ds = grouped_agg(tf, "term", {"df": (id_col, "count")},
                         combine="shuffle")
-    # trusted hints: probing df_ds would execute the df shuffle once
-    # just for column names (and the join would then run it again)
-    joined = bucketed_join(tf, df_ds, key="term", n_buckets=32,
-                           left_schema=pa.schema([
-                               (id_col, pa.int64()),
-                               ("term", pa.string()),
-                               ("tf", pa.int64())]),
-                           right_schema=pa.schema([
-                               ("term", pa.string()),
-                               ("df", pa.int64())]))
+    joined = bucketed_join(tf, df_ds, key="term", n_buckets=32)
 
     n_f = float(n_docs)
 
@@ -1132,14 +1123,8 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({"line": t["line"]}).filter(keep)
 
     dup = df_ds.map_batches(dup_only, batch_format="pyarrow")
-    # trusted schema hints: probing `dup` would execute the whole df
-    # shuffle once just for its column names
     kept = bucketed_join(lines, dup, key="line", n_buckets=n_buckets,
-                         join_type="left anti",
-                         left_schema=pa.schema([
-                             ("doc", pa.int64()), ("li", pa.int64()),
-                             ("line", pa.string())]),
-                         right_schema=pa.schema([("line", pa.string())]))
+                         join_type="left anti")
 
     # totals come from the DOCUMENT table (not the line table) so
     # zero-word documents stay in the output with n_lines = 0
@@ -1179,9 +1164,6 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     out = bucketed_join(totals, kept_agg, key="doc",
                         n_buckets=n_buckets, join_type="left outer",
-                        left_schema=pa.schema([
-                            ("doc", pa.int64()),
-                            ("n_lines", pa.int64())]),
                         right_schema=pa.schema([
                             ("doc", pa.int64()),
                             ("n_kept", pa.int64()),

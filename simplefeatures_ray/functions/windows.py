@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 from ..stages.exchange import hash_exchange
 from ._arrow import (aggregate, as_int64, cents_half_away, grouped_cumsum,
                      grouped_order, run_starts)
-from .relational import add_partition, key_partition
+from .relational import add_partition, key_partition, known_empty
 
 
 def _epoch_us(col: pa.ChunkedArray) -> np.ndarray:
@@ -128,92 +128,47 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
     if tie_break is None and right_cols:
         tie_break = right_cols[0]
 
-    def tag(side: int):
-        def kernel(t: pa.Table) -> pa.Table:
-            b = key_partition(t, [key], n_buckets)
-            return t.append_column("__bucket", pa.array(b)).append_column(
-                "__side", pa.array(np.full(len(t), side, np.int8)))
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("__bucket",
+                               pa.array(key_partition(t, [key], n_buckets)))
 
-        return kernel
-
-    # Each side runs exactly once, here, and its schema is read off the
-    # materialized blocks. A schema() probe of a lazy side would run part
-    # of its lineage a second time and cancel the rest. Only a side that
-    # produced no rows has no block schema; its input schema is probed
-    # then, as the union pad below needs the column types.
-    lt = left_ds.map_batches(tag(0), batch_format="pyarrow").materialize()
-    rt = right_ds.map_batches(tag(1), batch_format="pyarrow").materialize()
-    sl = lt.schema() or left_ds.schema()
-    sr = rt.schema() or right_ds.schema()
-    if sl is None:
-        return left_ds  # no left rows -> no output rows
-
-    tags = ("__bucket", "__side")
-    lcols = [c for c in sl.names if c not in tags]
     rhs_cols = [key, ts_right] + [c for c in right_cols if c not in (key, ts_right)]
-
     rout = [c for c in rhs_cols if c != key]
-    rnames = [c + "_right" if c in lcols else c for c in rout]
+    # a right side with no rows anywhere arrives schema-less; its columns
+    # are then typed as far as Ray knows them unrun (see bucketed_join),
+    # else null-typed
+    r_empty = known_empty(right_ds)
+    if r_empty is None:
+        r_empty = pa.table({c: pa.nulls(0) for c in rhs_cols})
 
-    if sr is None:
-        # no right rows: every left row stands alone with null right
-        # columns (same shape merge_bucket's empty-rhs branch emits)
-        def left_only(t: pa.Table) -> pa.Table:
-            t = t.drop_columns(list(tags))
-            for name in rnames:
-                t = t.append_column(name, pa.nulls(len(t)))
-            return t
-
-        return lt.map_batches(left_only, batch_format="pyarrow")
-
-    def merge_bucket(t: pa.Table) -> pa.Table:
-        # explicit column lists: a bucket where one side is empty still
-        # selects every column of both sides
-        side = pc.equal(t["__side"], 0)
-        lhs = t.filter(side).select(lcols)
+    def merge_bucket(lhs: pa.Table, rhs: pa.Table) -> pa.Table:
+        if not lhs.num_columns:
+            return lhs  # no left rows anywhere -> no output rows
+        rhs = (rhs if rhs.num_columns else r_empty).select(rhs_cols)
+        rnames = [c + "_right" if c in lhs.column_names else c for c in rout]
         lhs = lhs.take(pc.sort_indices(lhs, [(ts_left, "ascending")]))
-        rhs = t.filter(pc.invert(side)).select(rhs_cols)
-        if tie_break is not None and tie_break in rhs_cols:
-            # Deterministic tie-break: keep the max-tie_break row per
-            # (key, ts_right).
-            idx, _, rank = grouped_order(rhs, [key, ts_right],
-                                         [(tie_break, "descending")])
-            rhs = rhs.take(idx[rank == 0])
-        right = rhs.select(rout).columns
         if rhs.num_rows:
+            if tie_break is not None and tie_break in rhs_cols:
+                # Deterministic tie-break: keep the max-tie_break row per
+                # (key, ts_right).
+                idx, _, rank = grouped_order(rhs, [key, ts_right],
+                                             [(tie_break, "descending")])
+                rhs = rhs.take(idx[rank == 0])
             match = _asof_match(
                 np.asarray(lhs[key], dtype=np.int64), as_int64(lhs[ts_left]),
                 np.asarray(rhs[key], dtype=np.int64), as_int64(rhs[ts_right]),
                 direction)
-            right = [c.take(match) for c in right]
+            right = [c.take(match) for c in rhs.select(rout).columns]
         else:
-            right = [pa.nulls(lhs.num_rows, c.type) for c in right]
+            right = [pa.nulls(lhs.num_rows, c.type) for c in rhs.select(rout).columns]
         for name, c in zip(rnames, right):
             lhs = lhs.append_column(name, c)
         return lhs
 
-    # pad both sides to one static union schema: a bucket's table then
-    # holds every column of both sides whichever side its rows came from
-    fields: dict = {}
-    for s in (sl, sr):
-        for n, ty in zip(s.names, s.types):
-            fields.setdefault(n, ty)
-    fields["__bucket"] = pa.int32()
-    fields["__side"] = pa.int8()
-
-    def pad(t: pa.Table) -> pa.Table:
-        cols = {}
-        for n, ty in fields.items():
-            cols[n] = (pc.cast(t[n], ty) if n in t.column_names
-                       else pa.nulls(len(t), ty))
-        return pa.table(cols)
-
-    lt = lt.map_batches(pad, batch_format="pyarrow")
-    rt = rt.map_batches(pad, batch_format="pyarrow")
-    both = lt.union(rt)
-    empty = pa.table({n: pa.nulls(0, ty) for n, ty in fields.items()})
-    return hash_exchange(both, n_buckets, merge_bucket,
-                         part_col="__bucket", empty=empty)
+    return hash_exchange((left_ds.map_batches(tag, batch_format="pyarrow"),
+                          right_ds.map_batches(tag, batch_format="pyarrow")),
+                         n_buckets, merge_bucket, part_col="__bucket",
+                         drop_part_col=True)
 
 
 def sessionize(ds, key: str, ts_col: str, gap_s: float, id_cols=(),

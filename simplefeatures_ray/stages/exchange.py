@@ -31,20 +31,28 @@ fetched point-to-point by the reduce task that needs it, so cross-node
 traffic is the same one-pass all-to-all as Ray's pull-based shuffle,
 and the object store spills under pressure exactly as it does there.
 
-EAGER: calling hash_exchange() streams the upstream through
-iter_internal_ref_bundles (exactly ONE execution of the input lineage),
-launches the split/reduce task graph WITHOUT waiting for it, and
-returns a Dataset over the reduce-output refs. Nothing is fetched to
-the driver. A deliberate side benefit: downstream `schema()` probes on
-the result read an already-materialized block instead of re-executing
-the whole upstream (Ray re-runs non-materialized lineage for schema
-probes — see relational.bucketed_join's right_schema docstring), so
-chained co-partitions stop paying the double-execution tax. The
-trade-off vs the lazy groupby path is lineage: reduce outputs are plain
-objects, so lost blocks are not reconstructable — acceptable for a
-bounded two-wave exchange whose inputs the driver still holds refs to,
-and closable with resilient=True (ExchangeHandle pins the split shards
-and relaunches lost reduce outputs on demand, one group at a time).
+K INPUTS: a co-partition of k Datasets (a join's two sides, a
+resolve over several flag sets) splits each input with its own split
+wave; reduce group g receives every input's shards and calls
+fn(t_0, …, t_{k-1}) with one table per input. Inputs keep their own
+schemas, so nothing is tagged, padded to a union schema or unioned,
+and the caller never needs an input's schema before the exchange
+runs. One Dataset is the k = 1 case.
+
+EAGER: calling hash_exchange() streams each input through
+iter_internal_ref_bundles (exactly ONE execution of each input lineage,
+one input after the other), launches the split/reduce task graph
+WITHOUT waiting for it, and returns a Dataset over the reduce-output
+refs. Nothing is fetched to the driver, and no `schema()` probe runs:
+an input's column types reach `fn` on its own blocks, and a downstream
+`schema()` on the result reads a materialized block. The exchange
+launches only tasks (no actor, thread or subprocess), so nothing it
+starts outlives the job. The trade-off vs the lazy groupby path is
+lineage: reduce outputs are plain objects, so lost blocks are not
+reconstructable — acceptable for a bounded two-wave exchange whose
+inputs the driver still holds refs to, and closable with resilient=True
+(ExchangeHandle pins the split shards and relaunches lost reduce
+outputs on demand, one group at a time).
 """
 from __future__ import annotations
 
@@ -94,38 +102,50 @@ def _concat_shards(*shards):
     return pa.table({})
 
 
-def _reduce_part(fn, empty, empty_out, drop_cols, t):
-    """Run `fn` on one partition's complete rows `t` (a zero-row table,
-    typed or schema-less, for an empty partition)."""
-    if t.num_rows:
-        t = t.combine_chunks()
-    elif empty_out is not None:
+def _reduce_part(fn, empties, empty_out, drop_cols, ts):
+    """Run `fn` once on one partition's complete rows, one table per
+    input (a zero-row table, typed or schema-less, for an input with no
+    rows in the partition)."""
+    if empty_out is not None and not any(t.num_rows for t in ts):
         return empty_out
-    elif empty is not None:
-        t = empty
+    ts = [t.combine_chunks() if t.num_rows or e is None else e
+          for t, e in zip(ts, empties)]
     if drop_cols:
-        t = t.drop_columns([c for c in drop_cols if c in t.column_names])
-    if t.num_columns == 0 and t.num_rows == 0:
-        # fully schema-less partition (every upstream block degenerate):
-        # calling fn would KeyError on its columns; emit the degenerate
-        # empty unchanged — same state the lazy-empty path produces.
-        return t
-    return fn(t) if fn is not None else t
+        ts = [t.drop_columns([c for c in drop_cols if c in t.column_names])
+              for t in ts]
+    if not any(t.num_columns for t in ts):
+        # fully schema-less partition (every upstream block of every
+        # input degenerate): calling fn would KeyError on its columns;
+        # emit the degenerate empty unchanged — same state the
+        # lazy-empty path produces.
+        return ts[0]
+    return fn(*ts) if fn is not None else ts[0]
 
 
-def _reduce_group(fn, empty, empty_out, drop_cols, part_col, lo, hi, *shards):
-    """Run `fn` once per partition lo..hi-1, in ascending order, over
-    the group's shards; returns the concatenated outputs."""
-    t = _concat_shards(*shards)
+def _partition_slices(t, part_col, lo, hi):
+    """Stable-sort one input's rows by `part_col` and cut them into the
+    partitions lo..hi-1; a partition without rows gets a 0-row slice,
+    typed whenever `t` is."""
     bounds = np.zeros(hi - lo + 1, dtype=np.int64)
     if t.num_rows:
         p = np.asarray(t[part_col], dtype=np.int64)
         order = np.argsort(p, kind="stable")
         t = t.take(pa.array(order))
         bounds = np.searchsorted(p[order], np.arange(lo, hi + 1))
-    outs = [_reduce_part(fn, empty, empty_out, drop_cols,
-                         t.slice(bounds[i], bounds[i + 1] - bounds[i]))
+    return [t.slice(bounds[i], bounds[i + 1] - bounds[i])
             for i in range(hi - lo)]
+
+
+def _reduce_group(fn, empties, empty_out, drop_cols, part_col, counts,
+                  lo, hi, *shards):
+    """Run `fn` once per partition lo..hi-1, in ascending order, over
+    the group's shards — `counts[i]` consecutive shards per input i;
+    returns the concatenated outputs."""
+    cuts = np.cumsum([0, *counts])
+    per_input = [_partition_slices(_concat_shards(*shards[a:b]), part_col, lo, hi)
+                 for a, b in zip(cuts[:-1], cuts[1:])]
+    outs = [_reduce_part(fn, empties, empty_out, drop_cols, ts)
+            for ts in zip(*per_input)]
     return pa.concat_tables(outs, promote_options="permissive")
 
 
@@ -187,13 +207,17 @@ class ExchangeHandle:
                  drop_part_col):
         import ray
 
+        inputs = ds if isinstance(ds, tuple) else (ds,)
+        empties = empty if isinstance(empty, tuple) else (empty,) * len(inputs)
         drop = [part_col] if drop_part_col else []
         cpus = int(ray.cluster_resources().get("CPU", 1))
         n_groups = min(n_parts, 2 * max(cpus, 1))
         # group g owns partitions [⌈g·P/R⌉, ⌈(g+1)·P/R⌉) = bounds[g]:bounds[g + 1]
         self.bounds = [-(-g * n_parts // n_groups) for g in range(n_groups + 1)]
-        self.splits = _split(ds, part_col, n_parts, n_groups)
-        self.recipe = (ray.put(fn), empty, empty_out, drop, part_col)
+        # one input after the other: each lineage executes exactly once
+        self.splits = [_split(d, part_col, n_parts, n_groups) for d in inputs]
+        self.recipe = (ray.put(fn), empties, empty_out, drop, part_col,
+                       [len(s) for s in self.splits])
         self.outs = [self._launch(g) for g in range(n_groups)]
 
     def _launch(self, g):
@@ -201,7 +225,7 @@ class ExchangeHandle:
 
         reduce_task = ray.remote(_reduce_group)
         return reduce_task.remote(*self.recipe, self.bounds[g], self.bounds[g + 1],
-                                  *[s[g] for s in self.splits])
+                                  *[s[g] for splits in self.splits for s in splits])
 
     def dataset(self, recover: bool = True):
         import ray
@@ -219,8 +243,7 @@ class ExchangeHandle:
 
 
 def _exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
-              empty: pa.Table | None = None,
-              empty_out: pa.Table | None = None,
+              empty=None, empty_out: pa.Table | None = None,
               drop_part_col: bool = False) -> list:
     """hash_exchange's task graph: the R reduce-output refs, in
     partition order."""
@@ -229,23 +252,33 @@ def _exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
 
 
 def hash_exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
-                  empty: pa.Table | None = None,
-                  empty_out: pa.Table | None = None,
+                  empty=None, empty_out: pa.Table | None = None,
                   drop_part_col: bool = False,
                   resilient: bool = False):
-    """Co-partition `ds` on its precomputed int column `part_col` ∈
-    [0, n_parts) and run `fn` (an Arrow-table kernel) exactly once per
-    partition with that partition's COMPLETE rows. Returns a Dataset of
-    the kernel outputs in partition order, empty partitions included so
-    the output schema is stable — `fn` must be schema-stable on empty
-    input, same contract as bucketed_join's bucket_fn. Each output block
-    is a contiguous run of whole partitions (see the module docstring).
+    """Co-partition `ds` — one Dataset, or a tuple of k Datasets — on
+    its precomputed int column `part_col` ∈ [0, n_parts) and run `fn`
+    (an Arrow-table kernel) exactly once per partition, as
+    fn(t_0, …, t_{k-1}) with that partition's COMPLETE rows of each
+    input. Returns a Dataset of the kernel outputs in partition order,
+    empty partitions included so the output schema is stable — `fn`
+    must be schema-stable on empty input, same contract as
+    bucketed_join's bucket_fn. Each output block is a contiguous run of
+    whole partitions (see the module docstring).
 
-    `empty`: typed zero-row table matching the post-split schema, fed to
-    `fn` for partitions that received no rows (required when the input
-    may be empty — a from-refs Dataset can't infer schema otherwise).
-    `empty_out`: typed zero-row OUTPUT table returned directly for empty
-    partitions — use for kernels that don't tolerate empty input.
+    An input with no rows in a partition arrives as a typed 0-row slice
+    of its own blocks, or as pa.table({}) when every block of that input
+    is schema-less (a zero-row lazy input). A partition where every
+    input is schema-less is emitted as pa.table({}) without calling `fn`.
+    fn=None (one Dataset) passes each partition's rows through.
+
+    `empty`: typed zero-row table (one per input, as a tuple, when `ds`
+    is a tuple) matching the post-split schema, fed to `fn` in place of
+    that input's rows when the partition has none of them (needed when
+    the input may have no typed block at all — a from-refs Dataset
+    can't infer schema otherwise).
+    `empty_out`: typed zero-row OUTPUT table returned directly for
+    partitions with no rows in any input — use for kernels that don't
+    tolerate empty input.
     `drop_part_col`: strip `part_col` before calling `fn`. By default
     `fn` sees it, as kernels that read their partition id need it
     (checkpoint's bucket writer, cluster's per-cluster dedup).

@@ -366,6 +366,39 @@ def _pack_cell(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return (cx.astype(np.int64) << 32) | (cy.astype(np.int64) & 0xFFFFFFFF)
 
 
+def _floats(t: pa.Table, *cols) -> list:
+    return [np.asarray(t[c], dtype=np.float64) for c in cols]
+
+
+def _tag_cells(t: pa.Table, x_col: str, y_col: str, cell_size: float) -> pa.Table:
+    """`t` plus the packed id of the one grid cell holding each point,
+    as int64 column `__cell`."""
+    x, y = _floats(t, x_col, y_col)
+    cx = np.floor(x / cell_size).astype(np.int64)
+    cy = np.floor(y / cell_size).astype(np.int64)
+    return t.append_column("__cell", pa.array(_pack_cell(cx, cy)))
+
+
+def _cover_cells(t: pa.Table, x0, y0, x1, y1, cell_size: float) -> pa.Table:
+    """`t` with row i repeated once per grid cell that the closed box
+    [x0[i], x1[i]] x [y0[i], y1[i]] covers, that cell's packed id in
+    int64 column `__cell` (vectorized np.repeat explosion, no Python
+    loop)."""
+    cx0 = np.floor(x0 / cell_size).astype(np.int64)
+    cy0 = np.floor(y0 / cell_size).astype(np.int64)
+    nx = np.floor(x1 / cell_size).astype(np.int64) - cx0 + 1
+    ny = np.floor(y1 / cell_size).astype(np.int64) - cy0 + 1
+    n = nx * ny
+    rep = np.repeat(np.arange(len(t), dtype=np.int64), n)
+    offs = np.zeros(len(t) + 1, dtype=np.int64)
+    np.cumsum(n, out=offs[1:])
+    local = np.arange(int(offs[-1]), dtype=np.int64) - offs[rep]
+    cellx = cx0[rep] + local // ny[rep]
+    celly = cy0[rep] + local % ny[rep]
+    out = t.take(pa.array(rep))
+    return out.append_column("__cell", pa.array(_pack_cell(cellx, celly)))
+
+
 def cell_spatial_join(points_ds, boxes_ds, cell_size: float,
                       x_col: str = "x", y_col: str = "y",
                       box_cols=("minx", "miny", "maxx", "maxy"),
@@ -378,8 +411,8 @@ def cell_spatial_join(points_ds, boxes_ds, cell_size: float,
     intersects at a fixed resolution (bounded fan-out, vectorized
     np.repeat explosion — no Python loop), tag each point with its single
     cell, then hash-bucket both sides on the packed cell key and join per
-    bucket (functions.relational.bucketed_join — one groupby exchange per
-    side). Because a point lies in exactly one cell, every surviving
+    bucket (functions.relational.bucketed_join — one two-input
+    hash_exchange). Because a point lies in exactly one cell, every surviving
     (point, box) pair is emitted exactly once — no post-join dedup pass.
     An exact vectorized bbox refine follows the equi-join, mirroring the
     reference's filter-then-refine structure (rtree search + exact test,
@@ -391,33 +424,11 @@ def cell_spatial_join(points_ds, boxes_ds, cell_size: float,
     """
     from ..functions.relational import bucketed_join
 
-    minx_c, miny_c, maxx_c, maxy_c = box_cols
-
     def tag_points(t: pa.Table) -> pa.Table:
-        x = np.asarray(t[x_col], dtype=np.float64)
-        y = np.asarray(t[y_col], dtype=np.float64)
-        cx = np.floor(x / cell_size).astype(np.int64)
-        cy = np.floor(y / cell_size).astype(np.int64)
-        return t.append_column("__cell", pa.array(_pack_cell(cx, cy)))
+        return _tag_cells(t, x_col, y_col, cell_size)
 
     def explode_boxes(t: pa.Table) -> pa.Table:
-        x0 = np.asarray(t[minx_c], dtype=np.float64)
-        y0 = np.asarray(t[miny_c], dtype=np.float64)
-        x1 = np.asarray(t[maxx_c], dtype=np.float64)
-        y1 = np.asarray(t[maxy_c], dtype=np.float64)
-        cx0 = np.floor(x0 / cell_size).astype(np.int64)
-        cy0 = np.floor(y0 / cell_size).astype(np.int64)
-        nx = np.floor(x1 / cell_size).astype(np.int64) - cx0 + 1
-        ny = np.floor(y1 / cell_size).astype(np.int64) - cy0 + 1
-        n = nx * ny
-        rep = np.repeat(np.arange(len(t), dtype=np.int64), n)
-        offs = np.zeros(len(t) + 1, dtype=np.int64)
-        np.cumsum(n, out=offs[1:])
-        local = np.arange(int(offs[-1]), dtype=np.int64) - offs[rep]
-        cellx = cx0[rep] + local // ny[rep]
-        celly = cy0[rep] + local % ny[rep]
-        out = t.take(pa.array(rep))
-        return out.append_column("__cell", pa.array(_pack_cell(cellx, celly)))
+        return _cover_cells(t, *_floats(t, *box_cols), cell_size)
 
     pts = points_ds.map_batches(tag_points, batch_format="pyarrow")
     bxs = boxes_ds.map_batches(explode_boxes, batch_format="pyarrow")
@@ -427,12 +438,8 @@ def cell_spatial_join(points_ds, boxes_ds, cell_size: float,
                            n_salts=n_salts)
 
     def refine(t: pa.Table) -> pa.Table:
-        x = np.asarray(t[x_col], dtype=np.float64)
-        y = np.asarray(t[y_col], dtype=np.float64)
-        keep = ((x >= np.asarray(t[minx_c], dtype=np.float64))
-                & (x <= np.asarray(t[maxx_c], dtype=np.float64))
-                & (y >= np.asarray(t[miny_c], dtype=np.float64))
-                & (y <= np.asarray(t[maxy_c], dtype=np.float64)))
+        x, y, x0, y0, x1, y1 = _floats(t, x_col, y_col, *box_cols)
+        keep = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
         return t.filter(pa.array(keep)).drop_columns(["__cell"])
 
     return joined.map_batches(refine, batch_format="pyarrow")
@@ -440,7 +447,6 @@ def cell_spatial_join(points_ds, boxes_ds, cell_size: float,
 
 def cell_overlap_join(left_ds, right_ds, cell_size: float,
                       left_cols=("minx", "miny", "maxx", "maxy"),
-                      right_cols=None, suffix: str = "_r",
                       n_buckets: int = 32, n_salts: int = 1):
     """Large x large BOX-OVERLAP join via grid cells with REFERENCE-POINT
     deduplication: both sides explode to their covering cells, meet in a
@@ -451,65 +457,25 @@ def cell_overlap_join(left_ds, right_ds, cell_size: float,
     trick; cf. the partition-dedup discussion in SpatialHadoop/GeoSpark
     literature). Envelope overlap is closed (touching edges join).
 
-    Right-side columns are renamed with `suffix` when they collide with
-    left names. Returns the joined rows (all left columns + renamed
-    right columns).
+    Both sides carry their box in the `left_cols` columns. Returns the
+    joined rows: all left columns, then the right columns, those whose
+    name is also a left column (the box columns among them) suffixed
+    `_r` by the join.
     """
     from ..functions.relational import bucketed_join
 
-    right_cols = tuple(right_cols or left_cols)
-    lx0, ly0, lx1, ly1 = left_cols
+    right_cols = [c + "_r" for c in left_cols]
 
-    def explode(cols):
-        x0c, y0c, x1c, y1c = cols
+    def explode(t: pa.Table) -> pa.Table:
+        return _cover_cells(t, *_floats(t, *left_cols), cell_size)
 
-        def f(t: pa.Table) -> pa.Table:
-            x0 = np.asarray(t[x0c], dtype=np.float64)
-            y0 = np.asarray(t[y0c], dtype=np.float64)
-            x1 = np.asarray(t[x1c], dtype=np.float64)
-            y1 = np.asarray(t[y1c], dtype=np.float64)
-            cx0 = np.floor(x0 / cell_size).astype(np.int64)
-            cy0 = np.floor(y0 / cell_size).astype(np.int64)
-            nx = np.floor(x1 / cell_size).astype(np.int64) - cx0 + 1
-            ny = np.floor(y1 / cell_size).astype(np.int64) - cy0 + 1
-            n = nx * ny
-            rep = np.repeat(np.arange(len(t), dtype=np.int64), n)
-            offs = np.zeros(len(t) + 1, dtype=np.int64)
-            np.cumsum(n, out=offs[1:])
-            local = np.arange(int(offs[-1]), dtype=np.int64) - offs[rep]
-            cellx = cx0[rep] + local // ny[rep]
-            celly = cy0[rep] + local % ny[rep]
-            out = t.take(pa.array(rep))
-            return out.append_column("__cell",
-                                     pa.array(_pack_cell(cellx, celly)))
-
-        return f
-
-    # rename colliding right columns BEFORE the union-based bucket join
-    left_names = set(left_ds.schema().names)
-    rename = {c: (c + suffix if c in left_names else c)
-              for c in right_ds.schema().names}
-    rx0, ry0, rx1, ry1 = (rename[c] for c in right_cols)
-
-    def do_rename(t: pa.Table) -> pa.Table:
-        return t.rename_columns([rename[c] for c in t.column_names])
-
-    lt = left_ds.map_batches(explode(left_cols), batch_format="pyarrow")
-    rt = right_ds.map_batches(do_rename, batch_format="pyarrow") \
-                 .map_batches(explode((rx0, ry0, rx1, ry1)),
-                              batch_format="pyarrow")
-    joined = bucketed_join(lt, rt, key="__cell", n_buckets=n_buckets,
-                           n_salts=n_salts)
+    joined = bucketed_join(left_ds.map_batches(explode, batch_format="pyarrow"),
+                           right_ds.map_batches(explode, batch_format="pyarrow"),
+                           key="__cell", n_buckets=n_buckets, n_salts=n_salts)
 
     def refine(t: pa.Table) -> pa.Table:
-        ax0 = np.asarray(t[lx0], dtype=np.float64)
-        ay0 = np.asarray(t[ly0], dtype=np.float64)
-        ax1 = np.asarray(t[lx1], dtype=np.float64)
-        ay1 = np.asarray(t[ly1], dtype=np.float64)
-        bx0 = np.asarray(t[rx0], dtype=np.float64)
-        by0 = np.asarray(t[ry0], dtype=np.float64)
-        bx1 = np.asarray(t[rx1], dtype=np.float64)
-        by1 = np.asarray(t[ry1], dtype=np.float64)
+        ax0, ay0, ax1, ay1 = _floats(t, *left_cols)
+        bx0, by0, bx1, by1 = _floats(t, *right_cols)
         overlap = (ax0 <= bx1) & (bx0 <= ax1) & (ay0 <= by1) & (by0 <= ay1)
         # reference point: top-left corner of the intersection
         refx = np.maximum(ax0, bx0)
@@ -540,30 +506,11 @@ def cell_polygon_join(points_ds, polys_ds, cell_size: float,
     from ..functions.relational import bucketed_join
 
     def tag_points(t: pa.Table) -> pa.Table:
-        x = np.asarray(t[x_col], dtype=np.float64)
-        y = np.asarray(t[y_col], dtype=np.float64)
-        cx = np.floor(x / cell_size).astype(np.int64)
-        cy = np.floor(y / cell_size).astype(np.int64)
-        return t.append_column("__cell", pa.array(_pack_cell(cx, cy)))
+        return _tag_cells(t, x_col, y_col, cell_size)
 
     def explode_polys(t: pa.Table) -> pa.Table:
-        x0 = np.asarray(t["minx"], dtype=np.float64)
-        y0 = np.asarray(t["miny"], dtype=np.float64)
-        x1 = np.asarray(t["maxx"], dtype=np.float64)
-        y1 = np.asarray(t["maxy"], dtype=np.float64)
-        cx0 = np.floor(x0 / cell_size).astype(np.int64)
-        cy0 = np.floor(y0 / cell_size).astype(np.int64)
-        nx = np.floor(x1 / cell_size).astype(np.int64) - cx0 + 1
-        ny = np.floor(y1 / cell_size).astype(np.int64) - cy0 + 1
-        n = nx * ny
-        rep = np.repeat(np.arange(len(t), dtype=np.int64), n)
-        offs = np.zeros(len(t) + 1, dtype=np.int64)
-        np.cumsum(n, out=offs[1:])
-        local = np.arange(int(offs[-1]), dtype=np.int64) - offs[rep]
-        cellx = cx0[rep] + local // ny[rep]
-        celly = cy0[rep] + local % ny[rep]
-        out = t.take(pa.array(rep))
-        return out.append_column("__cell", pa.array(_pack_cell(cellx, celly)))
+        return _cover_cells(t, *_floats(t, "minx", "miny", "maxx", "maxy"),
+                            cell_size)
 
     pts = points_ds.map_batches(tag_points, batch_format="pyarrow")
     pls = polys_ds.map_batches(explode_polys, batch_format="pyarrow")
@@ -613,43 +560,13 @@ def cell_knn_join(points_ds, boxes_ds, k: int, radius: float,
     """
     from ..functions.relational import bucketed_join, grouped_topk
 
-    minx_c, miny_c, maxx_c, maxy_c = box_cols
-
     def explode_points(t: pa.Table) -> pa.Table:
-        x = np.asarray(t[x_col], dtype=np.float64)
-        y = np.asarray(t[y_col], dtype=np.float64)
-        cx0 = np.floor((x - radius) / cell_size).astype(np.int64)
-        cy0 = np.floor((y - radius) / cell_size).astype(np.int64)
-        nx = np.floor((x + radius) / cell_size).astype(np.int64) - cx0 + 1
-        ny = np.floor((y + radius) / cell_size).astype(np.int64) - cy0 + 1
-        n = nx * ny
-        rep = np.repeat(np.arange(len(t), dtype=np.int64), n)
-        offs = np.zeros(len(t) + 1, dtype=np.int64)
-        np.cumsum(n, out=offs[1:])
-        local = np.arange(int(offs[-1]), dtype=np.int64) - offs[rep]
-        cellx = cx0[rep] + local // ny[rep]
-        celly = cy0[rep] + local % ny[rep]
-        out = t.take(pa.array(rep))
-        return out.append_column("__cell", pa.array(_pack_cell(cellx, celly)))
+        x, y = _floats(t, x_col, y_col)
+        return _cover_cells(t, x - radius, y - radius, x + radius, y + radius,
+                            cell_size)
 
     def explode_boxes(t: pa.Table) -> pa.Table:
-        x0 = np.asarray(t[minx_c], dtype=np.float64)
-        y0 = np.asarray(t[miny_c], dtype=np.float64)
-        x1 = np.asarray(t[maxx_c], dtype=np.float64)
-        y1 = np.asarray(t[maxy_c], dtype=np.float64)
-        cx0 = np.floor(x0 / cell_size).astype(np.int64)
-        cy0 = np.floor(y0 / cell_size).astype(np.int64)
-        nx = np.floor(x1 / cell_size).astype(np.int64) - cx0 + 1
-        ny = np.floor(y1 / cell_size).astype(np.int64) - cy0 + 1
-        n = nx * ny
-        rep = np.repeat(np.arange(len(t), dtype=np.int64), n)
-        offs = np.zeros(len(t) + 1, dtype=np.int64)
-        np.cumsum(n, out=offs[1:])
-        local = np.arange(int(offs[-1]), dtype=np.int64) - offs[rep]
-        cellx = cx0[rep] + local // ny[rep]
-        celly = cy0[rep] + local % ny[rep]
-        out = t.take(pa.array(rep))
-        return out.append_column("__cell", pa.array(_pack_cell(cellx, celly)))
+        return _cover_cells(t, *_floats(t, *box_cols), cell_size)
 
     pts = points_ds.map_batches(explode_points, batch_format="pyarrow")
     bxs = boxes_ds.map_batches(explode_boxes, batch_format="pyarrow")
@@ -657,12 +574,7 @@ def cell_knn_join(points_ds, boxes_ds, k: int, radius: float,
                            n_salts=n_salts)
 
     def refine(t: pa.Table) -> pa.Table:
-        x = np.asarray(t[x_col], dtype=np.float64)
-        y = np.asarray(t[y_col], dtype=np.float64)
-        x0 = np.asarray(t[minx_c], dtype=np.float64)
-        y0 = np.asarray(t[miny_c], dtype=np.float64)
-        x1 = np.asarray(t[maxx_c], dtype=np.float64)
-        y1 = np.asarray(t[maxy_c], dtype=np.float64)
+        x, y, x0, y0, x1, y1 = _floats(t, x_col, y_col, *box_cols)
         # reference point of (query-bbox ∩ box-bbox): exactly-once guard
         refx = np.maximum(x - radius, x0)
         refy = np.maximum(y - radius, y0)

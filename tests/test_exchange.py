@@ -6,10 +6,14 @@ Contracts pinned here:
   * empty partitions produce typed empty outputs (schema-stable result);
   * zero-row/schema-less blocks (Ray map operators emit zero-COLUMN
     empty blocks) pass through without poisoning the exchange;
-  * parity with groupby().map_groups on a shared kernel.
+  * parity with groupby().map_groups on a shared kernel;
+  * k inputs: fn(t_0, …, t_{k-1}) once per partition, in partition
+    order, with one table per input (typed empty, or pa.table({}) for an
+    input without a typed block).
 """
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import ray.data as rd
@@ -317,4 +321,144 @@ def test_resilient_relaunch_one_group_of_many(ray_session):
     time.sleep(0.5)
     got = pa.concat_tables(_blocks(handle.dataset(recover=True)))
     assert handle.outs[3] != lost
+    assert got.equals(want)
+
+
+# --------------------------------------------------------------------------- #
+# k inputs: fn(t_0, …, t_{k-1}) once per partition, one table per input
+# --------------------------------------------------------------------------- #
+
+
+def _two_inputs(P, seed=21, a_blocks=5, b_blocks=3):
+    """Input a spans every partition but each 7th; input b (another
+    schema, another block count) only the even partitions."""
+    rng = np.random.default_rng(seed)
+    a, _ = _sparse(3000, P, seed, n_blocks=1)
+    n = 1000
+    b = pa.table({
+        "name": pa.array([f"n{i}" for i in range(n)]),
+        "w": pa.array(np.arange(n, dtype=np.int32)),
+        "__bucket": pa.array(rng.integers(0, P // 2, n) * 2),
+    })
+    return (a, b, rd.from_arrow(a).repartition(a_blocks),
+            rd.from_arrow(b).repartition(b_blocks))
+
+
+def _kernels():
+    """(summary, both_rows): two-input kernels, built here so Ray
+    pickles them by value (workers cannot import this test module)."""
+
+    def schema_str(t: pa.Table) -> str:
+        return ",".join(f"{f.name}:{f.type}" for f in t.schema)
+
+    def summary(ta: pa.Table, tb: pa.Table) -> pa.Table:
+        parts = set()
+        for t in (ta, tb):
+            if t.num_rows:
+                parts |= set(np.unique(np.asarray(t["__bucket"])).tolist())
+        assert len(parts) <= 1
+        return pa.table({"part": pa.array([parts.pop() if parts else -1], pa.int64()),
+                         "na": pa.array([ta.num_rows], pa.int64()),
+                         "nb": pa.array([tb.num_rows], pa.int64()),
+                         "a_schema": [schema_str(ta)],
+                         "b_schema": [schema_str(tb)]})
+
+    def both_rows(ta: pa.Table, tb: pa.Table) -> pa.Table:
+        """Both inputs' rows of one partition as (id, __bucket), b's ids
+        offset by 10^6, sorted by id."""
+        ids, parts = [ta["id"]], [ta["__bucket"]]
+        if tb.num_columns:
+            ids.append(pc.add(pc.cast(tb["w"], pa.int64()), 10**6))
+            parts.append(tb["__bucket"])
+        return pa.table({
+            "id": pa.chunked_array([c for x in ids for c in x.chunks], pa.int64()),
+            "__bucket": pa.chunked_array([c for x in parts for c in x.chunks],
+                                         pa.int64()),
+        }).sort_by("id")
+
+    return summary, both_rows
+
+
+def _both_ref(a: pa.Table, b: pa.Table) -> pa.Table:
+    return _by_part(pa.table({
+        "id": pa.concat_arrays([a["id"].combine_chunks(),
+                                pc.add(pc.cast(b["w"], pa.int64()), 10**6)
+                                .combine_chunks()]),
+        "__bucket": pa.concat_arrays([a["__bucket"].combine_chunks(),
+                                      b["__bucket"].combine_chunks()])}))
+
+
+def test_two_inputs_once_per_partition_in_order(ray_session):
+    """Different schemas and block counts; fn runs once per partition in
+    partition order, each input's rows of that partition complete, and
+    an input with no rows in a partition arrives as a TYPED empty."""
+    summary, both_rows = _kernels()
+    P = 64
+    a, b, da, db = _two_inputs(P)
+    ca = np.bincount(np.asarray(a["__bucket"]), minlength=P)
+    cb = np.bincount(np.asarray(b["__bucket"]), minlength=P)
+    assert (cb == 0).any() and ((ca > 0) & (cb == 0)).any()
+    df = hash_exchange((da, db), P, summary).to_pandas()
+    assert len(df) == P
+    assert df["na"].tolist() == ca.tolist()
+    assert df["nb"].tolist() == cb.tolist()
+    live = (ca > 0) | (cb > 0)
+    assert df["part"].tolist() == [p if live[p] else -1 for p in range(P)]
+    assert set(df["a_schema"]) == {"id:int64,v:double,__bucket:int64"}
+    assert set(df["b_schema"]) == {"name:string,w:int32,__bucket:int64"}
+    # the rows themselves, partition by partition
+    out = hash_exchange((da, db), P, both_rows)
+    assert pa.concat_tables(_blocks(out)).equals(_both_ref(a, b))
+
+
+def test_input_with_zero_blocks(ray_session):
+    """An input with no blocks at all arrives as pa.table({}) in every
+    partition, or as its entry of a per-input `empty` tuple; when no
+    input has a typed block, fn is not called."""
+    summary, _ = _kernels()
+    P = 16
+    a, b, da, _ = _two_inputs(P)
+    df = hash_exchange((da, rd.from_arrow_refs([])), P, summary).to_pandas()
+    assert len(df) == P and set(df["b_schema"]) == {""}
+    assert df["na"].tolist() == np.bincount(np.asarray(a["__bucket"]),
+                                            minlength=P).tolist()
+    df = hash_exchange((da, rd.from_arrow_refs([])), P, summary,
+                       empty=(None, b.slice(0, 0))).to_pandas()
+    assert set(df["b_schema"]) == {"name:string,w:int32,__bucket:int64"}
+
+    def never(*ts):
+        raise AssertionError("fn called on schema-less inputs")
+
+    none = hash_exchange((rd.from_arrow_refs([]), rd.from_arrow_refs([])), P, never)
+    assert sum(t.num_rows for t in _blocks(none)) == 0
+
+
+def test_two_inputs_fanin_tree_level_on_one_input(ray_session, monkeypatch):
+    from simplefeatures_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "_FANIN", 3)
+    P = 64
+    # a: 24 blocks -> 8 runs of <= 3 blocks -> one concat level; b: 2 blocks
+    a, b, da, db = _two_inputs(P, seed=9, a_blocks=24, b_blocks=2)
+    out = hash_exchange((da, db), P, _kernels()[1])
+    assert pa.concat_tables(_blocks(out)).equals(_both_ref(a, b))
+
+
+def test_two_inputs_resilient_relaunch(ray_session):
+    import time
+
+    import ray
+    from ray._private.internal_api import free
+
+    P = 64
+    a, b, da, db = _two_inputs(P, seed=13)
+    handle = hash_exchange((da, db), P, _kernels()[1], resilient=True)
+    want = _both_ref(a, b)
+    assert pa.concat_tables(_blocks(handle.dataset())).equals(want)
+    lost = handle.outs[2]
+    ray.get(lost)
+    free([lost])
+    time.sleep(0.5)
+    got = pa.concat_tables(_blocks(handle.dataset(recover=True)))
+    assert handle.outs[2] != lost
     assert got.equals(want)

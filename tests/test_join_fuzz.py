@@ -47,6 +47,29 @@ def test_bucketed_join_matches_arrow_reference(ray_session, trial):
                                       check_dtype=False)
 
 
+@pytest.mark.parametrize("jt", ["inner", "left outer", "left anti",
+                                "full outer"])
+def test_bucketed_join_int32_left_int64_right_key(ray_session, jt):
+    """Keys of two integer widths join (acero alone rejects int32 =
+    int64): the right key is cast to the left key's type, so the output
+    key is int32 and the rows are those of the join on equal types."""
+    rng = np.random.default_rng(7)
+    lt = pa.table({"k": pa.array(rng.integers(0, 30, 200), pa.int32()),
+                   "a": pa.array(np.arange(200), pa.int64())})
+    rt = pa.table({"k": pa.array(rng.integers(10, 40, 50), pa.int64()),
+                   "b": pa.array([f"r{i}" for i in range(50)])})
+    out = bucketed_join(rd.from_arrow(lt).repartition(3),
+                        rd.from_arrow(rt).repartition(2),
+                        key="k", n_buckets=8, join_type=jt)
+    got = pa.concat_tables([b for b in out.iter_batches(batch_format="pyarrow")
+                            if b.num_rows])
+    want = lt.join(rt.set_column(0, "k", rt["k"].cast(pa.int32())),
+                   keys="k", join_type=jt)
+    assert got.schema == want.schema
+    key = lambda r: tuple((v is None, v) for v in r.values())  # noqa: E731
+    assert sorted(got.to_pylist(), key=key) == sorted(want.to_pylist(), key=key)
+
+
 def test_bucketed_join_empty_sides(ray_session):
     """Zero-row sides (post-map schema None) must not crash or drop
     columns: inner with any empty side is empty; left outer with an

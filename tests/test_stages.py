@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 
@@ -259,6 +260,110 @@ def test_asof_join_runs_each_input_once(ray_session, tmp_path):
     assert out["val"].tolist()[0] == "x" and out["val"].isna().tolist() == [False, True]
     assert (tmp_path / "left").read_text() == "x"
     assert (tmp_path / "right").read_text() == "x"
+
+
+def _counted_blocks(tmp_path, name, tables):
+    """A lazy Dataset with one block per table whose map appends one
+    byte to tmp_path/name per call: the file's length is the number of
+    times a block of it was mapped."""
+    import ray.data as rd
+
+    def kernel(t: pa.Table) -> pa.Table:
+        with open(tmp_path / name, "a") as f:
+            f.write("x")
+        return t
+
+    return rd.from_arrow(tables).map_batches(kernel, batch_format="pyarrow")
+
+
+def _join_sides(tmp_path):
+    """(left, right) lazy sides of 4 and 3 blocks plus their tables."""
+    lt = [pa.table({"k": pa.array([i, i + 1, 7], pa.int64()),
+                    "a": pa.array([10 * i, 10 * i + 1, 10 * i + 2], pa.int64())})
+          for i in range(4)]
+    rt = [pa.table({"k": pa.array([i, 7], pa.int64()),
+                    "b": pa.array([f"r{i}", f"s{i}"])})
+          for i in range(3)]
+    return (_counted_blocks(tmp_path, "left", lt),
+            _counted_blocks(tmp_path, "right", rt),
+            pa.concat_tables(lt), pa.concat_tables(rt))
+
+
+def _sorted_rows(t: pa.Table) -> list:
+    return sorted(map(tuple, zip(*[c.to_pylist() for c in t.columns])),
+                  key=repr)
+
+
+@pytest.mark.parametrize("kw", [{}, {"join_type": "left outer"},
+                                {"n_salts": 2}],
+                         ids=["inner", "left_outer", "salted"])
+def test_bucketed_join_runs_each_input_once(ray_session, tmp_path, kw):
+    """An unhinted bucketed_join maps each block of each side exactly
+    once: no schema() probe runs part of a lazy side a second time."""
+    from simplefeatures_ray.functions.relational import bucketed_join
+
+    left, right, lt, rt = _join_sides(tmp_path)
+    out = bucketed_join(left, right, key="k", n_buckets=4, **kw)
+    got = pa.Table.from_pylist(out.take_all())
+    want = lt.join(rt, keys="k", join_type=kw.get("join_type", "inner"))
+    assert got.column_names == ["k", "a", "b"]
+    assert _sorted_rows(got) == _sorted_rows(want)
+    assert (tmp_path / "left").read_text() == "x" * 4
+    assert (tmp_path / "right").read_text() == "x" * 3
+
+
+def test_cell_overlap_join_runs_each_input_once(ray_session, tmp_path):
+    from simplefeatures_ray.stages.join import cell_overlap_join
+
+    def boxes(i):
+        x = np.arange(5, dtype=np.float64) * 3 + i
+        return pa.table({"bid": pa.array(np.arange(5) + 10 * i),
+                         "minx": x, "miny": x, "maxx": x + 4, "maxy": x + 4})
+
+    a = _counted_blocks(tmp_path, "left", [boxes(i) for i in range(4)])
+    b = _counted_blocks(tmp_path, "right", [boxes(i + 4) for i in range(3)])
+    out = cell_overlap_join(a, b, cell_size=2.0).to_pandas()
+    assert len(out) and {"bid", "bid_r", "minx_r", "maxy_r"} <= set(out.columns)
+    assert (tmp_path / "left").read_text() == "x" * 4
+    assert (tmp_path / "right").read_text() == "x" * 3
+
+
+def test_joins_build_without_schema_probe(ray_session, tmp_path, monkeypatch):
+    """Building the joins runs their inputs (the exchange is eager), and
+    no Dataset.schema() call that would execute a lineage happens."""
+    from ray.data import Dataset
+
+    from simplefeatures_ray.functions.relational import bucketed_join
+    from simplefeatures_ray.functions.windows import asof_join
+    from simplefeatures_ray.stages.join import cell_spatial_join
+
+    orig = Dataset.schema
+
+    def no_probe(self, fetch_if_missing=True):
+        if fetch_if_missing:
+            raise AssertionError("schema() probe while building a join")
+        return orig(self, fetch_if_missing=False)
+
+    left, right, lt, rt = _join_sides(tmp_path)
+    pts = left.map_batches(lambda t: pa.table({"x": pc.cast(t["a"], pa.float64()),
+                                               "y": pc.cast(t["k"], pa.float64())}),
+                           batch_format="pyarrow")
+    bxs = right.map_batches(lambda t: pa.table({
+        "minx": pc.cast(pc.multiply(t["k"], 5), pa.float64()),
+        "miny": pa.array(np.zeros(len(t))), "maxx": pa.array(np.full(len(t), 40.0)),
+        "maxy": pa.array(np.full(len(t), 8.0))}), batch_format="pyarrow")
+    monkeypatch.setattr(Dataset, "schema", no_probe)
+    j = bucketed_join(left, right, key="k", n_buckets=4, join_type="left outer")
+    timed = right.map_batches(
+        lambda t: t.append_column("rt", pc.multiply(t["k"], 10)),
+        batch_format="pyarrow")
+    a = asof_join(left, timed, key="k", ts_left="a", ts_right="rt",
+                  right_cols=["b"])
+    c = cell_spatial_join(pts, bxs, cell_size=4.0)
+    monkeypatch.undo()
+    assert j.count() == lt.join(rt, keys="k", join_type="left outer").num_rows
+    assert a.count() == lt.num_rows
+    assert c.count() > 0
 
 
 def test_bucketed_join_matches_broadcast(ray_session):
