@@ -80,14 +80,10 @@ def collect_table(ds_or_table) -> pa.Table:
         if tables:
             # zero rows but typed blocks exist: keep their schema
             return tables[0]
-        # zero BLOCKS: schema() may re-execute, but an all-empty plan is
-        # the rare cheap case
-        sch = ds_or_table.schema() if hasattr(ds_or_table, "schema") else None
-        if sch is None:
-            return pa.table({})
-        sch = getattr(sch, "base_schema", sch)
-        return (sch.empty_table() if isinstance(sch, pa.Schema)
-                else pa.table({}))
+        # zero BLOCKS: type the result from what the plan knows without
+        # running it again
+        e = known_empty(ds_or_table)
+        return e if e is not None else pa.table({})
     return pa.concat_tables(parts, promote_options="permissive").combine_chunks()
 
 

@@ -102,14 +102,14 @@ def _concat_shards(*shards):
     return pa.table({})
 
 
-def _reduce_part(fn, empties, empty_out, drop_cols, ts):
+def _reduce_part(fn, empty, empty_out, drop_cols, ts):
     """Run `fn` once on one partition's complete rows, one table per
     input (a zero-row table, typed or schema-less, for an input with no
     rows in the partition)."""
     if empty_out is not None and not any(t.num_rows for t in ts):
         return empty_out
-    ts = [t.combine_chunks() if t.num_rows or e is None else e
-          for t, e in zip(ts, empties)]
+    ts = [t.combine_chunks() if t.num_rows or empty is None else empty
+          for t in ts]
     if drop_cols:
         ts = [t.drop_columns([c for c in drop_cols if c in t.column_names])
               for t in ts]
@@ -136,7 +136,7 @@ def _partition_slices(t, part_col, lo, hi):
             for i in range(hi - lo)]
 
 
-def _reduce_group(fn, empties, empty_out, drop_cols, part_col, counts,
+def _reduce_group(fn, empty, empty_out, drop_cols, part_col, counts,
                   lo, hi, *shards):
     """Run `fn` once per partition lo..hi-1, in ascending order, over
     the group's shards — `counts[i]` consecutive shards per input i;
@@ -144,7 +144,7 @@ def _reduce_group(fn, empties, empty_out, drop_cols, part_col, counts,
     cuts = np.cumsum([0, *counts])
     per_input = [_partition_slices(_concat_shards(*shards[a:b]), part_col, lo, hi)
                  for a, b in zip(cuts[:-1], cuts[1:])]
-    outs = [_reduce_part(fn, empties, empty_out, drop_cols, ts)
+    outs = [_reduce_part(fn, empty, empty_out, drop_cols, ts)
             for ts in zip(*per_input)]
     return pa.concat_tables(outs, promote_options="permissive")
 
@@ -208,7 +208,9 @@ class ExchangeHandle:
         import ray
 
         inputs = ds if isinstance(ds, tuple) else (ds,)
-        empties = empty if isinstance(empty, tuple) else (empty,) * len(inputs)
+        if empty is not None and isinstance(ds, tuple):
+            raise ValueError("empty= types a single input; the inputs of a "
+                             "tuple keep their own schemas")
         drop = [part_col] if drop_part_col else []
         cpus = int(ray.cluster_resources().get("CPU", 1))
         n_groups = min(n_parts, 2 * max(cpus, 1))
@@ -216,7 +218,7 @@ class ExchangeHandle:
         self.bounds = [-(-g * n_parts // n_groups) for g in range(n_groups + 1)]
         # one input after the other: each lineage executes exactly once
         self.splits = [_split(d, part_col, n_parts, n_groups) for d in inputs]
-        self.recipe = (ray.put(fn), empties, empty_out, drop, part_col,
+        self.recipe = (ray.put(fn), empty, empty_out, drop, part_col,
                        [len(s) for s in self.splits])
         self.outs = [self._launch(g) for g in range(n_groups)]
 
@@ -271,11 +273,11 @@ def hash_exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
     input is schema-less is emitted as pa.table({}) without calling `fn`.
     fn=None (one Dataset) passes each partition's rows through.
 
-    `empty`: typed zero-row table (one per input, as a tuple, when `ds`
-    is a tuple) matching the post-split schema, fed to `fn` in place of
-    that input's rows when the partition has none of them (needed when
-    the input may have no typed block at all — a from-refs Dataset
-    can't infer schema otherwise).
+    `empty`: typed zero-row table matching the post-split schema of a
+    single-Dataset `ds`, fed to `fn` in place of the rows of a partition
+    that has none (needed when the input may have no typed block at all
+    — a from-refs Dataset can't infer schema otherwise). Not accepted
+    with a tuple `ds`: a k-input kernel types a schema-less input itself.
     `empty_out`: typed zero-row OUTPUT table returned directly for
     partitions with no rows in any input — use for kernels that don't
     tolerate empty input.

@@ -413,24 +413,23 @@ def test_two_inputs_once_per_partition_in_order(ray_session):
 
 def test_input_with_zero_blocks(ray_session):
     """An input with no blocks at all arrives as pa.table({}) in every
-    partition, or as its entry of a per-input `empty` tuple; when no
-    input has a typed block, fn is not called."""
+    partition; when no input has a typed block, fn is not called."""
     summary, _ = _kernels()
     P = 16
-    a, b, da, _ = _two_inputs(P)
+    a, _, da, _ = _two_inputs(P)
     df = hash_exchange((da, rd.from_arrow_refs([])), P, summary).to_pandas()
     assert len(df) == P and set(df["b_schema"]) == {""}
     assert df["na"].tolist() == np.bincount(np.asarray(a["__bucket"]),
                                             minlength=P).tolist()
-    df = hash_exchange((da, rd.from_arrow_refs([])), P, summary,
-                       empty=(None, b.slice(0, 0))).to_pandas()
-    assert set(df["b_schema"]) == {"name:string,w:int32,__bucket:int64"}
 
     def never(*ts):
         raise AssertionError("fn called on schema-less inputs")
 
     none = hash_exchange((rd.from_arrow_refs([]), rd.from_arrow_refs([])), P, never)
     assert sum(t.num_rows for t in _blocks(none)) == 0
+    # `empty` types one input; a tuple's inputs keep their own schemas
+    with pytest.raises(ValueError):
+        hash_exchange((da, rd.from_arrow_refs([])), P, summary, empty=a.slice(0, 0))
 
 
 def test_two_inputs_fanin_tree_level_on_one_input(ray_session, monkeypatch):
