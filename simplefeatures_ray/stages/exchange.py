@@ -41,7 +41,7 @@ runs. One Dataset is the k = 1 case.
 
 EAGER: calling hash_exchange() streams each input through
 iter_internal_ref_bundles (exactly ONE execution of each input lineage,
-one input after the other), launches the split/reduce task graph
+all k started before any is drained, so they run at once), launches the split/reduce task graph
 WITHOUT waiting for it, and returns a Dataset over the reduce-output
 refs. Nothing is fetched to the driver, and no `schema()` probe runs:
 an input's column types reach `fn` on its own blocks, and a downstream
@@ -149,9 +149,10 @@ def _reduce_group(fn, empty, empty_out, drop_cols, part_col, counts,
     return pa.concat_tables(outs, promote_options="permissive")
 
 
-def _split(ds, part_col: str, n_parts: int, n_groups: int) -> list:
-    """Launch the split wave over `ds`'s blocks; returns one row of
-    n_groups shard refs per split (or per fan-in concat) task."""
+def _split(bundles, part_col: str, n_parts: int, n_groups: int) -> list:
+    """Launch the split wave over the blocks of one input's RefBundle
+    stream; returns one row of n_groups shard refs per split (or per
+    fan-in concat) task."""
     import ray
     from ray.data import DataContext
 
@@ -163,7 +164,7 @@ def _split(ds, part_col: str, n_parts: int, n_groups: int) -> list:
         return [s] if n_groups == 1 else s
 
     splits, run, size = [], [], 0
-    for bundle in ds.iter_internal_ref_bundles():
+    for bundle in bundles:
         for ref, meta in bundle.blocks:
             nbytes = meta.size_bytes
             if run and (len(run) == _FANIN
@@ -216,8 +217,11 @@ class ExchangeHandle:
         n_groups = min(n_parts, 2 * max(cpus, 1))
         # group g owns partitions [⌈g·P/R⌉, ⌈(g+1)·P/R⌉) = bounds[g]:bounds[g + 1]
         self.bounds = [-(-g * n_parts // n_groups) for g in range(n_groups + 1)]
-        # one input after the other: each lineage executes exactly once
-        self.splits = [_split(d, part_col, n_parts, n_groups) for d in inputs]
+        # each lineage executes exactly once; every input's execution
+        # starts (Ray Data runs it in the background from its first
+        # bundle on) before any is drained, so the k inputs run at once
+        streams = [d.iter_internal_ref_bundles() for d in inputs]
+        self.splits = [_split(b, part_col, n_parts, n_groups) for b in streams]
         self.recipe = (ray.put(fn), empty, empty_out, drop, part_col,
                        [len(s) for s in self.splits])
         self.outs = [self._launch(g) for g in range(n_groups)]

@@ -298,7 +298,7 @@ def test_fanin_tree_level(ray_session, monkeypatch):
     t, ds = _sparse(6000, P, seed=9, n_blocks=24)
     out = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0))
     assert pa.concat_tables(_blocks(out)).equals(_by_part(t))
-    splits = exchange._split(ds, "__bucket", P, 8)
+    splits = exchange._split(ds.iter_internal_ref_bundles(), "__bucket", P, 8)
     assert len(splits) <= 3 and all(len(s) == 8 for s in splits)
 
 
