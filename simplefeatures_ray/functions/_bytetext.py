@@ -11,9 +11,10 @@ only where run positions are genuinely needed.
 Exactness contract: byte-class logic is exact for ASCII rows (ASCII
 char classes never match UTF-8 continuation/lead bytes, so masks are
 sound on mixed buffers; Python's unicode-aware \\w / isspace need the
-real tables). Rows flagged non-ASCII re-run vectorized in the
-CODEPOINT domain (functions/_unitext.py) over the same SeqRuns engine;
-the apostrophe-absorption rule is closed-form (absorption_savings) —
+real tables). The analysis kernels (functions/text.py) therefore run
+only ASCII rows here and analyse non-ASCII rows in the CODEPOINT domain
+(functions/_unitext.py) over the same SeqRuns engine; the
+apostrophe-absorption rule is closed-form (absorption_savings) —
 semantics stay bit-identical at any ASCII/Unicode mix.
 """
 from __future__ import annotations
@@ -285,6 +286,10 @@ class BatchText(SeqRuns):
                 [self.buf, np.zeros(1, dtype=np.uint8)])
         return self._buf1
 
+    def take(self, rows: np.ndarray) -> "BatchText":
+        """BatchText of the given rows, in that order."""
+        return BatchText(pc.take(self._arr, rows))
+
     def row_text(self, i: int) -> str:
         b = self._arr[i].as_py()
         return b.decode("utf-8", errors="replace") if b is not None else ""
@@ -373,80 +378,71 @@ _LEN_MASKS = np.array(
     dtype=np.uint64)
 
 
-def word_keys(bt: BatchText, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """uint64 key of the first min(len, 8) lowercased bytes of each run.
-    Keys of words longer than 8 bytes include byte 7, so they cannot
-    collide with any <= 8-byte stopword key.
+def word_keys(low8: np.ndarray, starts: np.ndarray,
+              lengths: np.ndarray) -> np.ndarray:
+    """uint64 key of the first min(len, 8) bytes of each run of a
+    lowered byte buffer that ends in at least 7 pad bytes (a
+    BatchText's low8). Keys of words longer than 8 bytes include byte
+    7, so they cannot collide with any <= 8-byte stopword key.
 
-    ONE unaligned little-endian uint64 gather per word from the
-    PRE-LOWERED padded buffer (bt.low8, one table pass per batch) + a
-    length mask — the per-call SWAR lowercase over every gathered word
-    is gone (round-5 DRAM cut). Bytes >= 0x80 produce garbage keys; the
-    non-ASCII rows those belong to are recomputed by the per-row
-    reference paths anyway."""
+    ONE unaligned little-endian uint64 gather per word + a length mask.
+    Bytes >= 0x80 give keys that are not UTF-8-exact, so the analysis
+    kernels call this on ASCII rows only (non-ASCII rows are keyed in
+    the codepoint domain, _unitext.cp_word_keys)."""
     if not len(starts):
         return np.zeros(0, dtype=np.uint64)
-    padded = bt.low8
     try:
-        view = np.ndarray(shape=(len(padded) - 7,), dtype=np.uint64,
-                          buffer=padded.data, strides=(1,))
+        view = np.ndarray(shape=(len(low8) - 7,), dtype=np.uint64,
+                          buffer=low8.data, strides=(1,))
         lowered = view[starts]
     except (ValueError, TypeError):
         # platform without unaligned views: byte-gather fallback
         lowered = np.zeros(len(starts), dtype=np.uint64)
         for j in range(8):
-            lowered |= padded[starts + j].astype(np.uint64) << np.uint64(8 * j)
+            lowered |= low8[starts + j].astype(np.uint64) << np.uint64(8 * j)
     return lowered & _LEN_MASKS[np.minimum(lengths, 8)]
 
 
-def stop_hits(bt: BatchText, mask: np.ndarray, stop_sets,
-              max_words: int | None = None):
+def stop_table(stop_sets):
+    """One sorted key table over up to 64 stopword sets: (keys, bits),
+    bit i of an entry set when its word is in set i. Words of more than
+    8 UTF-8 bytes have no key and are left out."""
+    key_lists = [np.array([pack_word(w) for w in words if len(w.encode()) <= 8],
+                          dtype=np.uint64) for words in stop_sets]
+    if len(key_lists) > 64:
+        raise ValueError("stop_table supports at most 64 sets")
+    keys = np.unique(np.concatenate(key_lists)) if key_lists else \
+        np.zeros(0, np.uint64)
+    bits = np.zeros(len(keys), dtype=np.uint64)
+    for si, ks in enumerate(key_lists):
+        bits[np.searchsorted(keys, ks)] |= np.uint64(1 << si)
+    return keys, bits
+
+
+def key_bits(table, keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per word: the stop_table bits of its key (one binary search for
+    all sets), 0 when absent or when the word is longer than 8."""
+    tk, tb = table
+    if not len(tk) or not len(keys):
+        return np.zeros(len(keys), dtype=np.uint64)
+    pos = np.minimum(np.searchsorted(tk, keys), len(tk) - 1)
+    return np.where((tk[pos] == keys) & (lengths <= 8), tb[pos], np.uint64(0))
+
+
+def stop_hits(bt: BatchText, mask: np.ndarray, stop_sets):
     """Per-row stopword-hit counts for one or more stopword sets sharing
-    one word-run pass over the class `mask`. stop_sets: iterables of
-    lowercase words (non-ASCII words dropped — unreachable in ASCII
-    rows). Returns (scores [S, n], n_words_per_row)."""
+    one word-run pass over the class `mask` (ASCII rows). Returns
+    (scores [S, n], n_words_per_row)."""
     starts, lengths, row_ids = bt.runs(mask)
     n_words = np.bincount(row_ids, minlength=bt.n).astype(np.int64)
-    row_sel = row_ids
-    if max_words is not None and len(starts) and n_words.max() > max_words:
-        # rank of each run within its row (row_ids ascending): linear
-        # first-index repeat instead of an n*log(n) self-searchsorted.
-        # Truncation happens BEFORE the key gather so dropped words
-        # never touch the buffer.
-        firsts = np.concatenate([[0], np.cumsum(n_words)[:-1]])
-        rank = np.arange(len(starts)) - np.repeat(firsts, n_words)
-        sel = rank < max_words
-        starts, lengths = starts[sel], lengths[sel]
-        row_sel = row_ids[sel]
-    keys = word_keys(bt, starts, lengths)
+    bits = key_bits(stop_table(stop_sets),
+                    word_keys(bt.low8, starts, lengths), lengths)
+    hit = np.flatnonzero(bits)
+    rows, bits = row_ids[hit], bits[hit]
     out = np.zeros((len(stop_sets), bt.n), dtype=np.int64)
-    if len(stop_sets) > 64:
-        raise ValueError("stop_hits supports at most 64 sets")
-    # ONE binary search against the union of all sets, with a per-key
-    # set-membership bitmask — np.isin per set re-scans the whole key
-    # array |sets| times (the LangId hot path at 8 language profiles)
-    key_lists = [np.array([pack_word(w) for w in words if w.isascii()],
-                          dtype=np.uint64) for words in stop_sets]
-    uniq = np.unique(np.concatenate(key_lists)) if key_lists else \
-        np.zeros(0, np.uint64)
-    if len(uniq) and len(keys):
-        bits = np.zeros(len(uniq), dtype=np.uint64)
-        for si, ks in enumerate(key_lists):
-            if len(ks):
-                bits[np.searchsorted(uniq, ks)] |= np.uint64(1 << si)
-        pos = np.searchsorted(uniq, keys)
-        pos_c = np.minimum(pos, len(uniq) - 1)
-        kb = np.where(uniq[pos_c] == keys, bits[pos_c], np.uint64(0))
-        # compress to hit keys before the per-set loop: the loop's
-        # shift/compare/bincount passes then run over |hits| elements
-        # (typically a small fraction of all words) instead of |words|
-        # per set
-        hidx = np.nonzero(kb)[0]
-        kbh = kb[hidx]
-        rowh = row_sel[hidx]
-        for si in range(len(stop_sets)):
-            hit = (kbh >> np.uint64(si)) & np.uint64(1) != 0
-            out[si] = np.bincount(rowh[hit], minlength=bt.n)
+    for si in range(len(stop_sets)):
+        out[si] = np.bincount(rows[(bits >> np.uint64(si)) & np.uint64(1) != 0],
+                              minlength=bt.n)
     return out, n_words
 
 

@@ -245,12 +245,22 @@ def unicode_ws_byte_mask(buf: np.ndarray) -> np.ndarray:
 
 
 def decode_utf8(bt):
-    """(cp: uint32[n_cps], cp_offsets: int64[n+1]) for the whole batch.
-    Garbage for invalid rows (they take the per-row path); exact for
-    valid rows. One pass, no Python per row."""
+    """(cp: uint32[n_cps], cp_offsets: int64[n+1]) for the whole batch:
+    one codepoint per non-continuation byte, so a row's codepoints are
+    counted from its bytes alone. Exact for valid rows. A valid buffer
+    (any Arrow string column) decodes in CPython's C codecs; a buffer
+    with invalid bytes decodes in numpy, garbage for the invalid rows
+    only. No Python per row."""
     buf, offsets = bt.buf, bt.offsets
+    cont = (buf & 0xC0) == 0x80
+    cp_offsets = offsets - _bt._mask_prefix_at(cont.view(np.uint8), offsets)
+    try:
+        return np.frombuffer(buf.tobytes().decode("utf-8").encode("utf-32-le"),
+                             dtype=np.uint32), cp_offsets
+    except UnicodeDecodeError:
+        pass
     L = len(buf)
-    lead_pos = np.nonzero((buf & 0xC0) != 0x80)[0]
+    lead_pos = np.flatnonzero(~cont)
     b0 = buf[lead_pos].astype(np.uint32)
     k = np.ones(len(b0), dtype=np.uint8)
     k[b0 >= 0xC0] = 2
@@ -265,8 +275,7 @@ def decode_utf8(bt):
         if m.any():
             p = np.minimum(lead_pos[m] + j, L - 1)
             cp[m] = (cp[m] << np.uint32(6)) | (buf[p] & np.uint32(0x3F))
-    cp_offsets = np.searchsorted(lead_pos, offsets).astype(np.int64)
-    return cp, cp_offsets, lead_pos
+    return cp, cp_offsets
 
 
 def utf8_lengths(cp: np.ndarray) -> np.ndarray:
@@ -276,35 +285,16 @@ def utf8_lengths(cp: np.ndarray) -> np.ndarray:
 
 def encode_utf8(cp: np.ndarray):
     """Vectorized UTF-8 encode: (byte buffer uint8, per-cp byte offsets
-    int64[n_cps+1]). Assumes scalar codepoints (no surrogates)."""
+    int64[n_cps+1]), the bytes from CPython's UTF-32 -> UTF-8 codecs.
+    Surrogates pass through in their 3-byte form; cps must be below
+    0x110000 (every cp that went through the lower table is)."""
     ln = utf8_lengths(cp)
     off = np.empty(len(cp) + 1, dtype=np.int64)
     off[0] = 0
     np.cumsum(ln, out=off[1:])
-    out = np.empty(int(off[-1]), dtype=np.uint8)
-    p = off[:-1]
-    c = cp.astype(np.uint32)
-    m1 = ln == 1
-    out[p[m1]] = c[m1]
-    m2 = ln == 2
-    if m2.any():
-        q, v = p[m2], c[m2]
-        out[q] = 0xC0 | (v >> np.uint32(6))
-        out[q + 1] = 0x80 | (v & np.uint32(0x3F))
-    m3 = ln == 3
-    if m3.any():
-        q, v = p[m3], c[m3]
-        out[q] = 0xE0 | (v >> np.uint32(12))
-        out[q + 1] = 0x80 | ((v >> np.uint32(6)) & np.uint32(0x3F))
-        out[q + 2] = 0x80 | (v & np.uint32(0x3F))
-    m4 = ln == 4
-    if m4.any():
-        q, v = p[m4], c[m4]
-        out[q] = 0xF0 | (v >> np.uint32(18))
-        out[q + 1] = 0x80 | ((v >> np.uint32(12)) & np.uint32(0x3F))
-        out[q + 2] = 0x80 | ((v >> np.uint32(6)) & np.uint32(0x3F))
-        out[q + 3] = 0x80 | (v & np.uint32(0x3F))
-    return out, off
+    text = cp.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"),
+                         dtype=np.uint8), off
 
 
 # ---------------------------------------------------------------------------
@@ -347,29 +337,29 @@ def cp_word_keys(cps: np.ndarray, starts: np.ndarray,
     bytes packed little-endian when they fit in 8 bytes, else a sentinel
     no stopword key can equal (0xFF bytes never occur in UTF-8). Pass
     LOWERED cps to get case-folded keys. Exact set-membership vs
-    ``pack_word``-style keys of <= 8-byte stopwords."""
-    nw = len(starts)
-    if not nw:
-        return np.zeros(0, dtype=np.uint64)
-    val, ln = utf8_le_u64(cps)
-    # byte length prefix sums -> per-word totals and in-word offsets
-    cs = np.zeros(len(cps) + 1, dtype=np.int64)
-    np.cumsum(ln, out=cs[1:])
-    total = cs[starts + lengths] - cs[starts]
-    keys = np.full(nw, _NO_KEY, dtype=np.uint64)
+    ``pack_word``-style keys of <= 8-byte stopwords.
+
+    Only the codepoints of words of <= 8 codepoints are encoded: each
+    such word's cps are gathered into one flat run, packed with its
+    bytes' in-word offsets, and OR-reduced per word."""
+    keys = np.full(len(starts), _NO_KEY, dtype=np.uint64)
+    short = np.flatnonzero(lengths <= 8)
+    if not len(short):
+        return keys
+    fl = lengths[short]
+    first = np.zeros(len(short), dtype=np.int64)   # word -> flat index
+    np.cumsum(fl[:-1], out=first[1:])
+    pos = np.repeat(starts[short] - first, fl) + np.arange(int(fl.sum()))
+    val, ln = utf8_le_u64(cps[pos])
+    end = np.cumsum(ln)                             # flat byte ends
+    off = end - ln
+    off -= np.repeat(off[first], fl)                # byte offset in word
+    total = off[first + fl - 1] + ln[first + fl - 1]
+    # offsets past byte 7 only occur in words that do not fit (dropped)
+    packed = np.bitwise_or.reduceat(
+        val << (np.minimum(off, 7).astype(np.uint64) * np.uint64(8)), first)
     fits = total <= 8
-    if fits.any():
-        kf = np.zeros(int(fits.sum()), dtype=np.uint64)
-        fs, fl = starts[fits], lengths[fits]
-        base = cs[fs]
-        for j in range(8):
-            m = j < fl
-            if not m.any():
-                break
-            pos = fs[m] + j
-            off = (cs[pos] - base[m]).astype(np.uint64)
-            kf[m] |= val[pos] << (off << np.uint64(3))
-        keys[fits] = kf
+    keys[short[fits]] = packed[fits]
     return keys
 
 
@@ -379,20 +369,15 @@ class CPText(SeqRuns):
     local row index -> original batch row index."""
 
     def __init__(self, bt, rows: np.ndarray):
-        import pyarrow.compute as pc
-
         self.rows = np.asarray(rows, dtype=np.int64)
-        sub = type(bt)(pc.take(bt._arr, self.rows))
+        sub = bt.take(self.rows)
         self._sub = sub
-        cp, cp_off, _ = decode_utf8(sub)
+        cp, cp_off = decode_utf8(sub)
         self.cp = cp
         self._init_runs(len(self.rows), cp_off, len(cp))
 
     def row_text(self, i: int) -> str:
         return self._sub.row_text(i)
-
-    def n_chars(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
     def lowered(self) -> np.ndarray:
         return class_table("lower")[self.cp]

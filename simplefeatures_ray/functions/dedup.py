@@ -122,7 +122,7 @@ class MinHashSignature:
             bt.word_mask(b.buf) | bt.apo_mask(b.buf))
         with np.errstate(over="ignore"):
             wh = _splitmix64_u64(
-                bt.word_keys(b, starts, lengths)
+                bt.word_keys(b.low8, starts, lengths)
                 ^ lengths.astype(np.uint64))
         n = self.ngram
         nw = len(wh)

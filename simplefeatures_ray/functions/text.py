@@ -1,19 +1,25 @@
 """Text-analysis kernels for large-scale training-data pipelines.
 
 All stages are map_batches kernels; state is built once per actor
-(callable classes). The hot paths run on the numpy byte-class engine in
-functions/_bytetext.py — a handful of vectorized passes over the
-batch's concatenated UTF-8 buffer, never a Python (or per-match RE2)
-loop per row. Non-ASCII rows re-run VECTORIZED at the codepoint level
-(functions/_unitext.py: regex-exact Unicode class tables + the shared
-CPText run engine), and the apostrophe-absorption rule of the BPE-ish
-tokenizer is resolved in closed form (_bytetext.absorption_savings) —
+(callable classes). Each batch is split ONCE by row (SharedMasks), and
+every row is analysed in exactly one domain:
+
+  * ASCII rows in the byte domain — the numpy byte-class engine in
+    functions/_bytetext.py, a handful of vectorized passes over one
+    concatenated buffer;
+  * non-ASCII rows in the codepoint domain — functions/_unitext.py's
+    regex-exact Unicode class tables over the same SeqRuns run engine.
+
+A kernel computes each result once per domain and scatters the two
+halves into batch order. The apostrophe-absorption rule of the BPE-ish
+tokenizer is resolved in closed form (_bytetext.absorption_savings);
 the per-row reference implementations survive only as the oracle for
 tests and for rows containing the two str.lower special-casing
 codepoints (U+0130/U+03A3). Semantics stay bit-identical at any mix.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 
 import numpy as np
@@ -32,200 +38,311 @@ _LANG_PROFILES = {
 
 _TOKEN_RE = r"[A-Za-z]+(?:'[a-z]+)?|\d+|[^\sA-Za-z\d]"
 
+# every word key is looked up once, in one table whose entries carry a
+# bit per profile; the "en" bit doubles as QualityScore's stop set
+_STOP_TABLE = bt.stop_table(_LANG_PROFILES.values())
+_EN_BIT = np.uint64(1 << list(_LANG_PROFILES).index("en"))
+# a word can only equal a stopword if it is no longer than the longest
+# one and starts with some stopword's first character
+_STOP_MAX_LEN = max(len(w) for ws in _LANG_PROFILES.values() for w in ws)
+_STOP_FIRST = np.unique([ord(w[0]) for ws in _LANG_PROFILES.values() for w in ws])
 
-class SharedMasks:
-    """Per-batch cache of BatchText + byte-class masks so fused analysis
-    (AnalyzeText) classifies the buffer ONCE instead of once per kernel —
-    the DRAM traffic of repeated mask passes is what limits multi-worker
-    scaling on a shared memory bus.
 
-    Also hosts the shared CODEPOINT view of the batch's non-ASCII rows
-    (functions/_unitext.CPText): those rows re-run VECTORIZED at the
-    codepoint level with regex-exact Unicode class tables — the per-row
-    Python fallback is reserved for the two str.lower special-casing
-    codepoints (U+0130 / U+03A3), a vanishing fraction of any corpus
-    (VERDICT r4 #2: a per-row path over ~50% of real Common Crawl was
-    the engine's biggest real-data cliff)."""
+def _first_words(rows: np.ndarray, n: int, max_words: int):
+    """Selector of each row's first `max_words` words (`rows` ascending),
+    or None when no row has more."""
+    nw = np.bincount(rows, minlength=n)
+    if not len(rows) or nw.max() <= max_words:
+        return None
+    firsts = np.concatenate([[0], np.cumsum(nw)[:-1]])
+    return np.arange(len(rows)) - np.repeat(firsts, nw) < max_words
 
-    def __init__(self, b):
-        self.b = b
+
+class _Rows:
+    """The rows of a batch that one domain analyses. `eng` is their
+    SeqRuns engine; `rows` maps local row -> batch row (None when they
+    are the whole batch). Class masks, runs and word keys are cached,
+    so kernels sharing a class pay for it once per batch."""
+
+    special_rows = np.zeros(0, dtype=np.int64)
+
+    def __init__(self, eng, rows):
+        self.eng = eng
+        self.rows = rows
+        self.n = eng.n
         self._m = {}
         self._runs = {}
-        self._cpt = False
-        self._cpm = {}
-        self._cpruns = {}
-        self._cplow = None
-        self._special = None
+        self._words = None
+        self._letter_words = None
+        self._norm = None
 
-    def runs(self, name: str):
-        """Cached (starts, lengths, row_ids) of the named mask's maximal
-        runs — kernels sharing a class (e.g. TokenCount's letter-run
-        count and absorption_savings' letter segments) pay the full
-        runs() pass once per batch (round-5 DRAM cut)."""
-        r = self._runs.get(name)
-        if r is None:
-            r = self.b.runs(self.mask(name))
-            self._runs[name] = r
-        return r
-
-    def cp_runs(self, name: str):
-        r = self._cpruns.get(name)
-        if r is None:
-            r = self.cpt.runs(self.cp_mask(name))
-            self._cpruns[name] = r
-        return r
-
-    def mask(self, name: str):
+    def mask(self, name: str) -> np.ndarray:
         m = self._m.get(name)
         if m is None:
-            # masks build over buf1 (buf + False sentinel) so count()
-            # reduceats them directly without a per-call sentinel copy
-            buf = self.b.buf1
-            if name == "letter":
-                m = bt.letter_mask(buf)
-            elif name == "digit":
-                m = bt.digit_mask(buf)
-            elif name == "ws":
-                m = bt.ws_mask(buf)
-            elif name == "word":
-                m = self.mask("letter") | self.mask("digit") | (buf == 95)
-            elif name == "apo":
-                m = bt.apo_mask(buf)
-            elif name == "lowletter":
-                m = (buf >= 97) & (buf <= 122)
-            elif name == "letterapo":
+            if name == "letterapo":
                 m = self.mask("letter") | self.mask("apo")
             elif name == "wordapo":
                 m = self.mask("word") | self.mask("apo")
             else:
-                raise KeyError(name)
+                m = self._class_mask(name)
             self._m[name] = m
         return m
 
+    def runs(self, name: str):
+        """Cached (starts, lengths, row_ids) of the named mask's runs."""
+        r = self._runs.get(name)
+        if r is None:
+            r = self._runs[name] = self.eng.runs(self.mask(name))
+        return r
+
+    def normalized(self):
+        """Cached (buffer, row offsets) of ' '.join(t.lower().split())."""
+        if self._norm is None:
+            self._norm = self._normalize()
+        return self._norm
+
+
+class _AsciiRows(_Rows):
+    """ASCII rows in the byte domain (eng: a BatchText). Byte classes
+    are exact here: every byte is a whole character."""
+
+    def _class_mask(self, name: str) -> np.ndarray:
+        # over buf1 (buf + a False sentinel): count() reduceats directly
+        buf = self.eng.buf1
+        if name == "letter":        # [A-Za-z]
+            return bt.letter_mask(buf)
+        if name == "lowletter":     # [a-z]
+            return (buf >= 97) & (buf <= 122)
+        if name == "digit":         # \d
+            return bt.digit_mask(buf)
+        if name == "space":         # \s
+            return bt.ws_mask(buf)
+        if name == "apo":
+            return bt.apo_mask(buf)
+        if name == "word":          # \w
+            return self.mask("letter") | self.mask("digit") | (buf == 95)
+        raise KeyError(name)
+
+    def _all_words(self):
+        """(starts, lengths, rows, bits) of every [\\w']+ word: one run
+        pass, one key gather, one table lookup."""
+        if self._words is None:
+            starts, lengths, rows = self.runs("wordapo")
+            keys = bt.word_keys(self.eng.low8, starts, lengths)
+            self._words = (starts, lengths, rows,
+                           bt.key_bits(_STOP_TABLE, keys, lengths))
+        return self._words
+
+    def words(self, max_words: int):
+        """(rows, bits) of each row's first `max_words` [\\w']+ words."""
+        _, _, rows, bits = self._all_words()
+        sel = _first_words(rows, self.n, max_words)
+        return (rows, bits) if sel is None else (rows[sel], bits[sel])
+
+    def letter_words(self):
+        """(rows, lengths, bits) of the [A-Za-z']+ words: the [\\w']+ words
+        cut at digits and '_'. A word without a cut keeps its key; only
+        the cut pieces gather new ones."""
+        if self._letter_words is None:
+            starts, lengths, rows, bits = self._all_words()
+            cut = np.flatnonzero(self.mask("word") ^ self.mask("letter"))
+            if len(cut):
+                split = np.zeros(len(starts), dtype=bool)
+                split[np.searchsorted(starts, cut, "right") - 1] = True
+                ss, se = starts[split], starts[split] + lengths[split] - 1
+                # a run cut at p1 < .. < pk is [s, p1-1], [p1+1, p2-1], ..,
+                # [pk+1, e]; runs are disjoint, so sorting all starts and
+                # all ends pairs them up (empty pieces have end < start)
+                ps = np.sort(np.concatenate([ss, cut + 1]))
+                pe = np.sort(np.concatenate([se, cut - 1]))
+                keep = pe >= ps
+                ps, pl = ps[keep], (pe - ps + 1)[keep]
+                prow = rows[np.searchsorted(starts, ps, "right") - 1]
+                pbits = bt.key_bits(
+                    _STOP_TABLE, bt.word_keys(self.eng.low8, ps, pl), pl)
+                whole = ~split
+                rows = np.concatenate([rows[whole], prow])
+                lengths = np.concatenate([lengths[whole], pl])
+                bits = np.concatenate([bits[whole], pbits])
+            self._letter_words = (rows, lengths, bits)
+        return self._letter_words
+
+    def _normalize(self):
+        return bt.normalize_ws_lower(self.eng, ws=self.mask("space"))
+
+
+class _CpRows(_Rows):
+    """Non-ASCII rows in the codepoint domain (eng: a _unitext.CPText):
+    \\w, \\d and \\s are the Unicode classes, [A-Za-z] stays ASCII."""
+
+    def __init__(self, cpt):
+        super().__init__(cpt, cpt.rows)
+        self._low = None
+        self._special = None
+
+    def _class_mask(self, name: str) -> np.ndarray:
+        from . import _unitext as ut
+
+        cp = self.eng.cp
+        if name == "letter":
+            f = cp | np.uint32(32)
+            return (f >= 97) & (f <= 122) & (cp < 128)
+        if name == "lowletter":
+            return (cp >= 97) & (cp <= 122)
+        if name in ("digit", "space", "word"):
+            return ut.class_table(name)[cp]
+        if name == "apo":
+            return cp == 39
+        raise KeyError(name)
+
     @property
-    def cpt(self):
-        """CPText over the batch's non-ASCII rows (None when all-ASCII)."""
-        if self._cpt is False:
-            rows = self.b.nonascii_rows
-            if len(rows):
-                from . import _unitext as ut
+    def lowered(self) -> np.ndarray:
+        """Table-lowered codepoints."""
+        if self._low is None:
+            self._low = self.eng.lowered()
+        return self._low
 
-                self._cpt = ut.CPText(self.b, rows)
-            else:
-                self._cpt = None
-        return self._cpt
+    @property
+    def special_rows(self) -> np.ndarray:
+        """Local rows containing U+0130 / U+03A3: only these still need
+        the per-row reference where str.lower semantics are involved."""
+        if self._special is None:
+            cp = self.eng.cp
+            self._special = np.nonzero(
+                self.eng.count((cp == 0x0130) | (cp == 0x03A3)) > 0)[0]
+        return self._special
 
-    def cp_mask(self, name: str):
-        m = self._cpm.get(name)
-        if m is None:
+    def words(self, max_words: int):
+        """(rows, bits) of each row's first `max_words` [\\w']+ words, keys
+        packed from the lowered codepoints so non-ASCII stopwords ("é")
+        and cased variants ("É") match."""
+        from . import _unitext as ut
+
+        starts, lengths, rows = self.runs("wordapo")
+        sel = _first_words(rows, self.n, max_words)
+        if sel is not None:
+            starts, lengths, rows = starts[sel], lengths[sel], rows[sel]
+        # key only the words that can match: lowering keeps the length
+        cand = np.flatnonzero((lengths <= _STOP_MAX_LEN)
+                              & np.isin(self.lowered[starts], _STOP_FIRST))
+        bits = np.zeros(len(rows), dtype=np.uint64)
+        keys = ut.cp_word_keys(self.lowered, starts[cand], lengths[cand])
+        bits[cand] = bt.key_bits(_STOP_TABLE, keys, lengths[cand])
+        return rows, bits
+
+    def letter_words(self):
+        """(rows, lengths, bits) of the [A-Za-z']+ words. Their lowered
+        codepoints are ASCII, i.e. their own UTF-8 bytes, so the keys
+        come from one byte view of the lowered codepoints."""
+        if self._letter_words is None:
+            starts, lengths, rows = self.runs("letterapo")
+            low8 = np.zeros(self.eng.seq_len + 8, dtype=np.uint8)
+            low8[:self.eng.seq_len] = self.lowered  # wraps; words are ASCII
+            keys = bt.word_keys(low8, starts, lengths)
+            self._letter_words = (rows, lengths,
+                                  bt.key_bits(_STOP_TABLE, keys, lengths))
+        return self._letter_words
+
+    def _normalize(self):
+        from . import _unitext as ut
+
+        return ut.normalize_cp(self.eng, lowered=self.lowered)
+
+
+class SharedMasks:
+    """Per-batch analysis state shared by the kernels: the batch split
+    once by `BatchText.nonascii_rows`. `ascii` holds the ASCII rows in
+    the byte domain (the batch itself when it is all-ASCII, no copy);
+    `cps` holds the non-ASCII rows in the codepoint domain (None when
+    there are none). No row is analysed twice: a kernel runs each
+    result over both domains and `per_row` scatters them once."""
+
+    def __init__(self, b: bt.BatchText):
+        self.b = b
+        na = b.nonascii_rows
+        if len(na):
             from . import _unitext as ut
 
-            cp = self.cpt.cp
-            if name == "letter":       # ASCII [A-Za-z] (regex literal)
-                f = cp | np.uint32(32)
-                m = (f >= 97) & (f <= 122) & (cp < 128)
-            elif name == "lowletter":  # ASCII [a-z]
-                m = (cp >= 97) & (cp <= 122)
-            elif name == "digit":      # \d (Unicode)
-                m = ut.class_table("digit")[cp]
-            elif name == "space":      # \s == str whitespace
-                m = ut.class_table("space")[cp]
-            elif name == "word":       # \w (Unicode)
-                m = ut.class_table("word")[cp]
-            elif name == "apo":
-                m = cp == 39
-            elif name == "letterapo":
-                m = self.cp_mask("letter") | self.cp_mask("apo")
-            elif name == "wordapo":
-                m = self.cp_mask("word") | self.cp_mask("apo")
-            else:
-                raise KeyError(name)
-            self._cpm[name] = m
-        return m
+            ascii_rows = np.ones(b.n, dtype=bool)
+            ascii_rows[na] = False
+            ascii_rows = np.flatnonzero(ascii_rows)
+            self.ascii = _AsciiRows(b.take(ascii_rows), ascii_rows)
+            self.cps = _CpRows(ut.CPText(b, na))
+        else:
+            self.ascii = _AsciiRows(b, None)
+            self.cps = None
 
-    @property
-    def cplow(self):
-        """Table-lowered codepoints of the non-ASCII subset."""
-        if self._cplow is None:
-            self._cplow = self.cpt.lowered()
-        return self._cplow
+    def per_row(self, fn) -> np.ndarray:
+        """fn(domain) -> one value per domain row, over both domains,
+        scattered into batch row order."""
+        on_ascii = fn(self.ascii)
+        if self.cps is None:
+            return on_ascii
+        on_cps = fn(self.cps)
+        out = np.empty(self.b.n, dtype=np.result_type(on_ascii, on_cps))
+        out[self.ascii.rows] = on_ascii
+        out[self.cps.rows] = on_cps
+        return out
 
-    @property
-    def cp_special_rows(self):
-        """LOCAL subset row indices containing U+0130 / U+03A3 — only
-        these still need the per-row reference path where str.lower
-        semantics are involved."""
-        if self._special is None:
-            cp = self.cpt.cp
-            self._special = np.nonzero(
-                self.cpt.count((cp == 0x0130) | (cp == 0x03A3)) > 0)[0]
-        return self._special
+
+def _append(batch: pa.Table, cols: dict) -> pa.Table:
+    for name, arr in cols.items():
+        batch = batch.append_column(name, arr)
+    return batch
 
 
 class TokenCount:
     """Adds n_tokens (BPE-ish regex) and n_ws_tokens (whitespace split).
 
-    Fast path: n_tokens = letter-run starts + digit-run starts + other
-    non-space chars (exact when no apostrophe can trigger the regex's
-    "[A-Za-z]+'[a-z]+" absorption); n_ws_tokens = non-whitespace runs."""
+    Vectorized: n_tokens = letter-run starts + digit-run starts + other
+    non-space chars, minus the closed-form savings of the regex's
+    "[A-Za-z]+'[a-z]+" apostrophe absorption; n_ws_tokens = non-space
+    runs."""
 
     def __init__(self, text_col: str = "text"):
         self.re = re.compile(_TOKEN_RE)
         self.text_col = text_col
 
-    def columns(self, sh: "SharedMasks") -> dict:
-        b = sh.b
-        letter = sh.mask("letter")
-        digit = sh.mask("digit")
-        ws = sh.mask("ws")
-        other = ~letter & ~digit & ~ws
-        # apostrophe absorption is vectorized (no per-row path): see
-        # _bytetext.absorption_savings for the sequential-regex proof.
-        # letter runs come from the shared cache (absorption reuses them)
-        lruns = sh.runs("letter")
-        n_tok = (np.bincount(lruns[2], minlength=b.n).astype(np.int64)
-                 + b.run_start_counts(digit) + b.count(other)
-                 - bt.absorption_savings(b, letter, sh.mask("lowletter"),
-                                         sh.mask("apo"), letter_runs=lruns))
-        n_ws = b.run_start_counts(~ws)
-        cpt = sh.cpt
-        if cpt is not None:
-            # non-ASCII rows, re-done vectorized in the codepoint domain
-            # (\d and \s are Unicode classes; [A-Za-z]/[a-z] stay ASCII)
-            cl = sh.cp_mask("letter")
-            cd = sh.cp_mask("digit")
-            csp = sh.cp_mask("space")
-            clruns = sh.cp_runs("letter")
-            ctok = (np.bincount(clruns[2], minlength=cpt.n).astype(np.int64)
-                    + cpt.run_start_counts(cd)
-                    + cpt.count(~cl & ~cd & ~csp)
-                    - bt.absorption_savings(cpt, cl,
-                                            sh.cp_mask("lowletter"),
-                                            sh.cp_mask("apo"),
-                                            letter_runs=clruns))
-            n_tok[cpt.rows] = ctok
-            n_ws[cpt.rows] = cpt.run_start_counts(~csp)
-        return {"n_tokens": pa.array(n_tok), "n_ws_tokens": pa.array(n_ws)}
+    @staticmethod
+    def _n_tokens(d: _Rows) -> np.ndarray:
+        eng = d.eng
+        letter, digit = d.mask("letter"), d.mask("digit")
+        # letter runs are cached: absorption_savings reuses them
+        lruns = d.runs("letter")
+        return (np.bincount(lruns[2], minlength=d.n).astype(np.int64)
+                + eng.run_start_counts(digit)
+                + eng.count(~letter & ~digit & ~d.mask("space"))
+                - bt.absorption_savings(eng, letter, d.mask("lowletter"),
+                                        d.mask("apo"), letter_runs=lruns))
+
+    def n_tokens(self, sh: SharedMasks) -> np.ndarray:
+        return sh.per_row(self._n_tokens)
+
+    def columns(self, sh: SharedMasks) -> dict:
+        n_ws = sh.per_row(lambda d: d.eng.run_start_counts(~d.mask("space")))
+        return {"n_tokens": pa.array(self.n_tokens(sh)),
+                "n_ws_tokens": pa.array(n_ws)}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        sh = SharedMasks(bt.BatchText(batch[self.text_col]))
-        for name, arr in self.columns(sh).items():
-            batch = batch.append_column(name, arr)
-        return batch
+        return _append(batch, self.columns(
+            SharedMasks(bt.BatchText(batch[self.text_col]))))
 
 
 class LangId:
     """Heuristic language ID: argmax stopword-hit ratio over profiles
     (first 200 words); 'und' (undetermined) when no profile scores."""
 
+    MAX_WORDS = 200
+
     def __init__(self, text_col: str = "text", out_col: str = "lang_pred"):
         self.word = re.compile(r"[\w']+", re.U)
         self.text_col = text_col
         self.out_col = out_col
         self.profiles = {k: frozenset(v) for k, v in _LANG_PROFILES.items()}
+        self.labels = list(self.profiles) + ["und"]
 
     def classify(self, text: str) -> str:
-        words = [w.lower() for w in self.word.findall(text or "")[:200]]
+        words = [w.lower() for w in self.word.findall(text or "")[:self.MAX_WORDS]]
         if not words:
             return "und"
         best, best_score = "und", 0
@@ -235,55 +352,32 @@ class LangId:
                 best, best_score = lang, score
         return best
 
-    def columns(self, sh: "SharedMasks") -> dict:
-        b = sh.b
-        scores, _ = bt.stop_hits(b, sh.mask("wordapo"),
-                                 list(self.profiles.values()), max_words=200)
-        langs = np.array(list(self.profiles))
-        best = scores.argmax(axis=0)  # first-wins ties = profile order
-        preds = np.where(scores.max(axis=0) > 0, langs[best], "und").astype(object)
-        cpt = sh.cpt
-        if cpt is not None:
-            # codepoint-domain redo of non-ASCII rows: [\w']+ with the
-            # Unicode \w table, keys packed from TABLE-LOWERED cps so
-            # non-ASCII stopwords ("é") and cased variants ("É") match
-            from . import _unitext as ut
+    def _best(self, d: _Rows) -> np.ndarray:
+        """Per row: the label index of the profile with the most hits
+        (first wins ties), or that of 'und' when none hits."""
+        rows, bits = d.words(self.MAX_WORDS)
+        hit = np.flatnonzero(bits)
+        rows, bits = rows[hit], bits[hit]
+        n_prof = len(self.profiles)
+        scores = np.zeros((n_prof, d.n), dtype=np.int64)
+        for si in range(n_prof):
+            on = (bits >> np.uint64(si)) & np.uint64(1) != 0
+            scores[si] = np.bincount(rows[on], minlength=d.n)
+        best = np.where(scores.max(axis=0) > 0, scores.argmax(axis=0), n_prof)
+        for li in d.special_rows:  # U+0130/U+03A3 lower rule
+            best[li] = self.labels.index(self.classify(d.eng.row_text(int(li))))
+        return best
 
-            starts, lengths, rows_w = cpt.runs(sh.cp_mask("wordapo"))
-            nw = np.bincount(rows_w, minlength=cpt.n).astype(np.int64)
-            if len(starts) and nw.max() > 200:
-                firsts = np.concatenate([[0], np.cumsum(nw)[:-1]])
-                rank = np.arange(len(starts)) - np.repeat(firsts, nw)
-                sel = rank < 200
-                starts, lengths, rows_w = starts[sel], lengths[sel], rows_w[sel]
-            keys = ut.cp_word_keys(sh.cplow, starts, lengths)
-            key_lists = [np.array([bt.pack_word(w) for w in words
-                                   if len(w.encode()) <= 8], dtype=np.uint64)
-                         for words in self.profiles.values()]
-            uniq = np.unique(np.concatenate(key_lists))
-            sub_scores = np.zeros((len(key_lists), cpt.n), dtype=np.int64)
-            if len(keys):
-                bits = np.zeros(len(uniq), dtype=np.uint64)
-                for si, ks in enumerate(key_lists):
-                    if len(ks):
-                        bits[np.searchsorted(uniq, ks)] |= np.uint64(1 << si)
-                pos = np.minimum(np.searchsorted(uniq, keys), len(uniq) - 1)
-                kb = np.where(uniq[pos] == keys, bits[pos], np.uint64(0))
-                for si in range(len(key_lists)):
-                    hit = (kb >> np.uint64(si)) & np.uint64(1) != 0
-                    sub_scores[si] = np.bincount(rows_w[hit], minlength=cpt.n)
-            sbest = sub_scores.argmax(axis=0)
-            preds[cpt.rows] = np.where(sub_scores.max(axis=0) > 0,
-                                       langs[sbest], "und")
-            for li in sh.cp_special_rows:  # U+0130/U+03A3 lower rule
-                preds[cpt.rows[li]] = self.classify(cpt.row_text(int(li)))
-        return {self.out_col: pa.array(list(preds), pa.string())}
+    def lang_pred(self, sh: SharedMasks) -> pa.Array:
+        return pa.array(self.labels, pa.string()).take(
+            pa.array(sh.per_row(self._best)))
+
+    def columns(self, sh: SharedMasks) -> dict:
+        return {self.out_col: self.lang_pred(sh)}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        sh = SharedMasks(bt.BatchText(batch[self.text_col]))
-        for name, arr in self.columns(sh).items():
-            batch = batch.append_column(name, arr)
-        return batch
+        return _append(batch, self.columns(
+            SharedMasks(bt.BatchText(batch[self.text_col]))))
 
 
 class QualityScore:
@@ -305,65 +399,71 @@ class QualityScore:
         mean_wlen = (sum(len(w) for w in words) / len(words)) if words else 0.0
         return len(t), punct_ratio, stop_ratio, mean_wlen
 
-    def columns(self, sh: "SharedMasks") -> dict:
-        b = sh.b
-        n_chars = np.diff(b.offsets).astype(np.int64)  # == len(t) for ASCII
-        word_mask = sh.mask("letterapo")
-        punct_mask = ~sh.mask("word") & ~sh.mask("ws")  # [^\w\s]
-        n_punct = b.count(punct_mask)
-        n_wchars = b.count(word_mask)
-        hits, n_words = bt.stop_hits(b, word_mask, [self.stop])
-        stop_hits = hits[0]
-        nz = np.maximum(n_chars, 1)
-        wz = np.maximum(n_words, 1)
-        punct_ratio = np.where(n_chars > 0, n_punct / nz, 0.0)
-        stop_ratio = np.where(n_words > 0, stop_hits / wz, 0.0)
-        mean_wlen = np.where(n_words > 0, n_wchars / wz, 0.0)
-        cpt = sh.cpt
-        if cpt is not None:
-            # codepoint-domain redo of the non-ASCII rows: len(t) counts
-            # CODEPOINTS, [^\w\s] uses the Unicode tables; the word runs
-            # ([A-Za-z']+) stay ASCII so their keys pack directly
-            from . import _unitext as ut
+    def _ratios(self, sh: SharedMasks):
+        """(n_chars, punct_ratio, stop_ratio, n_words) per row: len(t)
+        counts characters, [^\\w\\s] and the [A-Za-z']+ words follow each
+        domain's classes."""
+        n_chars = sh.per_row(lambda d: np.diff(d.eng.offsets).astype(np.int64))
+        n_punct = sh.per_row(
+            lambda d: d.eng.count(~d.mask("word") & ~d.mask("space")))
+        n_words = sh.per_row(self._n_words)
+        n_stop = sh.per_row(self._n_stop)
+        punct_ratio = np.where(n_chars > 0, n_punct / np.maximum(n_chars, 1), 0.0)
+        stop_ratio = np.where(n_words > 0, n_stop / np.maximum(n_words, 1), 0.0)
+        return n_chars, punct_ratio, stop_ratio, n_words
 
-            sub = cpt.rows
-            nc = cpt.n_chars()
-            np_punct = cpt.count(~sh.cp_mask("word") & ~sh.cp_mask("space"))
-            wmask = sh.cp_mask("letterapo")
-            starts, lengths, rows_w = cpt.runs(wmask)
-            nw_sub = np.bincount(rows_w, minlength=cpt.n).astype(np.int64)
-            nwc_sub = cpt.count(wmask)
-            keys = ut.cp_word_keys(sh.cplow, starts, lengths)
-            skeys = np.unique(np.array(
-                [bt.pack_word(w) for w in self.stop], dtype=np.uint64))
-            pos = np.searchsorted(skeys, keys)
-            pos_c = np.minimum(pos, len(skeys) - 1)
-            hit = skeys[pos_c] == keys if len(keys) else \
-                np.zeros(0, dtype=bool)
-            sh_sub = np.bincount(rows_w[hit], minlength=cpt.n)
-            wz2 = np.maximum(nw_sub, 1)
-            n_chars[sub] = nc
-            punct_ratio[sub] = np.where(nc > 0, np_punct / np.maximum(nc, 1), 0.0)
-            stop_ratio[sub] = np.where(nw_sub > 0, sh_sub / wz2, 0.0)
-            mean_wlen[sub] = np.where(nw_sub > 0, nwc_sub / wz2, 0.0)
-        score = (
-            np.clip(n_chars / 500.0, 0, 1) * 0.3
-            + np.clip(stop_ratio * 4, 0, 1) * 0.4
-            + np.clip(1.0 - punct_ratio * 5, 0, 1) * 0.3
-        )
+    @staticmethod
+    def _n_words(d: _Rows) -> np.ndarray:
+        return np.bincount(d.letter_words()[0], minlength=d.n)
+
+    @staticmethod
+    def _n_stop(d: _Rows) -> np.ndarray:
+        rows, _, bits = d.letter_words()
+        return np.bincount(rows[bits & _EN_BIT != 0], minlength=d.n)
+
+    @staticmethod
+    def _n_word_chars(d: _Rows) -> np.ndarray:
+        rows, lengths, _ = d.letter_words()
+        return np.bincount(rows, weights=lengths, minlength=d.n).astype(np.int64)
+
+    @staticmethod
+    def _score(n_chars, punct_ratio, stop_ratio) -> np.ndarray:
+        return (np.clip(n_chars / 500.0, 0, 1) * 0.3
+                + np.clip(stop_ratio * 4, 0, 1) * 0.4
+                + np.clip(1.0 - punct_ratio * 5, 0, 1) * 0.3)
+
+    def quality(self, sh: SharedMasks) -> np.ndarray:
+        n_chars, punct_ratio, stop_ratio, _ = self._ratios(sh)
+        return self._score(n_chars, punct_ratio, stop_ratio)
+
+    def columns(self, sh: SharedMasks) -> dict:
+        n_chars, punct_ratio, stop_ratio, n_words = self._ratios(sh)
+        n_wchars = sh.per_row(self._n_word_chars)
+        mean_wlen = np.where(n_words > 0, n_wchars / np.maximum(n_words, 1), 0.0)
         return {
             "n_chars_q": pa.array(n_chars),
             "punct_ratio": pa.array(punct_ratio),
             "stop_ratio": pa.array(stop_ratio),
             "mean_word_len": pa.array(mean_wlen),
-            "quality": pa.array(score),
+            "quality": pa.array(self._score(n_chars, punct_ratio, stop_ratio)),
         }
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        sh = SharedMasks(bt.BatchText(batch[self.text_col]))
-        for name, arr in self.columns(sh).items():
-            batch = batch.append_column(name, arr)
-        return batch
+        return _append(batch, self.columns(
+            SharedMasks(bt.BatchText(batch[self.text_col]))))
+
+
+def _blake64(data) -> int:
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def _blake_rows(buf: np.ndarray, offsets: np.ndarray, rows=None) -> np.ndarray:
+    """64-bit blake2b of each row's bytes (of `rows` only, if given)."""
+    mem = memoryview(buf)
+    off = offsets.tolist()
+    rows = range(len(off) - 1) if rows is None else rows.tolist()
+    return np.array([_blake64(mem[off[i]:off[i + 1]]) for i in rows],
+                    dtype=np.uint64)
 
 
 class Fingerprint:
@@ -372,8 +472,9 @@ class Fingerprint:
     Deterministic across runs/processes (no PYTHONHASHSEED dependence).
 
     Normalization (lower, collapse whitespace, strip) runs as a
-    vectorized byte compaction; the k-gram hashes are computed in ONE
-    pass over the compacted batch buffer, then min-reduced per row."""
+    vectorized compaction in each domain; the k-gram hashes are
+    computed in ONE pass over the compacted buffer, then min-reduced
+    per row."""
 
     def __init__(self, text_col: str = "text", k: int = 8):
         self.text_col = text_col
@@ -381,9 +482,7 @@ class Fingerprint:
 
     @staticmethod
     def fnv1a(data: bytes) -> int:
-        import hashlib
-
-        return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+        return _blake64(data)
 
     def rolling_min(self, data: bytes) -> int:
         k = self.k
@@ -443,84 +542,62 @@ class Fingerprint:
                     row_min[rr] = np.minimum(row_min[rr], vals)
         return row_min
 
-    def columns(self, sh: "SharedMasks") -> dict:
-        import hashlib
+    @staticmethod
+    def _special_text(d: _Rows, li) -> bytes:
+        """Reference normalization of a U+0130/U+03A3 row."""
+        return " ".join(d.eng.row_text(int(li)).lower().split()).encode()
 
-        b = sh.b
-        buf, offsets = bt.normalize_ws_lower(b, ws=sh.mask("ws"))
-        n_rows = b.n
-        k = self.k
-        full = np.zeros(n_rows, dtype=np.uint64)
-        kmin = np.zeros(n_rows, dtype=np.uint64)
-        row_min = self._rolling_row_min(buf, offsets, n_rows, k)
-        mem = memoryview(buf)
-        blake = hashlib.blake2b
-        redo = np.zeros(n_rows, dtype=bool)
-        redo[b.nonascii_rows] = True  # skip: the cp path rehashes these
-        for i in range(n_rows):
-            if redo[i]:
-                continue
-            o0, o1 = offsets[i], offsets[i + 1]
-            data = mem[o0:o1]
-            full[i] = int.from_bytes(blake(data, digest_size=8).digest(), "little")
-            if o1 - o0 < k:
-                kmin[i] = full[i] if o1 == o0 else self.fnv1a(bytes(data))
-            else:
-                kmin[i] = row_min[i]
-        # blake(b"") == fnv1a(b"") so the o1 == o0 shortcut above is exact
-        cpt = sh.cpt
-        if cpt is not None:
-            # codepoint-domain redo of the non-ASCII rows: table-lower,
-            # Unicode-whitespace collapse, vectorized UTF-8 re-encode,
-            # shared rolling-min kernel; blake per row (same per-row
-            # hashing cost as the main loop above)
-            from . import _unitext as ut
+    def _fingerprint(self, d: _Rows) -> np.ndarray:
+        full = _blake_rows(*d.normalized())
+        for li in d.special_rows:
+            full[li] = self.fnv1a(self._special_text(d, li))
+        return full
 
-            nb, noff = ut.normalize_cp(cpt, lowered=sh.cplow)
-            sub_min = self._rolling_row_min(nb, noff, cpt.n, k)
-            smem = memoryview(nb)
-            for li in range(cpt.n):
-                o0, o1 = noff[li], noff[li + 1]
-                data = smem[o0:o1]
-                gi = cpt.rows[li]
-                full[gi] = int.from_bytes(
-                    blake(data, digest_size=8).digest(), "little")
-                if o1 - o0 < k:
-                    kmin[gi] = full[gi] if o1 == o0 else self.fnv1a(bytes(data))
-                else:
-                    kmin[gi] = sub_min[li]
-            for li in sh.cp_special_rows:  # U+0130/U+03A3 lower rule
-                gi = int(cpt.rows[li])
-                data = " ".join(cpt.row_text(int(li)).lower().split()).encode()
-                full[gi] = self.fnv1a(data)
-                kmin[gi] = self.rolling_min(data)
-        return {"fingerprint": pa.array(full, pa.uint64()),
-                "kgram_min": pa.array(kmin, pa.uint64())}
+    def _kgram_min(self, d: _Rows) -> np.ndarray:
+        buf, offsets = d.normalized()
+        kmin = self._rolling_row_min(buf, offsets, d.n, self.k)
+        # a row shorter than k has no k-gram: its sketch is its full hash
+        short = np.flatnonzero(np.diff(offsets) < self.k)
+        kmin[short] = _blake_rows(buf, offsets, short)
+        for li in d.special_rows:
+            kmin[li] = self.rolling_min(self._special_text(d, li))
+        return kmin
+
+    def fingerprint(self, sh: SharedMasks) -> np.ndarray:
+        return sh.per_row(self._fingerprint)
+
+    def columns(self, sh: SharedMasks) -> dict:
+        return {"fingerprint": pa.array(self.fingerprint(sh), pa.uint64()),
+                "kgram_min": pa.array(sh.per_row(self._kgram_min), pa.uint64())}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        sh = SharedMasks(bt.BatchText(batch[self.text_col]))
-        for name, arr in self.columns(sh).items():
-            batch = batch.append_column(name, arr)
-        return batch
+        return _append(batch, self.columns(
+            SharedMasks(bt.BatchText(batch[self.text_col]))))
 
 
 class AnalyzeText:
-    """Fused analysis stage: TokenCount + QualityScore + LangId +
-    Fingerprint over ONE BatchText with shared byte-class masks — the
-    per-kernel mask passes collapse to a single classification of the
-    batch buffer (flagship extract's hot path)."""
+    """The flagship's analysis stage: appends exactly n_tokens, quality,
+    lang_pred and fingerprint, from the same methods the standalone
+    kernels use, over ONE SharedMasks. Each row is analysed once, in
+    its own domain, and the columns the flagship drops (n_ws_tokens,
+    the quality ratios, mean_word_len, the k-gram sketch) are never
+    computed."""
 
     def __init__(self, text_col: str = "text"):
-        self.kernels = [TokenCount(text_col), QualityScore(text_col),
-                        LangId(text_col), Fingerprint(text_col)]
         self.text_col = text_col
+        self.tokens = TokenCount(text_col)
+        self.quality = QualityScore(text_col)
+        self.lang = LangId(text_col)
+        self.fp = Fingerprint(text_col)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         sh = SharedMasks(bt.BatchText(batch[self.text_col]))
-        for k in self.kernels:
-            for name, arr in k.columns(sh).items():
-                batch = batch.append_column(name, arr)
-        return batch
+        return _append(batch, {
+            "n_tokens": pa.array(self.tokens.n_tokens(sh)),
+            "quality": pa.array(self.quality.quality(sh)),
+            "lang_pred": self.lang.lang_pred(sh),
+            "fingerprint": pa.array(self.fp.fingerprint(sh), pa.uint64()),
+        })
 
 
 class ScrubPII:

@@ -163,7 +163,7 @@ def _rng_cooked() -> list[int]:
     if _cooked_cache is None:
         vec0 = _seed_vec(1, 20, 10)
         vec = _jump_state(vec0, _N_COOKED_STEPS)
-        _cooked_cache = [v & MASK63 for v in vec]
+        _cooked_cache = vec  # full 64-bit words, as Go's rngCooked
     return _cooked_cache
 
 
@@ -192,9 +192,8 @@ class GoRand:
         self._g = _RawLFG(vec)
 
     def uint64(self) -> int:
-        """Not Go-parity in bit 63: the cooked table is kept masked to
-        63 bits (_rng_cooked), while Go's rngCooked holds full 64-bit
-        words. Every other method drops bit 63, so they stay bit-exact."""
+        """rand.Uint64: the raw 64-bit state word (the cooked table keeps
+        bit 63, so this is Go-exact too; Int63 and friends drop it)."""
         return self._g.step()
 
     def int63(self) -> int:

@@ -18,7 +18,7 @@ import re
 import numpy as np
 import pyarrow as pa
 
-# the analysis columns (functions.text.AnalyzeText) the flagship keeps
+# the columns functions.text.AnalyzeText appends: all the flagship keeps
 ANALYSIS_COLUMNS = ("n_tokens", "quality", "lang_pred", "fingerprint")
 
 
@@ -221,22 +221,26 @@ class ExtractGeotags:
         if fb:
             # rows the fast path cannot reproduce byte-exactly (invalid
             # UTF-8 needing errors="replace", or a cross-row regex
-            # phantom). Patch in BINARY space: the unpatched rows still
-            # hold raw invalid bytes, which a string-side to_pylist
-            # would refuse to decode.
-            raw = pa.compute.cast(texts_arr, pa.large_binary()).to_pylist()
-            for i in fb:
-                h = batch["html"][i].as_py()
+            # phantom): only those go through extract_one. The column is
+            # assembled in BINARY space — the unpatched copies of those
+            # rows hold raw invalid bytes — by one take over [fast rows,
+            # patched rows], then validated back to a string column.
+            patched = []
+            for i, h in zip(fb, batch["html"].take(fb).to_pylist()):
                 text, tags = self.extract_one(h)
-                raw[i] = text.encode()
+                patched.append(text.encode())
                 if tags:
                     lats[i], lons[i] = tags[0]
                     n_tags[i] = len(tags)
                 else:
                     lats[i] = lons[i] = np.nan
                     n_tags[i] = 0
-            texts_arr = pa.compute.cast(
-                pa.array(raw, pa.large_binary()), pa.large_string())
+            src = np.arange(len(lats))
+            src[fb] = len(lats) + np.arange(len(fb))
+            texts_arr = pa.compute.cast(pa.concat_arrays([
+                pa.compute.cast(texts_arr, pa.large_binary()),
+                pa.array(patched, pa.large_binary())]).take(src),
+                pa.large_string())
         return texts_arr, lats, lons, n_tags
 
     def extract(self, batch: pa.Table) -> pa.Table:

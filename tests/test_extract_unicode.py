@@ -43,9 +43,8 @@ INVALID_HTMLS = [
     b"<html><body>broken \xff\xfe bytes</body></html>",
     b"<html><body>overlong \xc0\xaf here</body></html>",
     b"<html><body>trunc \xe2\x82</body></html>",
-    ('<html><head><meta name="geo.position" content="1.5;2.5"></head>'
-     "<body>geo then bad \xed\xa0\x80</body></html>"
-     .encode("utf-8", "surrogatepass")),
+    (b'<html><head><meta name="geo.position" content="1.5;2.5"></head>'
+     b"<body>geo then bad \xed\xa0\x80</body></html>"),  # UTF-8 surrogate
 ]
 
 
@@ -123,3 +122,31 @@ def test_unicode_fuzz_extract(monkeypatch):
         for i, (rt, rn, rc) in enumerate(ref):
             assert out["text"][i].as_py() == rt, (trial, htmls[i])
             assert out["n_geotags"][i].as_py() == rn, (trial, htmls[i])
+
+
+def test_fallback_rows_patched_in_large_batch(monkeypatch):
+    """A 2,048-row page batch with invalid-UTF-8 rows at its start,
+    middle and end: only those rows (and at most a neighbor each) take
+    extract_one, and every row equals extract_one, text and geotags."""
+    from simplefeatures_ray.sources.pages import gen_pages_batch
+
+    pages = gen_pages_batch(
+        pa.table({"id": pa.array(np.arange(2048, dtype=np.int64))}), intl=True)
+    htmls = pages["html"].to_pylist()
+    bad = {0: INVALID_HTMLS[0], 1024: INVALID_HTMLS[3], 2047: INVALID_HTMLS[2]}
+    for i, h in bad.items():
+        htmls[i] = h
+    ex = ExtractGeotags()
+    ref = _reference(ex, htmls)
+    calls = []
+    orig = ex.extract_one
+    monkeypatch.setattr(ex, "extract_one", lambda h: (calls.append(h), orig(h))[1])
+    out = ex.extract(_mk_batch(htmls))
+    assert len(bad) <= len(calls) <= 2 * len(bad)
+    assert out["text"].to_pylist() == [r[0] for r in ref]
+    assert out["n_geotags"].to_pylist() == [r[1] for r in ref]
+    for i, (_, n, (la, lo)) in enumerate(ref):
+        if n:
+            assert (out["lat"][i].as_py(), out["lon"][i].as_py()) == (la, lo), i
+        else:
+            assert np.isnan(out["lat"][i].as_py()), i

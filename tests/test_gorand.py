@@ -50,3 +50,18 @@ def test_shuffle_is_deterministic():
     GoRand(0).shuffle(20, swap_a)
     GoRand(0).shuffle(20, swap_b)
     assert a == b and sorted(a) == list(range(20)) and a != list(range(20))
+
+
+def test_cooked_table_keeps_bit63():
+    """The cooked table is Go's rngCooked word for word, negatives (bit 63)
+    included, so uint64() matches Go's Uint64 in every bit; int63() is
+    the same draw with bit 63 dropped."""
+    from simplefeatures_ray.gorand import MASK63, _rng_cooked
+
+    go_head = [-4181792142133755926, -4576982950128230565, 1395769623340756751,
+               5333664234075297259, -6347679516498800754, 9033628115061424579]
+    assert _rng_cooked()[:6] == [v % (1 << 64) for v in go_head]
+    a, b = GoRand(1), GoRand(1)
+    draws = [a.uint64() for _ in range(64)]
+    assert [d & MASK63 for d in draws] == [b.int63() for _ in range(64)]
+    assert any(d >> 63 for d in draws)

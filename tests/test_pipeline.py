@@ -214,3 +214,12 @@ def test_flagship_on_intl_corpus(ray_session):
     ha = hashlib.sha256(a.to_csv(index=False).encode()).hexdigest()
     hb = hashlib.sha256(b.to_csv(index=False).encode()).hexdigest()
     assert ha == hb
+    # pin, like GOLDEN_FLAGSHIP_3000: a change to the intl analysis
+    # values that is consistent at both parallelisms must still show
+    assert ha == GOLDEN_FLAGSHIP_INTL_3000, ha
+
+
+# same canonical digest as GOLDEN_FLAGSHIP_3000, over the ~60%-non-ASCII
+# corpus pages_dataset(3000, intl=True); pinned 2026-10-19, before the
+# one-domain-per-row analysis, which left it unchanged
+GOLDEN_FLAGSHIP_INTL_3000 = "57497c8b67c5c6a68ca3a273cf2e6a44a260735a3be04ed6057e03186c1dc89f"

@@ -112,16 +112,76 @@ def test_no_per_row_fallback_for_plain_unicode(monkeypatch):
     assert calls == ["İzmir here"]
 
 
+ANALYSIS = ("n_tokens", "quality", "lang_pred", "fingerprint")
+
+
+def _singles(tbl):
+    for k in (TokenCount(), QualityScore(), LangId(), Fingerprint()):
+        tbl = k(tbl)
+    return tbl
+
+
+def _assert_analyze_matches_singles(texts):
+    """AnalyzeText appends exactly the four kept columns, each equal (values
+    and type) to the standalone kernel's column on the same batch."""
+    tbl = pa.table({"text": texts})
+    fused = AnalyzeText()(tbl)
+    assert fused.column_names == ["text", *ANALYSIS]
+    singles = _singles(tbl)
+    for col in ANALYSIS:
+        assert fused[col].equals(singles[col]), col
+
+
 def test_analyze_fused_matches_singles():
-    """AnalyzeText (shared masks + shared CPText) == running each kernel
-    separately, on a mixed ASCII / non-ASCII / special batch."""
+    """AnalyzeText == running each kernel separately, on a mixed ASCII /
+    non-ASCII / special batch; the columns AnalyzeText drops are checked
+    on the standalone kernels against the per-row references."""
     rows = ["don't stop", "l'équipe a gagné", "İstanbul ΣΙΓΜΑ",
             "中文 test 123", "", "the and of to a in"]
-    tbl = pa.table({"text": pa.array(rows, pa.string())})
-    fused = AnalyzeText()(tbl)
-    singles = tbl
-    for k in (TokenCount(), QualityScore(), LangId(), Fingerprint()):
-        singles = k(singles)
-    for col in ("n_tokens", "n_ws_tokens", "quality", "lang_pred",
-                "fingerprint", "kgram_min"):
-        assert fused[col].to_pylist() == singles[col].to_pylist(), col
+    _assert_analyze_matches_singles(pa.array(rows, pa.string()))
+    singles = _singles(pa.table({"text": pa.array(rows, pa.string())}))
+    fp = Fingerprint()
+    for i, t in enumerate(rows):
+        assert singles["n_ws_tokens"][i].as_py() == len(t.split())
+        data = " ".join(t.lower().split()).encode()
+        assert singles["kgram_min"][i].as_py() == fp.rolling_min(data)
+
+
+def test_analyze_matches_singles_on_intl_pages():
+    """The one-domain-per-row split is bit-identical to the standalone
+    kernels on every row of the ~60%-non-ASCII page corpus and on slices
+    of it (the ASCII/non-ASCII mix and row offsets change per slice)."""
+    from simplefeatures_ray.sources.pages import gen_pages_batch
+
+    texts = gen_pages_batch(
+        pa.table({"id": pa.array(np.arange(4096, dtype=np.int64))}),
+        intl=True)["text"]
+    _assert_analyze_matches_singles(texts)
+    for start, n in ((7, 1), (1000, 333), (2048, 2048)):
+        _assert_analyze_matches_singles(texts.slice(start, n))
+
+
+@pytest.mark.parametrize("rows", [
+    ["plain ascii", "the and of", "x'y 12_3 it's", "  ", "a"],     # all ASCII
+    ["café", "中文 字", "É UM", "l'équipe 123", "Привет и"],         # none ASCII
+    [],                                                              # zero rows
+    [None, "", "the dog", None, "é", ""],                            # null/empty
+    ["İstanbul is", "the end", None, "ΣΙΓΜΑ τελικός le", "", "中文",
+     "x'abC'd", "ΟΔΥΣΣΕΥΣ"],                                          # specials
+], ids=["ascii", "nonascii", "empty", "nulls", "specials"])
+def test_analyze_matches_singles_edge_batches(rows):
+    texts = pa.array(rows, pa.string())
+    _assert_analyze_matches_singles(texts)
+    # and both equal the per-row references, row by row
+    out = AnalyzeText()(pa.table({"text": texts}))
+    tc, q, lid = TokenCount(), QualityScore(), LangId()
+    for i, t in enumerate(rows):
+        t = t or ""
+        nc, pr, sr, _ = q._row_reference(t)
+        score = (min(max(nc / 500.0, 0), 1) * 0.3 + min(max(sr * 4, 0), 1) * 0.4
+                 + min(max(1.0 - pr * 5, 0), 1) * 0.3)
+        data = " ".join(t.lower().split()).encode()
+        assert out["n_tokens"][i].as_py() == len(tc.re.findall(t)), repr(t)
+        assert out["quality"][i].as_py() == score, repr(t)
+        assert out["lang_pred"][i].as_py() == lid.classify(t), repr(t)
+        assert out["fingerprint"][i].as_py() == Fingerprint.fnv1a(data), repr(t)

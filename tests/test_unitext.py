@@ -187,7 +187,7 @@ def test_decode_encode_roundtrip_fuzz():
             cps = cps[(cps < 0xD800) | (cps >= 0xE000)]
             rows.append("".join(map(chr, cps.tolist())).encode())
         b = _bt(rows)
-        cp, cp_off, _ = ut.decode_utf8(b)
+        cp, cp_off = ut.decode_utf8(b)
         for i, raw in enumerate(rows):
             ref = np.array([ord(c) for c in raw.decode()], dtype=np.uint32)
             got = cp[cp_off[i]:cp_off[i + 1]]
@@ -195,6 +195,31 @@ def test_decode_encode_roundtrip_fuzz():
         # encode back
         buf, off = ut.encode_utf8(cp)
         assert bytes(buf.tolist()) == b"".join(rows)
+
+
+def test_decode_invalid_rows_keep_valid_rows_exact():
+    """A buffer with invalid bytes takes the numpy decoder: every row
+    still gets one cp per non-continuation byte, and the valid rows
+    decode exactly."""
+    rows = ["café".encode(), b"bad \xff\xfe", "日本".encode(), b"\xe2\x82",
+            b"", "ok é".encode(), b"\xed\xa0\x80 surrogate"]
+    b = _bt(rows)
+    cp, cp_off = ut.decode_utf8(b)
+    assert len(cp) == cp_off[-1]
+    for i, raw in enumerate(rows):
+        assert cp_off[i + 1] - cp_off[i] == sum((c & 0xC0) != 0x80 for c in raw)
+        try:
+            ref = [ord(c) for c in raw.decode()]
+        except UnicodeDecodeError:
+            continue
+        assert cp[cp_off[i]:cp_off[i + 1]].tolist() == ref, raw
+
+
+def test_encode_passes_surrogates():
+    cp = np.array([0xD800, 0x41, 0x10FFFF, 0xE9], dtype=np.uint32)
+    buf, off = ut.encode_utf8(cp)
+    assert bytes(buf) == b"\xed\xa0\x80A\xf4\x8f\xbf\xbf\xc3\xa9"
+    assert off.tolist() == [0, 3, 4, 8, 10]
 
 
 def test_cptext_runs_and_lower():
