@@ -449,46 +449,19 @@ def docs_quality(sf_dir: str):
 
 def _quality_features_ds(sf_dir: str):
     """documents -> (doc_id, n_chars, punct_ratio, stop_ratio) with
-    UNROUNDED ratios — shared by docs_quality_metrics (which rounds at
-    the gate boundary) and docs_quality_classifier (which needs full
-    precision inside the logistic)."""
-    import re
-
+    UNROUNDED ratios (functions.text.QualityScore's features) — shared by
+    docs_quality_metrics (which rounds at the gate boundary) and
+    docs_quality_classifier (which needs full precision inside the
+    logistic)."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    word_re = re.compile(r"[A-Za-z']+")
-    punct_re = re.compile(r"[^\w\s]")
-    stop = ("the", "and", "of", "a", "to", "in", "is", "that", "for", "it")
 
     def kernel(t: pa.Table) -> pa.Table:
-        # vectorized byte-class path mirroring functions.text.QualityScore
-        # (letter|apostrophe word runs, [^\w\s] punctuation); non-ASCII
-        # rows fall back to the exact regex reference
-        from simplefeatures_ray.functions import _bytetext as bt
+        from simplefeatures_ray.functions.text import QualityScore
 
-        b = bt.BatchText(t["text"])
-        word_mask = bt.letter_mask(b.buf) | bt.apo_mask(b.buf)
-        n_chars = np.diff(b.offsets).astype(np.int64)
-        n_punct = b.count(~bt.word_mask(b.buf) & ~bt.ws_mask(b.buf))
-        hits, n_words = bt.stop_hits(b, word_mask, [frozenset(stop)])
-        punct_ratio = np.where(n_chars > 0,
-                               n_punct / np.maximum(n_chars, 1), 0.0)
-        stop_ratio = np.where(n_words > 0,
-                              hits[0] / np.maximum(n_words, 1), 0.0)
-        for i in b.nonascii_rows:
-            s = b.row_text(int(i))
-            words = word_re.findall(s)
-            n_chars[i] = len(s)
-            punct_ratio[i] = len(punct_re.findall(s)) / max(1, len(s)) if s else 0.0
-            stop_ratio[i] = (sum(1 for w in words if w.lower() in stop)
-                             / len(words)) if words else 0.0
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "n_chars": pa.array(n_chars),
-                "punct_ratio": pa.array(punct_ratio.astype(np.float64)),
-                "stop_ratio": pa.array(stop_ratio.astype(np.float64)),
-            }
-        )
+        q = QualityScore()(t)
+        return pa.table({"doc_id": t["doc_id"], "n_chars": q["n_chars_q"],
+                         "punct_ratio": q["punct_ratio"],
+                         "stop_ratio": q["stop_ratio"]})
 
     return ds.map_batches(kernel, batch_format="pyarrow")
 

@@ -51,11 +51,6 @@ _LOW_TBL = np.arange(256, dtype=np.uint8)
 _LOW_TBL[65:91] += 32
 
 
-def lower_bytes(b: np.ndarray) -> np.ndarray:
-    # one table gather (the 2-compare + where formulation was 4 passes)
-    return _LOW_TBL[b]
-
-
 _MUL = np.uint64(0x0101010101010101)
 _S56 = np.uint64(56)
 # first r bytes of a little-endian uint64 word, r = 0..7
@@ -427,23 +422,6 @@ def key_bits(table, keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         return np.zeros(len(keys), dtype=np.uint64)
     pos = np.minimum(np.searchsorted(tk, keys), len(tk) - 1)
     return np.where((tk[pos] == keys) & (lengths <= 8), tb[pos], np.uint64(0))
-
-
-def stop_hits(bt: BatchText, mask: np.ndarray, stop_sets):
-    """Per-row stopword-hit counts for one or more stopword sets sharing
-    one word-run pass over the class `mask` (ASCII rows). Returns
-    (scores [S, n], n_words_per_row)."""
-    starts, lengths, row_ids = bt.runs(mask)
-    n_words = np.bincount(row_ids, minlength=bt.n).astype(np.int64)
-    bits = key_bits(stop_table(stop_sets),
-                    word_keys(bt.low8, starts, lengths), lengths)
-    hit = np.flatnonzero(bits)
-    rows, bits = row_ids[hit], bits[hit]
-    out = np.zeros((len(stop_sets), bt.n), dtype=np.int64)
-    for si in range(len(stop_sets)):
-        out[si] = np.bincount(rows[(bits >> np.uint64(si)) & np.uint64(1) != 0],
-                              minlength=bt.n)
-    return out, n_words
 
 
 def kept_ws_start_mask(eng: SeqRuns, w: np.ndarray) -> np.ndarray:

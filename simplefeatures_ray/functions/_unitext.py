@@ -188,20 +188,6 @@ def invalid_utf8_rows(bt) -> np.ndarray:
     return np.unique(rows)
 
 
-def special_lower_rows(bt) -> np.ndarray:
-    """Rows containing U+0130 (C4 B0) or U+03A3 (CE A3) — the
-    special-casing codepoints the 1:1 lower table cannot represent."""
-    buf = bt.buf
-    if len(buf) < 2:
-        return np.zeros(0, dtype=np.int64)
-    hit = ((buf[:-1] == 0xC4) & (buf[1:] == 0xB0)) | \
-          ((buf[:-1] == 0xCE) & (buf[1:] == 0xA3))
-    pos = np.nonzero(hit)[0]
-    if not len(pos):
-        return pos
-    return np.unique(np.searchsorted(bt.offsets, pos, side="right") - 1)
-
-
 # ---------------------------------------------------------------------------
 # multi-byte Unicode whitespace at the byte level
 
