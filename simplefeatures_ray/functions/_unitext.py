@@ -236,7 +236,8 @@ def decode_utf8(bt):
     counted from its bytes alone. Exact for valid rows. A valid buffer
     (any Arrow string column) decodes in CPython's C codecs; a buffer
     with invalid bytes decodes in numpy, garbage for the invalid rows
-    only. No Python per row."""
+    only, every codepoint below 0x110000 (U+FFFD past it). No Python per
+    row."""
     buf, offsets = bt.buf, bt.offsets
     cont = (buf & 0xC0) == 0x80
     cp_offsets = offsets - _bt._mask_prefix_at(cont.view(np.uint8), offsets)
@@ -261,6 +262,8 @@ def decode_utf8(bt):
         if m.any():
             p = np.minimum(lead_pos[m] + j, L - 1)
             cp[m] = (cp[m] << np.uint32(6)) | (buf[p] & np.uint32(0x3F))
+    # F5-FF leads (and F4 90+) reach past U+10FFFF, off every class table
+    cp[cp >= 0x110000] = 0xFFFD
     return cp, cp_offsets
 
 

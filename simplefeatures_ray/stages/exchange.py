@@ -14,7 +14,8 @@ Both waves are sized to the cluster, not to the key domain, so the task
 and object counts do not grow with blocks × partitions:
   * SPLIT: one task per COALESCED RUN of consecutive upstream blocks.
     A run ends before its blocks' metadata size would pass
-    DataContext.target_max_block_size, or at _FANIN blocks. The task
+    DataContext.target_max_block_size, or at _FANIN blocks (block_runs,
+    the rule the flagship's coalesce-and-count wave shares). The task
     concatenates the run and cuts it into R shard objects, one per
     reduce group.
   * REDUCE: R = min(P, 2 × cluster CPUs) tasks. Group g owns the
@@ -149,32 +150,40 @@ def _reduce_group(fn, empty, empty_out, drop_cols, part_col, counts,
     return pa.concat_tables(outs, promote_options="permissive")
 
 
-def _split(bundles, part_col: str, n_parts: int, n_groups: int) -> list:
-    """Launch the split wave over the blocks of one input's RefBundle
-    stream; returns one row of n_groups shard refs per split (or per
-    fan-in concat) task."""
-    import ray
+def block_runs(bundles):
+    """Cut a RefBundle stream into runs of consecutive block refs, as it
+    arrives: a run ends before its blocks' metadata size would pass
+    DataContext.target_max_block_size, or at _FANIN blocks. The one
+    run rule of the engine: the exchange's split wave and the flagship's
+    coalesce-and-count wave (pipelines/geotag) both cut by it."""
     from ray.data import DataContext
 
-    split_task = ray.remote(num_returns=n_groups)(_split_run)
     target = DataContext.get_current().target_max_block_size
-
-    def launch(run):
-        s = split_task.remote(part_col, n_parts, n_groups, *run)
-        return [s] if n_groups == 1 else s
-
-    splits, run, size = [], [], 0
+    run, size = [], 0
     for bundle in bundles:
         for ref, meta in bundle.blocks:
             nbytes = meta.size_bytes
             if run and (len(run) == _FANIN
                         or (target is not None and size + nbytes > target)):
-                splits.append(launch(run))
+                yield run
                 run, size = [], 0
             run.append(ref)
             size += nbytes
     if run:
-        splits.append(launch(run))
+        yield run
+
+
+def _split(bundles, part_col: str, n_parts: int, n_groups: int) -> list:
+    """Launch the split wave over the blocks of one input's RefBundle
+    stream; returns one row of n_groups shard refs per split (or per
+    fan-in concat) task."""
+    import ray
+
+    split_task = ray.remote(num_returns=n_groups)(_split_run)
+    splits = []
+    for run in block_runs(bundles):
+        s = split_task.remote(part_col, n_parts, n_groups, *run)
+        splits.append([s] if n_groups == 1 else s)
     # fan-in guard: a reduce over 10^5+ split tasks would put every
     # shard ref in ONE task spec. Insert a tree level: concat shard runs
     # of <=_FANIN per group first, so no task takes more than _FANIN

@@ -3,11 +3,13 @@
 encode_cells: stateless map_batches kernel, lon/lat -> uint64 cell at a
 resolution (vectorized Morton/Web-Mercator, simplefeatures_ray.cells).
 
-cell_histogram: two-stage (combiner + final) count per cell — the partial
-aggregation inside map_batches keeps hot 'urban' cells from skewing the
-groupby shuffle (SURVEY.md §2.6 / FP-Hadoop two-stage pattern): each
-block contributes at most one row per distinct cell, so the all-to-all
-exchange carries |cells| rows, not |pages|.
+cell_histogram: two-stage (combiner + final) count per cell, the
+FP-Hadoop two-stage pattern (SURVEY.md §2.6): the combiner,
+partial_cell_counts, runs in the flagship's coalesce tasks
+(pipelines/geotag), the pass that already holds the rows, and emits one
+row per distinct cell per run; the final sum runs on the driver over
+|cells| x |runs| rows. No groupby exchange and no second pass over the
+page rows, and hot 'urban' cells cost one row per run.
 
 assign_tiles: deterministic tile ids from the per-cell histogram —
 tile_id is the rank of the cell in (count desc, cell asc) order, so the
@@ -38,10 +40,12 @@ def encode_cells(res: int, x_col: str = "lon", y_col: str = "lat",
 
 
 def partial_cell_counts(cell_col: str = "cell"):
-    """Combiner: one (cell, partial n) row per distinct cell per batch."""
+    """Combiner: one (cell, partial n) row per distinct cell per batch;
+    a schema-less batch (Ray's zero-row block) counts nothing."""
 
     def kernel(batch: pa.Table) -> pa.Table:
-        cells = np.asarray(batch[cell_col].drop_null(), dtype=np.uint64)
+        cells = (np.asarray(batch[cell_col].drop_null(), dtype=np.uint64)
+                 if cell_col in batch.column_names else np.zeros(0, np.uint64))
         uniq, counts = np.unique(cells, return_counts=True)
         return pa.table(
             {
@@ -53,19 +57,13 @@ def partial_cell_counts(cell_col: str = "cell"):
     return kernel
 
 
-def cell_histogram(ds, cell_col: str = "cell"):
-    """Dataset of rows with `cell` -> pyarrow Table of (cell, n_pages).
-
-    Combiner pattern: per-batch partial counts (np.unique) stream to the
-    driver as |cells| x |blocks| rows and combine there — no groupby
-    exchange of the page rows (the histogram is bounded by 4^res cells,
-    independent of page count)."""
-    from ..functions.relational import collect_table
-
-    partial = ds.map_batches(partial_cell_counts(cell_col), batch_format="pyarrow")
-    tbl = collect_table(partial)
-    cells = np.asarray(tbl[cell_col], dtype=np.uint64)
-    counts = np.asarray(tbl["n"], dtype=np.int64)
+def cell_histogram(partials, cell_col: str = "cell") -> pa.Table:
+    """partial_cell_counts tables -> pyarrow Table of (cell, n_pages):
+    the combiner's final stage, one sum per cell on the driver."""
+    cells = np.concatenate([np.zeros(0, np.uint64)] + [
+        np.asarray(p[cell_col], dtype=np.uint64) for p in partials])
+    counts = np.concatenate([np.zeros(0, np.int64)] + [
+        np.asarray(p["n"], dtype=np.int64) for p in partials])
     uniq, inv = np.unique(cells, return_inverse=True)
     totals = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(totals, inv, counts)

@@ -132,3 +132,21 @@ def test_topk_explicit_ties_no_probe(ray_session):
         rows = top.take_all()
     assert len(calls) == 1, f"topk ran {len(calls)} executions"
     assert [r["k"] for r in rows] == [6, 5]
+
+
+def test_flagship_job_two_executions(ray_session, tmp_path):
+    """A flagship job (geotag_join_tiles + checkpointed_write) is two Ray
+    Data executions: the upstream (read -> geotag task), drained once by
+    the coalesce-and-count wave, and the sink's map (assign -> Project ->
+    add_bucket). No materialize() and no histogram execution."""
+    from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
+    from simplefeatures_ray.sources.pages import pages_dataset
+    from simplefeatures_ray.sources.polygons import make_polygons
+    from simplefeatures_ray.state.checkpoint import checkpointed_write
+
+    with _count_execs() as calls:
+        out = geotag_join_tiles(pages_dataset(3000), make_polygons(64))
+        manifest = checkpointed_write(out, str(tmp_path), partition_col="tile_id")
+    assert manifest["total_rows"] > 0
+    assert len(calls) == 2, calls
+    assert "geotag_block" in calls[0] and "add_bucket" in calls[1], calls

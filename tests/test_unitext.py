@@ -215,6 +215,25 @@ def test_decode_invalid_rows_keep_valid_rows_exact():
         assert cp[cp_off[i]:cp_off[i + 1]].tolist() == ref, raw
 
 
+@pytest.mark.parametrize("raw", [b"bad \xf7\xbf\xbf\xbf x", b"big \xf4\x90\x80\x80 y"])
+@pytest.mark.parametrize("kernel", ["TokenCount", "QualityScore", "LangId",
+                                    "Fingerprint", "AnalyzeText"])
+def test_out_of_range_lead_bytes_decode_in_range(kernel, raw):
+    """An F5-F7 lead (or F4 90+) decodes past U+10FFFF in the numpy
+    fallback; it must come out as U+FFFD, so every analyser returns a
+    row instead of indexing past its class tables. The string column is
+    built with from_buffers, as the extract stage builds its text."""
+    from simplefeatures_ray.functions import text
+
+    cp, _ = ut.decode_utf8(_bt([raw]))
+    assert cp.max() < 0x110000 and 0xFFFD in cp.tolist()
+    col = pa.Array.from_buffers(pa.string(), 1, [
+        None, pa.py_buffer(np.array([0, len(raw)], np.int32).tobytes()),
+        pa.py_buffer(raw)])
+    out = getattr(text, kernel)()(pa.table({"text": col}))
+    assert out.num_rows == 1
+
+
 def test_encode_passes_surrogates():
     cp = np.array([0xD800, 0x41, 0x10FFFF, 0xE9], dtype=np.uint32)
     buf, off = ut.encode_utf8(cp)
