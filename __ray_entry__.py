@@ -1113,17 +1113,13 @@ def docs_cc_pipeline(sf_dir: str):
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     N_B = 32
 
-    def bucket(t: pa.Table) -> pa.Table:
-        i = t.schema.get_field_index("doc_id")
-        t = t.set_column(i, "doc_id", pc.cast(t["doc_id"], pa.int64()))
-        return add_partition(t, ["doc_id"], N_B)
-
     def ids(t: pa.Table):
         # a leg without rows anywhere arrives schema-less
-        return t["doc_id"] if t.num_columns else pa.array([], pa.int64())
+        return (pc.cast(t["doc_id"], pa.int64()) if t.num_columns
+                else pa.array([], pa.int64()))
 
     def resolve(qual, exact, loser, docs):
-        d = docs["doc_id"]
+        d = ids(docs)
         ok = pc.and_(pc.and_(pc.is_in(d, value_set=ids(qual)),
                              pc.is_in(d, value_set=ids(exact))),
                      pc.invert(pc.is_in(d, value_set=ids(loser))))
@@ -1135,12 +1131,10 @@ def docs_cc_pipeline(sf_dir: str):
                          "chars_sum": pc.cast(out["chars_sum"], pa.int64())})
 
     from simplefeatures_ray.functions._arrow import aggregate
-    from simplefeatures_ray.functions.relational import add_partition
     from simplefeatures_ray.stages.exchange import hash_exchange
 
-    part = hash_exchange(tuple(x.map_batches(bucket, batch_format="pyarrow")
-                               for x in (keepq, exact_keep, losers, docs)),
-                         N_B, resolve, part_col="__part", drop_part_col=True)
+    part = hash_exchange((keepq, exact_keep, losers, docs), N_B, resolve,
+                         ["doc_id"])
     out = grouped_agg(part, "lang", {"n_docs": ("n_docs", "sum"),
                                      "chars_sum": ("chars_sum", "sum")})
 
@@ -1350,9 +1344,7 @@ def events_retention_cohorts(sf_dir: str):
         _, idx = np.unique(key, return_index=True)
         uid, day = uid[idx], day[idx]
         return pa.table({"user_id": pa.array(uid),
-                         "day": pa.array(day, pa.int64()),
-                         "__part": pa.array(
-                             (uid % n_parts).astype(np.int32))})
+                         "day": pa.array(day, pa.int64())})
 
     pairs = ds.map_batches(to_day, batch_format="pyarrow")
 
@@ -1369,7 +1361,8 @@ def events_retention_cohorts(sf_dir: str):
                                                      grouped_order)
     from simplefeatures_ray.stages.exchange import hash_exchange
 
-    part = hash_exchange(pairs, n_parts, resolve, part_col="__part")
+    part = hash_exchange(pairs, n_parts, resolve,
+                         lambda t: np.asarray(t["user_id"]) % n_parts)
     return grouped_agg(part, ["cohort_day", "offset_days"],
                        {"n_users": ("n_users", "sum")})
 
@@ -1935,7 +1928,6 @@ def docs_incremental_dedup(sf_dir: str):
             "doc_id": pa.array(ids),
             "fp": pa.array(fpv),
             "__old": pa.array((ids % 3 != 0)),
-            "__bucket": pa.array((fpv % n_b).astype(np.int32)),
         })
 
     fps = ds.map_batches(fp, batch_format="pyarrow") \
@@ -1951,7 +1943,7 @@ def docs_incremental_dedup(sf_dir: str):
 
     from simplefeatures_ray.stages.exchange import hash_exchange
 
-    return hash_exchange(fps, n_b, anti, part_col="__bucket")
+    return hash_exchange(fps, n_b, anti, lambda t: np.asarray(t["fp"]) % n_b)
 
 
 def docs_stratified_sample(sf_dir: str):
@@ -3968,7 +3960,6 @@ def raster_tiles(sf_dir: str):
     synthetic pages — the static oracle inlines exactly that recompute,
     so the gate is exact at every sf dir); entry()/bench scale the same
     pipeline with sf."""
-    from simplefeatures_ray.functions.relational import add_partition
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
     from simplefeatures_ray.raster import RasterizeTiles
     from simplefeatures_ray.sources.pages import read_pages
@@ -3999,10 +3990,7 @@ def raster_tiles(sf_dir: str):
     # co-partition on the cell index (cell % n_parts): each partition
     # rasterizes its whole cells in one kernel call
     n_parts = 64
-    pts = pts.map_batches(lambda t: add_partition(t, ["cell"], n_parts),
-                          batch_format="pyarrow")
-    out = hash_exchange(pts, n_parts, RasterizeTiles(width=64, height=64),
-                        part_col="__part", drop_part_col=True)
+    out = hash_exchange(pts, n_parts, RasterizeTiles(width=64, height=64), ["cell"])
     return out.select_columns(["cell", "width", "height", "coverage"])
 
 

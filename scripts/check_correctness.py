@@ -6,6 +6,7 @@ Usage: python scripts/check_correctness.py [sf_dir] [query ...]
 """
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -44,7 +45,7 @@ def main():
     only = set(sys.argv[2:])
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
+    ray.init(address="local", num_cpus=os.cpu_count(), include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
 
@@ -57,7 +58,7 @@ def main():
         "ray.data._internal.execution.streaming_executor_state"
     ).setLevel(logging.ERROR)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()

@@ -53,12 +53,11 @@ def lonlat_to_cell(lon, lat, res: int) -> np.ndarray:
     if not (0 <= res <= MAX_RES):
         raise ValueError(f"resolution must be 0..{MAX_RES}")
     x, y = mercator_xy(lon, lat)
-    n = np.uint64(1) << np.uint64(res)
     scale = float(1 << res)
-    ix = np.minimum(np.floor(x * scale), scale - 1).astype(np.uint64)
-    iy = np.minimum(np.floor(y * scale), scale - 1).astype(np.uint64)
-    ix = np.maximum(ix, np.uint64(0))
-    iy = np.maximum(iy, np.uint64(0))
+    # clamp in float: a negative index (lat at the Mercator clamp gives
+    # y ~ -6e-12, lon < -180 gives x < 0) would wrap in the uint64 cast
+    ix = np.clip(np.floor(x * scale), 0, scale - 1).astype(np.uint64)
+    iy = np.clip(np.floor(y * scale), 0, scale - 1).astype(np.uint64)
     morton = _spread_bits(ix) | (_spread_bits(iy) << np.uint64(1))
     return (np.uint64(1) << np.uint64(2 * res)) | morton
 

@@ -145,13 +145,8 @@ def _finish_combine(partial, keys, combine, final):
 
         return final(collect_table(partial))
     from ..stages.exchange import hash_exchange
-    from .relational import add_partition
 
-    n_parts = 64
-    parted = partial.map_batches(lambda t: add_partition(t, keys, n_parts),
-                                 batch_format="pyarrow")
-    return hash_exchange(parted, n_parts, final, part_col="__part",
-                         drop_part_col=True)
+    return hash_exchange(partial, 64, final, list(keys))
 
 
 def rollup_agg(ds, keys, spec: dict, grouping: str = "rollup",

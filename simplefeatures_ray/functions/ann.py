@@ -37,7 +37,6 @@ def merge_topk(partial, k: int, id_col: str, n_parts: int):
     vectorized (cosine desc, id asc) rank per query inside each
     partition. Adds rank (0 = best)."""
     from ..stages.exchange import hash_exchange
-    from .relational import add_partition
 
     def merge(t: pa.Table) -> pa.Table:
         idx, _, rank = grouped_order(
@@ -45,10 +44,7 @@ def merge_topk(partial, k: int, id_col: str, n_parts: int):
         keep = rank < k
         return t.take(idx[keep]).append_column("rank", pa.array(rank[keep]))
 
-    parted = partial.map_batches(lambda t: add_partition(t, ["query_id"], n_parts),
-                                 batch_format="pyarrow")
-    return hash_exchange(parted, n_parts, merge, part_col="__part",
-                         drop_part_col=True)
+    return hash_exchange(partial, n_parts, merge, ["query_id"])
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -377,19 +373,16 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
 
     sigs = ds.map_batches(sig_fn, batch_format="pyarrow")
 
-    def add_part(t: pa.Table) -> pa.Table:
+    def lsh_part(t: pa.Table) -> np.ndarray:
         with np.errstate(over="ignore"):
             h = (np.asarray(t["lsh_bucket"], dtype=np.uint64)
                  * np.uint64(0x9E3779B97F4A7C15)
                  + np.asarray(t["lsh_table"], dtype=np.uint64))
-        return t.append_column("__part",
-                               pa.array((h % np.uint64(n_parts)).astype(np.int32)))
-
-    parted = sigs.map_batches(add_part, batch_format="pyarrow")
+        return h % np.uint64(n_parts)
 
     def bucket_pairs(t: pa.Table) -> pa.Table:
         # vectorized per coarse partition (functions.dedup helper): one
-        # task per __part, no per-bucket Python loop
+        # call per partition, no per-bucket Python loop
         from .dedup import bucketed_pairs_vectorized
 
         key = (np.asarray(t["lsh_table"], dtype=np.uint64) << np.uint64(48)) \
@@ -399,7 +392,7 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
 
     from ..stages.exchange import hash_exchange
 
-    cand = hash_exchange(parted, n_parts, bucket_pairs, part_col="__part")
+    cand = hash_exchange(sigs, n_parts, bucket_pairs, lsh_part)
     from .dedup import dedup_pairs
 
     # pin the candidate set: both downstream hash joins probe/consume

@@ -266,7 +266,7 @@ def semdedup(ds, *, threshold: float, k: int = 8, iters: int = 3,
                          "cc": pa.array(cc), "removed": pa.array(removed)})
 
     prepped = slim.map_batches(prep, batch_format="pyarrow")
-    return hash_exchange(prepped, k, dedup_part, part_col="cluster_id",
+    return hash_exchange(prepped, k, dedup_part, lambda t: t["cluster_id"],
                          empty_out=out_schema.empty_table())
 
 

@@ -223,12 +223,6 @@ def minhash_lsh_pairs(ds, *, num_perm=64, bands=16, ngram=3, id_col="doc_id",
     # buckets that dominates. Shuffle on a COARSE partition of the band
     # key (same co-location guarantee), then do the fine-grained grouping
     # vectorized inside each partition.
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (np.asarray(t["band_key"], dtype=np.uint64) % np.uint64(256)).astype(np.int32)
-        return t.append_column("band_part", pa.array(part, pa.int32()))
-
-    bandrows = bandrows.map_batches(add_part, batch_format="pyarrow")
-
     def pairs_in_part(t: pa.Table) -> pa.Table:
         ia, ib = bucketed_pairs_vectorized(
             np.asarray(t["band_key"], dtype=np.uint64),
@@ -237,8 +231,13 @@ def minhash_lsh_pairs(ds, *, num_perm=64, bands=16, ngram=3, id_col="doc_id",
 
     from ..stages.exchange import hash_exchange
 
-    pairs = hash_exchange(bandrows, 256, pairs_in_part, part_col="band_part")
+    pairs = hash_exchange(bandrows, 256, pairs_in_part, _band_part)
     return dedup_pairs(pairs)
+
+
+def _band_part(t: pa.Table) -> np.ndarray:
+    """The coarse partition of an LSH band row: band_key mod 256."""
+    return np.asarray(t["band_key"], dtype=np.uint64) % np.uint64(256)
 
 
 def bucketed_pairs_vectorized(keys: np.ndarray, ids: np.ndarray,
@@ -295,18 +294,16 @@ def dedup_pairs(pairs_ds, extra_cols=()):
     """Distinct (id_a, id_b) rows: coarse-partition shuffle + vectorized
     duplicate drop per partition (a pair surfaces from several bands)."""
 
-    def add_part(t: pa.Table) -> pa.Table:
+    def pair_part(t: pa.Table) -> np.ndarray:
         with np.errstate(over="ignore"):
             h = (np.asarray(t["id_a"], dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
                  + np.asarray(t["id_b"], dtype=np.uint64))
-        return t.append_column("pair_part", pa.array((h % np.uint64(64)).astype(np.int32)))
-
-    parts = pairs_ds.map_batches(add_part, batch_format="pyarrow")
+        return h % np.uint64(64)
 
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(parts, 64, lambda t: drop_duplicates(t, ["id_a", "id_b"]),
-                         part_col="pair_part", drop_part_col=True)
+    return hash_exchange(pairs_ds, 64, lambda t: drop_duplicates(t, ["id_a", "id_b"]),
+                         pair_part)
 
 
 def jaccard(text_a: str, text_b: str, ngram: int = 3) -> float:
@@ -447,12 +444,6 @@ def simhash_near_dup_pairs(ds, *, max_hamming=3, id_col="doc_id", text_col="text
 
     rows = sh.map_batches(explode, batch_format="pyarrow")
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = (np.asarray(t["band_key"], dtype=np.uint64) % np.uint64(256)).astype(np.int32)
-        return t.append_column("band_part", pa.array(part, pa.int32()))
-
-    rows = rows.map_batches(add_part, batch_format="pyarrow")
-
     def pairs(t: pa.Table) -> pa.Table:
         ia, ib, sa, sb = bucketed_pairs_vectorized(
             np.asarray(t["band_key"], dtype=np.uint64),
@@ -467,7 +458,7 @@ def simhash_near_dup_pairs(ds, *, max_hamming=3, id_col="doc_id", text_col="text
 
     from ..stages.exchange import hash_exchange
 
-    cand = hash_exchange(rows, 256, pairs, part_col="band_part")
+    cand = hash_exchange(rows, 256, pairs, _band_part)
     return dedup_pairs(cand)
 
 
@@ -657,6 +648,11 @@ def connected_components(pairs_ds, a_col: str = "id_a", b_col: str = "id_b",
     return labels.map_batches(rename, batch_format="pyarrow")
 
 
+def _gram_part(n_parts: int):
+    """`by` of a gram-keyed row: its gram hash `gh` mod n_parts."""
+    return lambda t: np.asarray(t["gh"], dtype=np.uint64) % np.uint64(n_parts)
+
+
 def exact_ngram_dup_pairs(ds, *, ngram: int = 8, min_shared: int = 2,
                           max_df: int = 16, id_col: str = "doc_id",
                           text_col: str = "text", n_parts: int = 256):
@@ -692,11 +688,7 @@ def exact_ngram_dup_pairs(ds, *, ngram: int = 8, min_shared: int = 2,
              for s in dic.to_pylist()),
             dtype=np.uint64, count=len(dic))
         gh = hu[codes]
-        return pa.table({
-            "gh": pa.array(gh),
-            id_col: pc.cast(g[id_col], pa.int64()),
-            "gpart": pa.array((gh % np.uint64(n_parts)).astype(np.int32)),
-        })
+        return pa.table({"gh": pa.array(gh), id_col: pc.cast(g[id_col], pa.int64())})
 
     rows = ds.map_batches(gram_rows, batch_format="pyarrow")
 
@@ -713,7 +705,7 @@ def exact_ngram_dup_pairs(ds, *, ngram: int = 8, min_shared: int = 2,
 
     from ..stages.exchange import hash_exchange
 
-    partial = hash_exchange(rows, n_parts, pairs_in_part, part_col="gpart")
+    partial = hash_exchange(rows, n_parts, pairs_in_part, _gram_part(n_parts))
     counts = grouped_agg(partial, ["id_a", "id_b"],
                          {"n_shared": ("n", "sum")}, combine="shuffle")
 
@@ -794,7 +786,6 @@ def exact_substring_removal(ds, *, window: int = 50,
             return pa.table({
                 id_col: pa.array([], pa.int64()),
                 "pos": pa.array([], pa.int32()),
-                "gpart": pa.array([], pa.int32()),
                 "gh": pa.array([], pa.uint64()),
             })
         doc_of = np.repeat(np.arange(len(t), dtype=np.int64), n_win)
@@ -813,7 +804,6 @@ def exact_substring_removal(ds, *, window: int = 50,
         return pa.table({
             id_col: pa.array(ids[doc_of]),
             "pos": pa.array(starts.astype(np.int32)),
-            "gpart": pa.array((gh % np.uint64(n_parts)).astype(np.int32)),
             "gh": pa.array(gh),
         })
 
@@ -827,15 +817,13 @@ def exact_substring_removal(ds, *, window: int = 50,
         return pa.table({
             id_col: pa.array(ids),
             "pos": pa.array(np.asarray(t["pos"], dtype=np.int32)[keep]),
-            "dbucket": pa.array(
-                (ids % n_doc_buckets).astype(np.int32)),
         })
 
     empty_rows = pa.table({
         id_col: pa.array([], pa.int64()), "pos": pa.array([], pa.int32()),
-        "gpart": pa.array([], pa.int32()), "gh": pa.array([], pa.uint64())})
-    dup = hash_exchange(rows, n_parts, dup_positions, part_col="gpart",
-                        empty=empty_rows, drop_part_col=True)
+        "gh": pa.array([], pa.uint64())})
+    dup = hash_exchange(rows, n_parts, dup_positions, _gram_part(n_parts),
+                        empty=empty_rows)
 
     def pos_lists(t: pa.Table) -> pa.Table:
         # positions pack to little-endian int32 bytes per doc: acero's
@@ -853,11 +841,11 @@ def exact_substring_removal(ds, *, window: int = 50,
                          "dup_pos": pa.array(blobs, pa.binary())})
 
     empty_dup = pa.table({
-        id_col: pa.array([], pa.int64()), "pos": pa.array([], pa.int32()),
-        "dbucket": pa.array([], pa.int32())})
-    lists_ds = hash_exchange(dup, n_doc_buckets, pos_lists,
-                             part_col="dbucket", empty=empty_dup,
-                             drop_part_col=True)
+        id_col: pa.array([], pa.int64()), "pos": pa.array([], pa.int32())})
+    lists_ds = hash_exchange(
+        dup, n_doc_buckets, pos_lists,
+        lambda t: np.asarray(t[id_col], dtype=np.int64) % n_doc_buckets,
+        empty=empty_dup)
 
     def cut(t: pa.Table) -> pa.Table:
         out_schema = pa.schema([

@@ -28,7 +28,6 @@ import numpy as np
 import pyarrow as pa
 
 from ._arrow import grouped_order, run_starts
-from .relational import add_partition
 
 
 def _pack_group(sizes: np.ndarray, budget: int, out: np.ndarray) -> None:
@@ -54,9 +53,6 @@ def pack_sequences(ds, group_col: str, order_col: str, size_col: str,
     if budget <= 0:
         raise ValueError("budget must be positive")
 
-    parted = ds.map_batches(lambda t: add_partition(t, [group_col], n_parts),
-                            batch_format="pyarrow")
-
     def per_part(t: pa.Table) -> pa.Table:
         idx, g, _ = grouped_order(t, [group_col], [(order_col, "ascending")])
         t = t.take(idx)
@@ -69,5 +65,4 @@ def pack_sequences(ds, group_col: str, order_col: str, size_col: str,
 
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(parted, n_parts, per_part, part_col="__part",
-                         drop_part_col=True)
+    return hash_exchange(ds, n_parts, per_part, [group_col])

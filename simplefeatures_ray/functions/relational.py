@@ -52,11 +52,6 @@ def key_partition(t: pa.Table, keys, n_parts: int) -> np.ndarray:
     return (h % n_parts).astype(np.int32)
 
 
-def add_partition(t: pa.Table, keys, n_parts: int) -> pa.Table:
-    """`t` plus its key_partition as int32 column `__part`."""
-    return t.append_column("__part", pa.array(key_partition(t, keys, n_parts)))
-
-
 def collect_table(ds_or_table) -> pa.Table:
     """Materialize a SMALL Dataset to one Arrow table (driver side).
     Only for dimension tables / aggregates, never the main input.
@@ -136,9 +131,9 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
                   join_type: str = "inner", n_salts: int = 1,
                   right_schema: pa.Schema | None = None,
                   bucket_fn=None):
-    """Large×large partitioned hash join: add bucket = key_partition(key)
-    to both sides, then join per bucket inside one two-input
-    hash_exchange. The all-to-all cost is one exchange of both sides; B
+    """Large×large partitioned hash join: both sides co-partition on
+    key_partition(key) in one two-input hash_exchange and join per
+    bucket. The all-to-all cost is one exchange of both sides; B
     bounds per-task memory. Each side executes exactly once and no
     `schema()` probe runs: the kernel reads both sides' columns off
     their blocks.
@@ -177,26 +172,26 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
     if join_type == "full outer" and n_salts != 1:
         raise ValueError("full outer join cannot be salted")
 
-    def add_bucket_left(t: pa.Table) -> pa.Table:
-        b = key_partition(t, [key], n_buckets)
-        if n_salts > 1:
-            salt = (np.arange(len(t)) % n_salts).astype(np.int32)
-            b = b * np.int32(n_salts) + salt
-        return t.append_column("__bucket", pa.array(b, pa.int32()))
+    # a salt is not a function of the row, so the salted sides carry it
+    # as a column: `by` reads it and join_bucket drops it
+    def salt_left(t: pa.Table) -> pa.Table:
+        salt = (np.arange(len(t)) % n_salts).astype(np.int32)
+        return t.append_column("__salt", pa.array(salt))
 
-    def add_bucket_right(t: pa.Table) -> pa.Table:
-        b = key_partition(t, [key], n_buckets)
-        if n_salts > 1:
-            rep = np.repeat(np.arange(len(t), dtype=np.int64), n_salts)
-            salt = np.tile(np.arange(n_salts, dtype=np.int32), len(t))
-            t = t.take(pa.array(rep))
-            b = b[rep] * np.int32(n_salts) + salt
-        return t.append_column("__bucket", pa.array(b, pa.int32()))
+    def salt_right(t: pa.Table) -> pa.Table:
+        rep = np.repeat(np.arange(len(t), dtype=np.int64), n_salts)
+        salt = np.tile(np.arange(n_salts, dtype=np.int32), len(t))
+        return t.take(pa.array(rep)).append_column("__salt", pa.array(salt))
 
-    # A side with no rows loses its schema in the bucket map (Ray's map
-    # operators emit schema-less blocks for zero-row input) and reaches
-    # join_bucket as pa.table({}); it is typed from the right_schema hint
-    # or from what Ray knows of the side without running it.
+    def salted_bucket(t: pa.Table) -> np.ndarray:
+        return (key_partition(t, [key], n_buckets) * np.int32(n_salts)
+                + np.asarray(t["__salt"], dtype=np.int32))
+
+    # A side with no rows can lose its schema in a map upstream (Ray's
+    # map operators emit schema-less blocks for zero-row input) and
+    # reach join_bucket as pa.table({}); it is typed from the
+    # right_schema hint or from what Ray knows of the side without
+    # running it.
     l_empty = known_empty(left_ds)
     r_empty = (right_schema.empty_table() if right_schema is not None
                else known_empty(right_ds))
@@ -205,6 +200,9 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
     # types — a pandas round-trip would silently promote int64-with-nulls
     # to float64.
     def join_bucket(lhs: pa.Table, rhs: pa.Table) -> pa.Table:
+        if n_salts > 1:
+            lhs, rhs = (t.drop_columns(["__salt"]) if t.num_columns else t
+                        for t in (lhs, rhs))
         if not lhs.num_columns and l_empty is not None:
             lhs = l_empty
         if not rhs.num_columns and r_empty is not None:
@@ -227,10 +225,11 @@ def bucketed_join(left_ds, right_ds, key: str, n_buckets: int = 32,
 
     from ..stages.exchange import hash_exchange
 
-    lt = left_ds.map_batches(add_bucket_left, batch_format="pyarrow")
-    rt = right_ds.map_batches(add_bucket_right, batch_format="pyarrow")
-    return hash_exchange((lt, rt), n_buckets * n_salts, join_bucket,
-                         part_col="__bucket", drop_part_col=True)
+    if n_salts == 1:
+        return hash_exchange((left_ds, right_ds), n_buckets, join_bucket, [key])
+    return hash_exchange((left_ds.map_batches(salt_left, batch_format="pyarrow"),
+                          right_ds.map_batches(salt_right, batch_format="pyarrow")),
+                         n_buckets * n_salts, join_bucket, salted_bucket)
 
 
 def dedup_exact(ds, key_cols, keep_col: str | list | None = None,
@@ -253,18 +252,16 @@ def dedup_exact(ds, key_cols, keep_col: str | list | None = None,
     def first(t: pa.Table) -> pa.Table:
         extra = (keep_cols if keep_cols else
                  sorted(f.name for f in t.schema
-                        if f.name not in key_cols and f.name != "__part"
+                        if f.name not in key_cols
                         and not pa.types.is_nested(f.type)))
         d = "descending" if descending else "ascending"
         idx, _, rank = grouped_order(t, key_cols, [(c, d) for c in extra])
         return t.take(idx[rank == 0])
 
-    part = ds.map_batches(lambda t: add_partition(first(t), key_cols, n_parts),
-                          batch_format="pyarrow")
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(part, n_parts, first, part_col="__part",
-                         drop_part_col=True)
+    return hash_exchange(ds.map_batches(first, batch_format="pyarrow"),
+                         n_parts, first, key_cols)
 
 
 def topk(ds, key: str, k: int, descending: bool = True, tie_cols=None):
@@ -399,19 +396,17 @@ def grouped_topk(ds, keys, order_col: str, k: int, descending: bool = True,
         # on shuffle arrival order (parallelism-dependent output)
         ties = ([tie_col] if tie_col else
                 [f.name for f in t.schema
-                 if f.name not in keys + [order_col, "__part"]
+                 if f.name not in keys + [order_col]
                  and not pa.types.is_nested(f.type)])
         order = [(order_col, "descending" if descending else "ascending")] \
             + [(c, "ascending") for c in ties]
         idx, _, rank = grouped_order(t, keys, order)
         return t.take(idx[rank < k])
 
-    part = ds.map_batches(lambda t: add_partition(head(t), keys, n_parts),
-                          batch_format="pyarrow")
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(part, n_parts, head, part_col="__part",
-                         drop_part_col=True)
+    return hash_exchange(ds.map_batches(head, batch_format="pyarrow"),
+                         n_parts, head, keys)
 
 
 def grouped_nunique(ds, keys, value_col: str):
@@ -455,7 +450,7 @@ def exact_stratified_split(ds, group_col: str, key_col: str, splits,
     if bounds[-1] != 100:
         raise ValueError("split percentages must sum to 100")
 
-    def add_hash_part(t: pa.Table) -> pa.Table:
+    def add_hash(t: pa.Table) -> pa.Table:
         kc = t[key_col]
         if pa.types.is_integer(kc.type) and kc.null_count == 0:
             from ._sha256 import sha256_u64_int_keys
@@ -467,8 +462,7 @@ def exact_stratified_split(ds, group_col: str, key_col: str, splits,
                 (int(hashlib.sha256(f"{salt}:{k}".encode())
                      .hexdigest()[:16], 16)
                  for k in keys), dtype=np.uint64, count=len(keys))
-        return add_partition(t.append_column("__h", pa.array(h, pa.uint64())),
-                             [group_col], n_parts)
+        return t.append_column("__h", pa.array(h, pa.uint64()))
 
     def assign(t: pa.Table) -> pa.Table:
         idx, g, rank = grouped_order(
@@ -482,11 +476,10 @@ def exact_stratified_split(ds, group_col: str, key_col: str, splits,
         return out.append_column(
             "split", pa.array(np.asarray(names, dtype=object)[split], pa.string()))
 
-    parted = ds.map_batches(add_hash_part, batch_format="pyarrow")
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(parted, n_parts, assign, part_col="__part",
-                         drop_part_col=True)
+    return hash_exchange(ds.map_batches(add_hash, batch_format="pyarrow"),
+                         n_parts, assign, [group_col])
 
 
 def budget_select(ds, *, score_col: str, cost_col: str, budget: int,

@@ -69,12 +69,10 @@ def editdist1_pairs(ds, id_col: str, str_col: str, n_parts: int = 64):
     Levenshtein distance <= 1. Exact (full recall via the deletion
     neighborhood, full precision via the verify). Returns a Dataset
     (id_a, id_b)."""
-    from .relational import add_partition, dedup_exact
+    from .relational import dedup_exact
 
     exploded = ds.map_batches(_explode_keys(id_col, str_col),
                               batch_format="pyarrow")
-    parted = exploded.map_batches(lambda t: add_partition(t, ["key"], n_parts),
-                                  batch_format="pyarrow")
     empty = pa.table({"id_a": pa.array([], pa.int64()),
                       "id_b": pa.array([], pa.int64())})
 
@@ -143,6 +141,5 @@ def editdist1_pairs(ds, id_col: str, str_col: str, n_parts: int = 64):
 
     from ..stages.exchange import hash_exchange
 
-    pairs = hash_exchange(parted, n_parts, pair_partition, part_col="__part",
-                          drop_part_col=True)
+    pairs = hash_exchange(exploded, n_parts, pair_partition, ["key"])
     return dedup_exact(pairs, ["id_a", "id_b"])

@@ -1101,11 +1101,9 @@ def inverted_index(ds, id_col: str = "doc_id", text_col: str = "text",
     import pyarrow.compute as pc
 
     from ._arrow import drop_duplicates, grouped_order, run_starts
-    from .relational import add_partition
 
     def pairs(batch: pa.Table) -> pa.Table:
-        w = drop_duplicates(_word_table(batch, id_col, text_col), [id_col, "term"])
-        return add_partition(w, ["term"], n_parts)
+        return drop_duplicates(_word_table(batch, id_col, text_col), [id_col, "term"])
 
     def build(t: pa.Table) -> pa.Table:
         idx, g, rank = grouped_order(t, ["term"], [(id_col, "ascending")])
@@ -1121,11 +1119,10 @@ def inverted_index(ds, id_col: str = "doc_id", text_col: str = "text",
                          "df": pa.array(dfreq, pa.int64()),
                          "postings": pc.binary_join(posts, ",")})
 
-    parted = ds.map_batches(pairs, batch_format="pyarrow")
     from ..stages.exchange import hash_exchange
 
-    return hash_exchange(parted, n_parts, build, part_col="__part",
-                         drop_part_col=True)
+    return hash_exchange(ds.map_batches(pairs, batch_format="pyarrow"),
+                         n_parts, build, ["term"])
 
 
 def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -1155,7 +1152,7 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     from ._arrow import drop_duplicates, grouped_order, run_starts
     from .agg import grouped_agg
-    from .relational import add_partition, bucketed_join
+    from .relational import bucketed_join
 
     def lines_kernel(t: pa.Table) -> pa.Table:
         # Arrow/numpy-native (VERDICT r4 #9): per-doc rank by run
@@ -1234,10 +1231,7 @@ def line_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     from ..stages.exchange import hash_exchange
 
-    kept_agg = hash_exchange(
-        kept.map_batches(lambda t: add_partition(t, ["doc"], n_parts),
-                         batch_format="pyarrow"),
-        n_parts, reassemble, part_col="__part", drop_part_col=True)
+    kept_agg = hash_exchange(kept, n_parts, reassemble, ["doc"])
 
     out = bucketed_join(totals, kept_agg, key="doc",
                         n_buckets=n_buckets, join_type="left outer",

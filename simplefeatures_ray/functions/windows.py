@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 from ..stages.exchange import hash_exchange
 from ._arrow import (aggregate, as_int64, cents_half_away, grouped_cumsum,
                      grouped_order, run_starts)
-from .relational import add_partition, key_partition, known_empty
+from .relational import known_empty
 
 
 def _epoch_us(col: pa.ChunkedArray) -> np.ndarray:
@@ -128,10 +128,6 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
     if tie_break is None and right_cols:
         tie_break = right_cols[0]
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("__bucket",
-                               pa.array(key_partition(t, [key], n_buckets)))
-
     rhs_cols = [key, ts_right] + [c for c in right_cols if c not in (key, ts_right)]
     rout = [c for c in rhs_cols if c != key]
     # a right side with no rows anywhere arrives schema-less; its columns
@@ -165,10 +161,7 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
             lhs = lhs.append_column(name, c)
         return lhs
 
-    return hash_exchange((left_ds.map_batches(tag, batch_format="pyarrow"),
-                          right_ds.map_batches(tag, batch_format="pyarrow")),
-                         n_buckets, merge_bucket, part_col="__bucket",
-                         drop_part_col=True)
+    return hash_exchange((left_ds, right_ds), n_buckets, merge_bucket, [key])
 
 
 def sessionize(ds, key: str, ts_col: str, gap_s: float, id_cols=(),
@@ -188,9 +181,6 @@ def sessionize(ds, key: str, ts_col: str, gap_s: float, id_cols=(),
     gap_us = int(gap_s * 1_000_000)
     id_cols = list(id_cols)
 
-    parted = ds.map_batches(lambda t: add_partition(t, [key], n_parts),
-                            batch_format="pyarrow")
-
     def per_part(t: pa.Table) -> pa.Table:
         order = [(ts_col, "ascending")] + ([(tie_col, "ascending")] if tie_col else [])
         idx, g, rank = grouped_order(t, [key], order)
@@ -201,7 +191,7 @@ def sessionize(ds, key: str, ts_col: str, gap_s: float, id_cols=(),
         return t.select([key] + id_cols + [ts_col]).append_column(
             "session_seq", pa.array(grouped_cumsum(new_sess, g)))
 
-    return hash_exchange(parted, n_parts, per_part, part_col="__part")
+    return hash_exchange(ds, n_parts, per_part, [key])
 
 
 def interval_join(left_ds, intervals_ds, t_col: str, start_col: str,
@@ -281,9 +271,7 @@ def rolling_mean(ds, key: str, ts_col: str, value_col: str,
         mean = np.round(s / (100.0 * cnt), 6) + 0.0
         return pa.table({tie_col: t[tie_col], out_col: pa.array(mean)})
 
-    parted = ds.map_batches(lambda t: add_partition(t, [key], n_parts),
-                            batch_format="pyarrow")
-    return hash_exchange(parted, n_parts, per_part, part_col="__part")
+    return hash_exchange(ds, n_parts, per_part, [key])
 
 
 def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
@@ -313,11 +301,11 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
 
     def project(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_in(t[type_col], value_set=pa.array(stages)))
-        return add_partition(pa.table({
+        return pa.table({
             user_col: t[user_col],
             "__t": pa.array(_epoch_us(t[ts_col]), pa.int64()),
             type_col: t[type_col],
-        }), [user_col], n_parts)
+        })
 
     def first_per_user(u: np.ndarray, ts: np.ndarray):
         """(users ascending, each one's earliest ts)."""
@@ -351,8 +339,8 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
             "n_users": pa.array(counts),
         })
 
-    parted = ds.map_batches(project, batch_format="pyarrow")
-    per = hash_exchange(parted, n_parts, per_part, part_col="__part")
+    per = hash_exchange(ds.map_batches(project, batch_format="pyarrow"),
+                        n_parts, per_part, [user_col])
     return grouped_agg(per, ["stage_idx", "stage"],
                        {"n_users": ("n_users", "sum")}, combine="driver")
 
@@ -373,9 +361,6 @@ def transition_counts(ds, key: str, ts_col: str, type_col: str,
 
     # NULL keys share one partition (SQL PARTITION BY groups all NULLs
     # together — they must co-locate like any key) and one group
-    parted = ds.map_batches(lambda t: add_partition(t, [key], n_parts),
-                            batch_format="pyarrow")
-
     def per_part(t: pa.Table) -> pa.Table:
         idx, g, _ = grouped_order(
             t, [key], [(ts_col, "ascending"), (tie_col, "ascending")])
@@ -389,7 +374,7 @@ def transition_counts(ds, key: str, ts_col: str, type_col: str,
         return aggregate(pairs, ["prev_type", "next_type"],
                           [("n", None, None, None)])
 
-    partial = hash_exchange(parted, n_parts, per_part, part_col="__part")
+    partial = hash_exchange(ds, n_parts, per_part, [key])
     return grouped_agg(partial, ["prev_type", "next_type"],
                        {"n": ("n", "sum")}, combine="shuffle")
 
@@ -413,6 +398,4 @@ def running_total(ds, key: str, ts_col: str, value_col: str, tie_col: str,
         run = grouped_cumsum(cents_half_away(t[value_col]), g)
         return t.select([key, tie_col]).append_column(out_col, pa.array(run))
 
-    parted = ds.map_batches(lambda t: add_partition(t, [key], n_parts),
-                            batch_format="pyarrow")
-    return hash_exchange(parted, n_parts, per_part, part_col="__part")
+    return hash_exchange(ds, n_parts, per_part, [key])

@@ -15,8 +15,9 @@ A flagship job is two Ray Data executions, with no materialize():
     coalesced blocks keep the joined rows pinned in the object store,
     so the lineage runs exactly once.
   * SINK: tile assignment is a lazy map over the coalesced blocks, so it
-    fuses into the consumer's own execution (the checkpointed sink's
-    add_bucket map) over a few blocks, not one task per read block.
+    runs in the consumer's own execution (the checkpointed sink's
+    exchange, which computes each row's bucket in its split tasks) over
+    a few blocks, not one task per read block.
 Every task's state (compiled regexes, the polygon index, the tile table)
 is built once per worker process by stages/worker_cache. At 10^12 pages
 on a multi-node cluster every stage here scales horizontally; only

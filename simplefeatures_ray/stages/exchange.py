@@ -2,13 +2,20 @@
 
 Why not groupby().map_groups: Ray's sort-based shuffle pays a boundary-
 sampling pass plus a comparison sort of every block by the partition
-column. For a co-partition on a SMALL KNOWN key domain (hash buckets
-0..P-1 computed upstream) the boundaries are known a priori, so the
-exchange reduces to the classic two-wave shuffle. Against the groupby
-path on the same input it measured ~2x faster warm and ~7x faster
-first-run (no sampling pass, no comparison sort, no aggregator actors);
-Ray's hash-shuffle strategy was slower still (7s vs 1s — per-execution
-aggregator-actor spin-up).
+column. For a co-partition on a SMALL KNOWN key domain (partitions
+0..P-1) the boundaries are known a priori, so the exchange reduces to
+the classic two-wave shuffle. Against the groupby path on the same
+input it measured ~2x faster warm and ~7x faster first-run (no sampling
+pass, no comparison sort, no aggregator actors); Ray's hash-shuffle
+strategy was slower still (7s vs 1s — per-execution aggregator-actor
+spin-up).
+
+PARTITIONS are computed in the split: `by` names each row's partition,
+either as a list of key columns (relational.key_partition, the engine's
+one key -> partition rule) or as a function Arrow table -> int array
+(a bucket that is not a key hash: a cell index, a cluster id, a band
+key mod P). The caller appends no partition column, so the exchange
+adds no column and drops none: `fn` sees exactly its input's columns.
 
 Both waves are sized to the cluster, not to the key domain, so the task
 and object counts do not grow with blocks × partitions:
@@ -16,14 +23,16 @@ and object counts do not grow with blocks × partitions:
     A run ends before its blocks' metadata size would pass
     DataContext.target_max_block_size, or at _FANIN blocks (block_runs,
     the rule the flagship's coalesce-and-count wave shares). The task
-    concatenates the run and cuts it into R shard objects, one per
-    reduce group.
+    concatenates the run, computes every row's partition p (a p outside
+    [0, P) raises ValueError), stable-sorts the run by p and cuts it
+    into R shards, one per reduce group, each with its row count per
+    partition.
   * REDUCE: R = min(P, 2 × cluster CPUs) tasks. Group g owns the
     contiguous partition range [⌈g·P/R⌉, ⌈(g+1)·P/R⌉) — partition p goes
-    to group p·R // P. The task concatenates its shards, stable-sorts
-    them by the partition column, and calls `fn` once per partition in
-    ascending p (empty partitions included), returning the concatenated
-    outputs as ONE block.
+    to group p·R // P. The task cuts each shard at its partition counts
+    and calls `fn` once per partition in ascending p (empty partitions
+    included) over that partition's slices of every shard, returning
+    the concatenated outputs as ONE block.
 So each output block is a contiguous run of whole partitions, rows come
 out in partition order, and within a partition `fn` sees the rows in
 upstream block order — only the block boundaries depend on R. On a
@@ -34,11 +43,11 @@ and the object store spills under pressure exactly as it does there.
 
 K INPUTS: a co-partition of k Datasets (a join's two sides, a
 resolve over several flag sets) splits each input with its own split
-wave; reduce group g receives every input's shards and calls
-fn(t_0, …, t_{k-1}) with one table per input. Inputs keep their own
-schemas, so nothing is tagged, padded to a union schema or unioned,
-and the caller never needs an input's schema before the exchange
-runs. One Dataset is the k = 1 case.
+wave, by its own `by`; reduce group g receives every input's shards and
+calls fn(t_0, …, t_{k-1}) with one table per input. Inputs keep their
+own schemas, so nothing is tagged, padded to a union schema or unioned,
+and the caller never needs an input's schema before the exchange runs.
+One Dataset is the k = 1 case.
 
 EAGER: calling hash_exchange() streams each input through
 iter_internal_ref_bundles (exactly ONE execution of each input lineage,
@@ -64,46 +73,85 @@ import pyarrow as pa
 _FANIN = 512
 
 
-def _split_run(part_col: str, n_parts: int, n_groups: int, *blocks):
-    """Concatenate a run of consecutive blocks and cut it into n_groups
-    shards: shard g holds the rows whose partition p ∈ [0, n_parts) has
-    p·n_groups // n_parts == g, in block order. Returns the shards as a
-    tuple, or the one shard itself when n_groups == 1, to match the
-    task's num_returns."""
-    from ray.data.block import BlockAccessor
-
-    tables = [b if isinstance(b, pa.Table) else BlockAccessor.for_block(b).to_arrow()
-              for b in blocks]
-    # Ray's map operators emit zero-row blocks with an EMPTY schema
-    # (observed: a typed 0-row block enters map_batches, a no-column
-    # block comes out) — they carry no rows, so they are skipped and the
-    # reduce's typed `empty` supplies the schema.
-    rows = [t for t in tables if t.num_rows and part_col in t.column_names]
-    if not rows:
-        z = _concat_shards(*tables)
-        return (z,) * n_groups if n_groups > 1 else z
-    tbl = pa.concat_tables(rows, promote_options="permissive") if len(rows) > 1 else rows[0]
-    g = np.asarray(tbl[part_col], dtype=np.int64) * n_groups // n_parts
-    order = np.argsort(g, kind="stable")
-    bounds = np.searchsorted(g[order], np.arange(n_groups + 1))
-    tbl = tbl.take(pa.array(order))
-    shards = tuple(tbl.slice(bounds[i], bounds[i + 1] - bounds[i])
-                   for i in range(n_groups))
-    return shards if n_groups > 1 else shards[0]
+def _group_bounds(n_parts: int, n_groups: int) -> list:
+    """Group g owns partitions bounds[g]:bounds[g + 1] = [⌈g·P/R⌉, ⌈(g+1)·P/R⌉)."""
+    return [-(-g * n_parts // n_groups) for g in range(n_groups + 1)]
 
 
-def _concat_shards(*shards):
-    parts = [s for s in shards if s.num_rows]
+def _concat(tables):
+    """The rows of `tables` as one table; without rows, a typed 0-row
+    table when any of them is typed, else pa.table({})."""
+    parts = [t for t in tables if t.num_rows]
     if parts:
         return pa.concat_tables(parts, promote_options="permissive")
-    # typed 0-row shard (a slice of a real block) beats a schema-less one
-    for s in shards:
-        if s.num_columns:
-            return s.slice(0, 0)
+    for t in tables:
+        if t.num_columns:
+            return t.slice(0, 0)
     return pa.table({})
 
 
-def _reduce_part(fn, empty, empty_out, drop_cols, ts):
+def _partitions(t: pa.Table, by, n_parts: int) -> np.ndarray:
+    """The partition of every row of `t` under `by`; raises ValueError
+    when one lies outside [0, n_parts), since such a row belongs to no
+    reduce call."""
+    if callable(by):
+        p = np.asarray(by(t), dtype=np.int64)
+    else:
+        from ..functions.relational import key_partition
+
+        p = key_partition(t, by, n_parts).astype(np.int64)
+    if p.min() < 0 or p.max() >= n_parts:
+        bad = np.unique(p[(p < 0) | (p >= n_parts)])
+        raise ValueError(f"partitions must lie in [0, {n_parts}); "
+                         f"got {bad[:8].tolist()}")
+    return p
+
+
+def _split_run(by, n_parts: int, n_groups: int, *blocks):
+    """Concatenate a run of consecutive blocks, stable-sort it by
+    partition and cut it into n_groups shards: shard g is (the rows of
+    group g's partitions, their row count per partition). Returns the
+    shards as a tuple, or the one shard itself when n_groups == 1, to
+    match the task's num_returns."""
+    from ray.data.block import BlockAccessor
+
+    # Ray's map operators can emit zero-row blocks with an EMPTY schema;
+    # they carry no rows, so _concat skips them
+    tbl = _concat([b if isinstance(b, pa.Table) else BlockAccessor.for_block(b).to_arrow()
+                   for b in blocks])
+    cuts = np.zeros(n_parts + 1, dtype=np.int64)
+    if tbl.num_rows:
+        p = _partitions(tbl, by, n_parts)
+        order = np.argsort(p, kind="stable")
+        tbl = tbl.take(pa.array(order))
+        cuts = np.searchsorted(p[order], np.arange(n_parts + 1))
+    bounds = _group_bounds(n_parts, n_groups)
+    shards = tuple((tbl.slice(cuts[lo], cuts[hi] - cuts[lo]), np.diff(cuts[lo:hi + 1]))
+                   for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return shards if n_groups > 1 else shards[0]
+
+
+def _partition_slices(shards, n: int) -> list:
+    """One input's tables of the n partitions of a group, from its
+    shards in split order: partition i is slice i of every shard, so its
+    rows keep upstream block order. A partition without rows gets a
+    0-row table, typed whenever a shard is."""
+    live = [(t, np.concatenate(([0], np.cumsum(c)))) for t, c in shards if t.num_rows]
+    if not live:
+        return [_concat([t for t, _ in shards])] * n
+    return [pa.concat_tables([t.slice(o[i], o[i + 1] - o[i]) for t, o in live],
+                             promote_options="permissive")
+            for i in range(n)]
+
+
+def _merge_shards(*shards):
+    """A fan-in level: one group's shards of several split tasks merged
+    into one shard, partition by partition."""
+    n = len(shards[0][1])
+    return (_concat(_partition_slices(shards, n)), sum(c for _, c in shards))
+
+
+def _reduce_part(fn, empty, empty_out, ts):
     """Run `fn` once on one partition's complete rows, one table per
     input (a zero-row table, typed or schema-less, for an input with no
     rows in the partition)."""
@@ -111,9 +159,6 @@ def _reduce_part(fn, empty, empty_out, drop_cols, ts):
         return empty_out
     ts = [t.combine_chunks() if t.num_rows or empty is None else empty
           for t in ts]
-    if drop_cols:
-        ts = [t.drop_columns([c for c in drop_cols if c in t.column_names])
-              for t in ts]
     if not any(t.num_columns for t in ts):
         # fully schema-less partition (every upstream block of every
         # input degenerate): calling fn would KeyError on its columns;
@@ -123,30 +168,13 @@ def _reduce_part(fn, empty, empty_out, drop_cols, ts):
     return fn(*ts) if fn is not None else ts[0]
 
 
-def _partition_slices(t, part_col, lo, hi):
-    """Stable-sort one input's rows by `part_col` and cut them into the
-    partitions lo..hi-1; a partition without rows gets a 0-row slice,
-    typed whenever `t` is."""
-    bounds = np.zeros(hi - lo + 1, dtype=np.int64)
-    if t.num_rows:
-        p = np.asarray(t[part_col], dtype=np.int64)
-        order = np.argsort(p, kind="stable")
-        t = t.take(pa.array(order))
-        bounds = np.searchsorted(p[order], np.arange(lo, hi + 1))
-    return [t.slice(bounds[i], bounds[i + 1] - bounds[i])
-            for i in range(hi - lo)]
-
-
-def _reduce_group(fn, empty, empty_out, drop_cols, part_col, counts,
-                  lo, hi, *shards):
-    """Run `fn` once per partition lo..hi-1, in ascending order, over
-    the group's shards — `counts[i]` consecutive shards per input i;
-    returns the concatenated outputs."""
+def _reduce_group(fn, empty, empty_out, counts, n, *shards):
+    """Run `fn` once per partition of the group's n partitions, in
+    ascending order, over the group's shards — `counts[i]` consecutive
+    shards per input i; returns the concatenated outputs."""
     cuts = np.cumsum([0, *counts])
-    per_input = [_partition_slices(_concat_shards(*shards[a:b]), part_col, lo, hi)
-                 for a, b in zip(cuts[:-1], cuts[1:])]
-    outs = [_reduce_part(fn, empty, empty_out, drop_cols, ts)
-            for ts in zip(*per_input)]
+    per_input = [_partition_slices(shards[a:b], n) for a, b in zip(cuts[:-1], cuts[1:])]
+    outs = [_reduce_part(fn, empty, empty_out, ts) for ts in zip(*per_input)]
     return pa.concat_tables(outs, promote_options="permissive")
 
 
@@ -173,24 +201,24 @@ def block_runs(bundles):
         yield run
 
 
-def _split(bundles, part_col: str, n_parts: int, n_groups: int) -> list:
+def _split(bundles, by, n_parts: int, n_groups: int) -> list:
     """Launch the split wave over the blocks of one input's RefBundle
     stream; returns one row of n_groups shard refs per split (or per
-    fan-in concat) task."""
+    fan-in merge) task."""
     import ray
 
     split_task = ray.remote(num_returns=n_groups)(_split_run)
     splits = []
     for run in block_runs(bundles):
-        s = split_task.remote(part_col, n_parts, n_groups, *run)
+        s = split_task.remote(by, n_parts, n_groups, *run)
         splits.append([s] if n_groups == 1 else s)
     # fan-in guard: a reduce over 10^5+ split tasks would put every
-    # shard ref in ONE task spec. Insert a tree level: concat shard runs
+    # shard ref in ONE task spec. Insert a tree level: merge shard runs
     # of <=_FANIN per group first, so no task takes more than _FANIN
     # object args.
-    concat_task = ray.remote(_concat_shards)
+    merge_task = ray.remote(_merge_shards)
     while len(splits) > _FANIN:
-        splits = [[concat_task.remote(*[s[g] for s in splits[i:i + _FANIN]])
+        splits = [[merge_task.remote(*[s[g] for s in splits[i:i + _FANIN]])
                    for g in range(n_groups)]
                   for i in range(0, len(splits), _FANIN)]
     return splits
@@ -213,33 +241,32 @@ class ExchangeHandle:
     reconstruction must recover it (its task args are the upstream
     block refs)."""
 
-    def __init__(self, ds, n_parts, fn, part_col, empty, empty_out,
-                 drop_part_col):
+    def __init__(self, ds, n_parts, fn, by, empty=None, empty_out=None):
         import ray
 
         inputs = ds if isinstance(ds, tuple) else (ds,)
+        bys = by if isinstance(by, tuple) else (by,) * len(inputs)
+        if len(bys) != len(inputs):
+            raise ValueError(f"by has {len(bys)} entries for {len(inputs)} inputs")
         if empty is not None and isinstance(ds, tuple):
             raise ValueError("empty= types a single input; the inputs of a "
                              "tuple keep their own schemas")
-        drop = [part_col] if drop_part_col else []
         cpus = int(ray.cluster_resources().get("CPU", 1))
         n_groups = min(n_parts, 2 * max(cpus, 1))
-        # group g owns partitions [⌈g·P/R⌉, ⌈(g+1)·P/R⌉) = bounds[g]:bounds[g + 1]
-        self.bounds = [-(-g * n_parts // n_groups) for g in range(n_groups + 1)]
+        self.bounds = _group_bounds(n_parts, n_groups)
         # each lineage executes exactly once; every input's execution
         # starts (Ray Data runs it in the background from its first
         # bundle on) before any is drained, so the k inputs run at once
         streams = [d.iter_internal_ref_bundles() for d in inputs]
-        self.splits = [_split(b, part_col, n_parts, n_groups) for b in streams]
-        self.recipe = (ray.put(fn), empty, empty_out, drop, part_col,
-                       [len(s) for s in self.splits])
+        self.splits = [_split(s, b, n_parts, n_groups) for s, b in zip(streams, bys)]
+        self.recipe = (ray.put(fn), empty, empty_out, [len(s) for s in self.splits])
         self.outs = [self._launch(g) for g in range(n_groups)]
 
     def _launch(self, g):
         import ray
 
         reduce_task = ray.remote(_reduce_group)
-        return reduce_task.remote(*self.recipe, self.bounds[g], self.bounds[g + 1],
+        return reduce_task.remote(*self.recipe, self.bounds[g + 1] - self.bounds[g],
                                   *[s[g] for splits in self.splits for s in splits])
 
     def dataset(self, recover: bool = True):
@@ -257,28 +284,23 @@ class ExchangeHandle:
         return rd.from_arrow_refs(list(self.outs))
 
 
-def _exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
-              empty=None, empty_out: pa.Table | None = None,
-              drop_part_col: bool = False) -> list:
-    """hash_exchange's task graph: the R reduce-output refs, in
-    partition order."""
-    return ExchangeHandle(ds, n_parts, fn, part_col, empty, empty_out,
-                          drop_part_col).outs
+def hash_exchange(ds, n_parts: int, fn, by, empty=None,
+                  empty_out: pa.Table | None = None, resilient: bool = False):
+    """Co-partition `ds` — one Dataset, or a tuple of k Datasets — into
+    n_parts partitions by `by` and run `fn` (an Arrow-table kernel)
+    exactly once per partition, as fn(t_0, …, t_{k-1}) with that
+    partition's COMPLETE rows of each input. Returns a Dataset of the
+    kernel outputs in partition order, empty partitions included so the
+    output schema is stable — `fn` must be schema-stable on empty input,
+    same contract as bucketed_join's bucket_fn. Each output block is a
+    contiguous run of whole partitions (see the module docstring).
 
-
-def hash_exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
-                  empty=None, empty_out: pa.Table | None = None,
-                  drop_part_col: bool = False,
-                  resilient: bool = False):
-    """Co-partition `ds` — one Dataset, or a tuple of k Datasets — on
-    its precomputed int column `part_col` ∈ [0, n_parts) and run `fn`
-    (an Arrow-table kernel) exactly once per partition, as
-    fn(t_0, …, t_{k-1}) with that partition's COMPLETE rows of each
-    input. Returns a Dataset of the kernel outputs in partition order,
-    empty partitions included so the output schema is stable — `fn`
-    must be schema-stable on empty input, same contract as
-    bucketed_join's bucket_fn. Each output block is a contiguous run of
-    whole partitions (see the module docstring).
+    `by`: each row's partition, computed inside the split tasks — a list
+    of key columns (relational.key_partition), or a function
+    pa.Table -> int array with values in [0, n_parts); a row outside
+    that range fails the split task with ValueError. A tuple gives one
+    entry per input of a tuple `ds`; otherwise every input uses the same
+    `by`. `fn` sees exactly its input's columns: the exchange adds none.
 
     An input with no rows in a partition arrives as a typed 0-row slice
     of its own blocks, or as pa.table({}) when every block of that input
@@ -286,7 +308,7 @@ def hash_exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
     input is schema-less is emitted as pa.table({}) without calling `fn`.
     fn=None (one Dataset) passes each partition's rows through.
 
-    `empty`: typed zero-row table matching the post-split schema of a
+    `empty`: typed zero-row table matching the schema of a
     single-Dataset `ds`, fed to `fn` in place of the rows of a partition
     that has none (needed when the input may have no typed block at all
     — a from-refs Dataset can't infer schema otherwise). Not accepted
@@ -294,15 +316,11 @@ def hash_exchange(ds, n_parts: int, fn=None, part_col: str = "__bucket",
     `empty_out`: typed zero-row OUTPUT table returned directly for
     partitions with no rows in any input — use for kernels that don't
     tolerate empty input.
-    `drop_part_col`: strip `part_col` before calling `fn`. By default
-    `fn` sees it, as kernels that read their partition id need it
-    (checkpoint's bucket writer, cluster's per-cluster dedup).
     `resilient`: return an ExchangeHandle instead of a Dataset — the
     handle pins the split shards and can relaunch lost reduce outputs
     (handle.dataset(recover=True)); see ExchangeHandle.
     """
     import ray.data as rd
 
-    handle = ExchangeHandle(ds, n_parts, fn, part_col, empty, empty_out,
-                            drop_part_col)
+    handle = ExchangeHandle(ds, n_parts, fn, by, empty, empty_out)
     return handle if resilient else rd.from_arrow_refs(handle.outs)

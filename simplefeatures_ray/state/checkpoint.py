@@ -7,10 +7,12 @@ Design:
   * rows are bucketed by a deterministic hash of an integer column mod
     n_buckets. That domain is known up front, so
     stages/exchange.hash_exchange co-partitions them (no sampling pass,
-    no sort shuffle) and runs ONE Arrow kernel per bucket: sort by all
-    columns, write `<out>/part=<bucket>/data.parquet` via tmp file +
-    atomic rename — task retries are idempotent. Each reduce task
-    writes a contiguous range of buckets in turn;
+    no sort shuffle), computing each row's bucket in its split tasks,
+    and runs ONE Arrow kernel per non-empty bucket: it recomputes the
+    bucket id from its first row, sorts by all columns and writes
+    `<out>/part=<bucket>/data.parquet` via tmp file + atomic rename —
+    task retries are idempotent. Each reduce task writes a contiguous
+    range of buckets in turn;
   * the kernel returns a typed lineage row: bucket, rows, bytes,
     content_hash, wall seconds. content_hash is the sha256 of the
     parquet bytes, taken from the in-memory buffer that is then written
@@ -22,7 +24,8 @@ Design:
     their refs (no Dataset round trip) and merges the rows into
     `<out>/_manifest.json` (atomic rename). A resumed run loads the
     manifest, filters already-completed buckets out of the stream
-    before the exchange, and only writes the missing buckets.
+    before the exchange (the only map the sink adds, and only then),
+    and only writes the missing buckets.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..stages.exchange import _exchange
+from ..stages.exchange import ExchangeHandle
 
 MANIFEST = "_manifest.json"
 
@@ -107,23 +110,25 @@ def _write_partition(t: pa.Table, part_dir: str) -> dict:
             "seconds": round(time.time() - t0, 3)}
 
 
-def write_buckets(ds, n_buckets: int, part_dir, stats=None,
+def write_buckets(ds, n_buckets: int, by, part_dir, stats=None,
                   schema: pa.Schema = LINEAGE) -> list[dict]:
-    """hash_exchange `ds` on its int `__bucket` column ∈ [0, n_buckets)
-    and write every non-empty bucket to `part_dir(bucket)`. Returns one
-    lineage row per written bucket, in bucket order; `stats(rows)`
-    supplies the fields `schema` adds to LINEAGE."""
+    """hash_exchange `ds` into n_buckets buckets by `by` (a function
+    pa.Table -> bucket ids ∈ [0, n_buckets)) and write every non-empty
+    bucket to `part_dir(bucket)`. Returns one lineage row per written
+    bucket, in bucket order; `stats(rows)` supplies the fields `schema`
+    adds to LINEAGE."""
     import ray
 
     def kernel(t: pa.Table) -> pa.Table:
-        bucket = t["__bucket"][0].as_py()
-        body = t.drop_columns(["__bucket"])
-        row = {"bucket": bucket, **_write_partition(body, part_dir(bucket))}
+        # empty_out: only non-empty buckets get here
+        bucket = int(np.asarray(by(t.slice(0, 1)))[0])
+        row = {"bucket": bucket, **_write_partition(t, part_dir(bucket))}
         if stats is not None:
-            row.update(stats(body))
+            row.update(stats(t))
         return pa.Table.from_pylist([row], schema=schema)
 
-    outs = _exchange(ds, n_buckets, kernel, empty_out=schema.empty_table())
+    outs = ExchangeHandle(ds, n_buckets, kernel, by,
+                          empty_out=schema.empty_table()).outs
     return pa.concat_tables(ray.get(outs)).to_pylist()
 
 
@@ -138,15 +143,14 @@ def checkpointed_write(ds, out_dir: str, partition_col: str,
     done = load_manifest(out_dir) if resume else {}
     done_ids = np.fromiter(done, dtype=np.int64)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = _bucket_of(t[partition_col], n_buckets)
-        t = t.append_column("__bucket", pa.array(b, pa.int64()))
-        if len(done_ids):
-            t = t.filter(pa.array(~np.isin(b, done_ids)))
-        return t
+    def bucket(t: pa.Table) -> np.ndarray:
+        return _bucket_of(t[partition_col], n_buckets)
 
-    lineage = write_buckets(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                            n_buckets, lambda b: os.path.join(out_dir, f"part={b}"))
+    if len(done_ids):
+        ds = ds.map_batches(lambda t: t.filter(pa.array(~np.isin(bucket(t), done_ids))),
+                            batch_format="pyarrow")
+    lineage = write_buckets(ds, n_buckets, bucket,
+                            lambda b: os.path.join(out_dir, f"part={b}"))
     partitions = dict(done)
     for row in lineage:
         partitions[row.pop("bucket")] = row

@@ -7,10 +7,12 @@ directory with its lon/lat bbox recorded in a driver-side manifest.
 intersects the query window — partition pruning before any byte leaves
 storage, the spatial analogue of Parquet row-group min/max pruning.
 
-The writer is state/checkpoint.write_buckets: a hash_exchange on the
-cell's index among the 4^res cells of its resolution, one Arrow kernel
-per cell (sorted rows, tmp-file + atomic rename, so task retries are
-idempotent) whose lineage row also carries the cell's data bbox.
+The writer is state/checkpoint.write_buckets: a hash_exchange by the
+cell's index among the 4^res cells of its resolution, computed in the
+exchange's split tasks, and one Arrow kernel per non-empty cell (sorted
+rows, tmp-file + atomic rename, so task retries are idempotent) that
+recomputes the index from its first row and whose lineage row also
+carries the cell's data bbox.
 """
 from __future__ import annotations
 
@@ -48,11 +50,10 @@ def write_spatial(ds, out_dir: str, lon_col: str = "lon", lat_col: str = "lat",
     os.makedirs(out_dir, exist_ok=True)
     first = 4 ** res  # cell ids at `res` are first .. 2*first-1
 
-    def add_bucket(t: pa.Table) -> pa.Table:
+    def bucket(t: pa.Table) -> np.ndarray:
         cells = lonlat_to_cell(np.asarray(t[lon_col], dtype=np.float64),
                                np.asarray(t[lat_col], dtype=np.float64), res)
-        bucket = (cells - np.uint64(first)).astype(np.int64)
-        return t.append_column("__bucket", pa.array(bucket))
+        return (cells - np.uint64(first)).astype(np.int64)
 
     def bbox(t: pa.Table) -> dict:
         lon, lat = pc.min_max(t[lon_col]), pc.min_max(t[lat_col])
@@ -60,8 +61,7 @@ def write_spatial(ds, out_dir: str, lon_col: str = "lon", lat_col: str = "lat",
                 "lon_max": lon["max"].as_py(), "lat_max": lat["max"].as_py()}
 
     lineage = write_buckets(
-        ds.map_batches(add_bucket, batch_format="pyarrow"), first,
-        lambda b: os.path.join(out_dir, f"cell={first + b:x}"),
+        ds, first, bucket, lambda b: os.path.join(out_dir, f"cell={first + b:x}"),
         stats=bbox, schema=_LINEAGE_BBOX)
     partitions = {}
     for r in lineage:

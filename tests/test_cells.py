@@ -237,3 +237,18 @@ def test_encode_cells_nan_rows_get_null_cells():
     ok = encode_cells(12)(pa.table({"lon": lon[~bad], "lat": lat[~bad]}))
     assert ok["cell"].null_count == 0
     assert np.array_equal(np.asarray(ok["cell"], dtype=np.uint64), got)
+
+
+@pytest.mark.parametrize("res", [0, 3, 12, 30])
+def test_edge_coordinates_stay_at_their_resolution(res):
+    """Latitudes at or past the Mercator clamp and longitudes at or past
+    the antimeridian give an index just below 0 or at the edge; it is
+    clamped in float, so no negative index wraps in the uint64 cast."""
+    lon = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 180.0, -180.0, -181.0, 181.0])
+    lat = np.array([86.0, -86.0, 90.0, -90.0, 85.0511, 0.0, 0.0, 0.0, 0.0])
+    cells = lonlat_to_cell(lon, lat, res)
+    assert (cell_res(cells) == res).all()
+    # the clamped rows sit in the edge rows/columns of the grid
+    x0, y0, x1, y1 = cell_bounds_xy(cells)
+    assert y0[2] == 0.0 and y1[3] == 1.0
+    assert x1[5] == 1.0 and x0[7] == 0.0 and x1[8] == 1.0

@@ -145,6 +145,23 @@ def test_spatial_sink_bbox_pruning(ray_session, tmp_path):
     assert read_spatial(out).count() == 5000
 
 
+def test_spatial_sink_keeps_polar_rows(ray_session, tmp_path):
+    """A row past the Mercator latitude clamp lands in its edge cell,
+    not in a bucket outside the cell range (which the exchange rejects)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from simplefeatures_ray.state.spatial_sink import read_spatial, write_spatial
+
+    ds = rd.from_arrow(pa.table({"pid": pa.array([0, 1, 2]),
+                                 "lon": pa.array([10.0, -181.0, 0.0]),
+                                 "lat": pa.array([89.9, 0.0, -90.0])}))
+    out = str(tmp_path / "polar")
+    doc = write_spatial(ds, out, res=3)
+    assert doc["total_rows"] == 3
+    assert sorted(read_spatial(out).to_pandas()["pid"]) == [0, 1, 2]
+
+
 def test_resume_ignores_stale_tmp_from_crash(ray_session, tmp_out):
     """A crash between write and atomic rename leaves part=N/data.parquet
     .tmp.<pid> litter and no manifest entry; the rerun must rewrite the

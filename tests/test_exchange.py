@@ -9,7 +9,9 @@ Contracts pinned here:
   * parity with groupby().map_groups on a shared kernel;
   * k inputs: fn(t_0, …, t_{k-1}) once per partition, in partition
     order, with one table per input (typed empty, or pa.table({}) for an
-    input without a typed block).
+    input without a typed block);
+  * `by` partitions inside the split: `fn` sees exactly its input's
+    columns, and a partition outside [0, n_parts) fails loudly.
 """
 import numpy as np
 import pyarrow as pa
@@ -47,7 +49,7 @@ def test_group_complete_and_exact(ray_session):
             "s": pa.array([float(np.asarray(g["v"]).sum())], pa.float64()),
         })
 
-    out = hash_exchange(ds, P, per_part,
+    out = hash_exchange(ds, P, per_part, lambda t: t["__bucket"],
                         empty=t.slice(0, 0)).to_pandas()
     assert len(out) == P
     assert out["n"].sum() == 5000
@@ -68,7 +70,7 @@ def test_empty_partitions_typed(ray_session):
     def f(g: pa.Table) -> pa.Table:
         return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
-    out = hash_exchange(ds, 6, f, empty=t.slice(0, 0)).to_pandas()
+    out = hash_exchange(ds, 6, f, lambda t: t["__bucket"], empty=t.slice(0, 0)).to_pandas()
     assert list(out["n"]) == [0, 0, 0, 2, 0, 0]
 
 
@@ -83,7 +85,7 @@ def test_empty_out_skips_fn(ray_session):
         return pa.table({"m": pa.array([int(x.max())], pa.int64())})
 
     out = hash_exchange(
-        ds, 4, brittle, empty=None,
+        ds, 4, brittle, lambda t: t["__bucket"], empty=None,
         empty_out=pa.table({"m": pa.array([], pa.int64())})).to_pandas()
     assert list(out["m"]) == [5]
 
@@ -94,7 +96,7 @@ def test_schemaless_empty_blocks_tolerated(ray_session):
     t = pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()),
                   "__bucket": pa.array([0, 0, 1, 1], pa.int32())})
     e = t.slice(0, 0)
-    first = hash_exchange(rd.from_arrow(t), 4, None, empty=e)
+    first = hash_exchange(rd.from_arrow(t), 4, None, lambda t: t["__bucket"], empty=e)
 
     def rebucket(g: pa.Table) -> pa.Table:
         k = np.asarray(g["k"], dtype=np.int64)
@@ -102,7 +104,7 @@ def test_schemaless_empty_blocks_tolerated(ray_session):
                          "__bucket": pa.array((k % 3).astype(np.int32))})
 
     second = hash_exchange(first.map_batches(rebucket, batch_format="pyarrow"),
-                           3, None, empty=e)
+                           3, None, lambda t: t["__bucket"], empty=e)
     got = sorted(r["k"] for r in second.take_all())
     assert got == [1, 2, 3, 4]
 
@@ -115,7 +117,7 @@ def test_parity_with_groupby(ray_session):
         out = g.group_by("k").aggregate([("v", "sum")])
         return out.rename_columns(["k", "vs"])
 
-    a = hash_exchange(ds, P, agg, empty=t.slice(0, 0)).to_pandas()
+    a = hash_exchange(ds, P, agg, lambda t: t["__bucket"], empty=t.slice(0, 0)).to_pandas()
     b = (ds.groupby("__bucket").map_groups(agg, batch_format="pyarrow")
          .to_pandas())
     a = a.sort_values(["k", "vs"]).reset_index(drop=True)
@@ -133,7 +135,7 @@ def test_zero_input_blocks(ray_session):
     def f(g: pa.Table) -> pa.Table:
         return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
-    out = hash_exchange(ds, 3, f, empty=t.slice(0, 0)).to_pandas()
+    out = hash_exchange(ds, 3, f, lambda t: t["__bucket"], empty=t.slice(0, 0)).to_pandas()
     assert list(out["n"]) == [0, 0, 0]
 
 
@@ -159,7 +161,7 @@ def test_resilient_exchange_recovers_lost_reduce(ray_session):
         return pa.Table.from_pandas(df, preserve_index=False)
 
     ds = rd.from_arrow(t).repartition(6)
-    handle = hash_exchange(ds, 8, per_part, empty=t.slice(0, 0),
+    handle = hash_exchange(ds, 8, per_part, lambda t: t["__bucket"], empty=t.slice(0, 0),
                            resilient=True)
     ref_df = (handle.dataset().to_pandas()
               .sort_values(["k", "v"]).reset_index(drop=True))
@@ -188,7 +190,7 @@ def test_single_partition_multi_block(ray_session):
     """n_parts=1: every row of every block reaches the one reduce, once."""
     t, ds = _mk(3000, 1, seed=3, n_blocks=5)
 
-    out = hash_exchange(ds, 1, lambda g: g).to_pandas()
+    out = hash_exchange(ds, 1, lambda g: g, lambda t: t["__bucket"]).to_pandas()
     assert len(out) == 3000
     assert sorted(out["k"]) == sorted(t["k"].to_pylist())
     assert np.isclose(out["v"].sum(), float(np.asarray(t["v"]).sum()))
@@ -256,7 +258,7 @@ def test_grouped_reduce_once_per_partition(ray_session, P, n_blocks):
 
     # `empty`: fn runs once for EVERY partition, empties included, in
     # partition order (empties report -1)
-    out = hash_exchange(ds, P, per_part, empty=t.slice(0, 0))
+    out = hash_exchange(ds, P, per_part, lambda t: t["__bucket"], empty=t.slice(0, 0))
     df = out.to_pandas()
     assert len(df) == P
     assert df["part"].tolist() == [p if counts[p] else -1 for p in range(P)]
@@ -268,12 +270,13 @@ def test_grouped_reduce_once_per_partition(ray_session, P, n_blocks):
 
     # `empty_out`: fn runs once per NON-empty partition only
     typed = pa.schema([("part", pa.int64()), ("n", pa.int64())]).empty_table()
-    df = hash_exchange(ds, P, per_part, empty_out=typed).to_pandas()
+    df = hash_exchange(ds, P, per_part, lambda t: t["__bucket"], empty_out=typed).to_pandas()
     assert df["part"].tolist() == np.flatnonzero(counts).tolist()
     assert df["n"].tolist() == counts[counts > 0].tolist()
 
     # the rows themselves, in partition order
-    rows = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0))
+    rows = hash_exchange(ds, P, lambda g: g.sort_by("id"), lambda t: t["__bucket"],
+                         empty=t.slice(0, 0))
     assert pa.concat_tables(_blocks(rows)).equals(_by_part(t))
 
 
@@ -285,7 +288,8 @@ def test_schemaless_block_inside_coalesced_run(ray_session):
     pieces = [t.slice(0, 1000), pa.table({}), t.slice(1000, 0),
               t.slice(1000, 1000), pa.table({}), t.slice(2000, 1000)]
     ds = rd.from_arrow_refs([ray.put(p) for p in pieces])
-    out = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0))
+    out = hash_exchange(ds, P, lambda g: g.sort_by("id"), lambda t: t["__bucket"],
+                        empty=t.slice(0, 0))
     assert pa.concat_tables(_blocks(out)).equals(_by_part(t))
 
 
@@ -296,9 +300,10 @@ def test_fanin_tree_level(ray_session, monkeypatch):
     P = 64
     # 24 blocks -> 8 runs of <= 3 blocks -> one concat level of 3 rows
     t, ds = _sparse(6000, P, seed=9, n_blocks=24)
-    out = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0))
+    out = hash_exchange(ds, P, lambda g: g.sort_by("id"), lambda t: t["__bucket"],
+                        empty=t.slice(0, 0))
     assert pa.concat_tables(_blocks(out)).equals(_by_part(t))
-    splits = exchange._split(ds.iter_internal_ref_bundles(), "__bucket", P, 8)
+    splits = exchange._split(ds.iter_internal_ref_bundles(), lambda t: t["__bucket"], P, 8)
     assert len(splits) <= 3 and all(len(s) == 8 for s in splits)
 
 
@@ -310,8 +315,8 @@ def test_resilient_relaunch_one_group_of_many(ray_session):
 
     P = 64
     t, ds = _sparse(5000, P, seed=13, n_blocks=6)
-    handle = hash_exchange(ds, P, lambda g: g.sort_by("id"), empty=t.slice(0, 0),
-                           resilient=True)
+    handle = hash_exchange(ds, P, lambda g: g.sort_by("id"), lambda t: t["__bucket"],
+                           empty=t.slice(0, 0), resilient=True)
     assert len(handle.outs) == 8
     want = _by_part(t)
     assert pa.concat_tables(_blocks(handle.dataset())).equals(want)
@@ -398,7 +403,7 @@ def test_two_inputs_once_per_partition_in_order(ray_session):
     ca = np.bincount(np.asarray(a["__bucket"]), minlength=P)
     cb = np.bincount(np.asarray(b["__bucket"]), minlength=P)
     assert (cb == 0).any() and ((ca > 0) & (cb == 0)).any()
-    df = hash_exchange((da, db), P, summary).to_pandas()
+    df = hash_exchange((da, db), P, summary, lambda t: t["__bucket"]).to_pandas()
     assert len(df) == P
     assert df["na"].tolist() == ca.tolist()
     assert df["nb"].tolist() == cb.tolist()
@@ -407,7 +412,7 @@ def test_two_inputs_once_per_partition_in_order(ray_session):
     assert set(df["a_schema"]) == {"id:int64,v:double,__bucket:int64"}
     assert set(df["b_schema"]) == {"name:string,w:int32,__bucket:int64"}
     # the rows themselves, partition by partition
-    out = hash_exchange((da, db), P, both_rows)
+    out = hash_exchange((da, db), P, both_rows, lambda t: t["__bucket"])
     assert pa.concat_tables(_blocks(out)).equals(_both_ref(a, b))
 
 
@@ -417,7 +422,7 @@ def test_input_with_zero_blocks(ray_session):
     summary, _ = _kernels()
     P = 16
     a, _, da, _ = _two_inputs(P)
-    df = hash_exchange((da, rd.from_arrow_refs([])), P, summary).to_pandas()
+    df = hash_exchange((da, rd.from_arrow_refs([])), P, summary, lambda t: t["__bucket"]).to_pandas()
     assert len(df) == P and set(df["b_schema"]) == {""}
     assert df["na"].tolist() == np.bincount(np.asarray(a["__bucket"]),
                                             minlength=P).tolist()
@@ -425,11 +430,13 @@ def test_input_with_zero_blocks(ray_session):
     def never(*ts):
         raise AssertionError("fn called on schema-less inputs")
 
-    none = hash_exchange((rd.from_arrow_refs([]), rd.from_arrow_refs([])), P, never)
+    none = hash_exchange((rd.from_arrow_refs([]), rd.from_arrow_refs([])), P, never,
+                         lambda t: t["__bucket"])
     assert sum(t.num_rows for t in _blocks(none)) == 0
     # `empty` types one input; a tuple's inputs keep their own schemas
     with pytest.raises(ValueError):
-        hash_exchange((da, rd.from_arrow_refs([])), P, summary, empty=a.slice(0, 0))
+        hash_exchange((da, rd.from_arrow_refs([])), P, summary, lambda t: t["__bucket"],
+                      empty=a.slice(0, 0))
 
 
 def test_two_inputs_fanin_tree_level_on_one_input(ray_session, monkeypatch):
@@ -439,7 +446,7 @@ def test_two_inputs_fanin_tree_level_on_one_input(ray_session, monkeypatch):
     P = 64
     # a: 24 blocks -> 8 runs of <= 3 blocks -> one concat level; b: 2 blocks
     a, b, da, db = _two_inputs(P, seed=9, a_blocks=24, b_blocks=2)
-    out = hash_exchange((da, db), P, _kernels()[1])
+    out = hash_exchange((da, db), P, _kernels()[1], lambda t: t["__bucket"])
     assert pa.concat_tables(_blocks(out)).equals(_both_ref(a, b))
 
 
@@ -451,7 +458,7 @@ def test_two_inputs_resilient_relaunch(ray_session):
 
     P = 64
     a, b, da, db = _two_inputs(P, seed=13)
-    handle = hash_exchange((da, db), P, _kernels()[1], resilient=True)
+    handle = hash_exchange((da, db), P, _kernels()[1], lambda t: t["__bucket"], resilient=True)
     want = _both_ref(a, b)
     assert pa.concat_tables(_blocks(handle.dataset())).equals(want)
     lost = handle.outs[2]
@@ -461,3 +468,62 @@ def test_two_inputs_resilient_relaunch(ray_session):
     got = pa.concat_tables(_blocks(handle.dataset(recover=True)))
     assert handle.outs[2] != lost
     assert got.equals(want)
+
+
+# --------------------------------------------------------------------------- #
+# `by`: the exchange computes each row's partition in its split tasks
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_out_of_range_partition_raises(ray_session, bad):
+    """A partition outside [0, n_parts) belongs to no reduce call: the
+    split task fails naming it instead of dropping the row."""
+    import ray
+
+    t = pa.table({"k": pa.array([0, 1, 3, bad, 2], pa.int64())})
+    handle = hash_exchange(rd.from_arrow(t), 4, None, lambda t: t["k"],
+                           resilient=True)
+    with pytest.raises(ValueError, match=rf"\[{bad}\]"):
+        ray.get(handle.outs)
+
+
+def _own_columns(P, keys, cols):
+    """k-input kernel: input i has exactly the columns cols[i], and every
+    row of every input has one key_partition (of keys[i]); returns input
+    0 unchanged."""
+
+    def fn(*ts):
+        from simplefeatures_ray.functions.relational import key_partition
+
+        parts = set()
+        for t, k, c in zip(ts, keys, cols):
+            assert t.column_names == c, t.column_names
+            parts |= set(key_partition(t, k, P).tolist())
+        assert len(parts) <= 1
+        return ts[0]
+
+    return fn
+
+
+def test_key_by_fn_sees_own_columns(ray_session):
+    """Key-list `by`, for one input and for a k-input tuple: `fn` gets and
+    returns exactly its input's columns; nothing is added or dropped."""
+    P = 16
+    rng = np.random.default_rng(3)
+    a = pa.table({"k": pa.array(rng.integers(0, 50, 2000)),
+                  "v": pa.array(rng.random(2000))})
+    b = pa.table({"key2": pa.array(rng.integers(0, 50, 500)),
+                  "w": pa.array([f"w{i}" for i in range(500)])})
+    da, db = rd.from_arrow(a).repartition(4), rd.from_arrow(b).repartition(3)
+    ca, cb = a.column_names, b.column_names
+    one = hash_exchange(da, P, _own_columns(P, [["k"]], [ca]), ["k"])
+    two = hash_exchange((da, db), P, _own_columns(P, [["k"], ["key2"]], [ca, cb]),
+                        (["k"], ["key2"]))
+    rev = hash_exchange((db, da), P, _own_columns(P, [["key2"], ["k"]], [cb, ca]),
+                        (["key2"], ["k"]))
+    for out, want in ((one, a), (two, a), (rev, b)):
+        got = pa.concat_tables(_blocks(out))
+        assert got.column_names == want.column_names
+        order = [(c, "ascending") for c in want.column_names]
+        assert got.sort_by(order).equals(want.sort_by(order))

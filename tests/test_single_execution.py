@@ -68,15 +68,23 @@ def test_bucketed_join_hints_skip_probe(ray_session):
     from simplefeatures_ray.functions.agg import grouped_agg
     from simplefeatures_ray.functions.relational import bucketed_join
 
+    def left_side(t: pa.Table) -> pa.Table:
+        return t
+
+    def right_side(t: pa.Table) -> pa.Table:
+        return t
+
     left = rd.from_arrow(pa.table({
         "k": pa.array([1, 1, 2, 3], pa.int64()),
-        "x": pa.array([10.0, 11.0, 12.0, 13.0])}))
+        "x": pa.array([10.0, 11.0, 12.0, 13.0])})
+    ).map_batches(left_side, batch_format="pyarrow")
     right_src = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 2, 4], pa.int64()),
         "v": pa.array([5, 6, 7, 8], pa.int64())}))
     # right side downstream of a SHUFFLE (the expensive-probe shape)
     right = grouped_agg(right_src, "k", {"v": ("v", "sum")},
-                        combine="shuffle")
+                        combine="shuffle").map_batches(right_side,
+                                                       batch_format="pyarrow")
     with _count_execs() as calls:
         j = bucketed_join(left, right, key="k", n_buckets=4)
         got = sorted(map(tuple, (r.values() for r in j.take_all())))
@@ -85,8 +93,8 @@ def test_bucketed_join_hints_skip_probe(ray_session):
     # UPSTREAM lineage (a side's maps) running twice
     heavy = [c for c in calls if "MapBatches" in c or "Sort" in c]
     assert sorted(heavy) == [
-        "TaskPoolMapOperator[MapBatches(add_bucket_left)]",
-        "TaskPoolMapOperator[MapBatches(add_bucket_right)]"], calls
+        "TaskPoolMapOperator[MapBatches(left_side)]",
+        "TaskPoolMapOperator[MapBatches(right_side)]"], calls
     assert got == [(1, 10.0, 5), (1, 11.0, 5), (2, 12.0, 13)]
 
 
@@ -137,8 +145,9 @@ def test_topk_explicit_ties_no_probe(ray_session):
 def test_flagship_job_two_executions(ray_session, tmp_path):
     """A flagship job (geotag_join_tiles + checkpointed_write) is two Ray
     Data executions: the upstream (read -> geotag task), drained once by
-    the coalesce-and-count wave, and the sink's map (assign -> Project ->
-    add_bucket). No materialize() and no histogram execution."""
+    the coalesce-and-count wave, and the sink's map (assign -> Project),
+    drained by the sink's exchange, which buckets the rows in its split
+    tasks. No materialize() and no histogram execution."""
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
     from simplefeatures_ray.sources.pages import pages_dataset
     from simplefeatures_ray.sources.polygons import make_polygons
@@ -149,4 +158,4 @@ def test_flagship_job_two_executions(ray_session, tmp_path):
         manifest = checkpointed_write(out, str(tmp_path), partition_col="tile_id")
     assert manifest["total_rows"] > 0
     assert len(calls) == 2, calls
-    assert "geotag_block" in calls[0] and "add_bucket" in calls[1], calls
+    assert "geotag_block" in calls[0] and "assign_tiles_batch" in calls[1], calls
