@@ -49,10 +49,14 @@ def mercator_xy(lon: np.ndarray, lat: np.ndarray):
 
 
 def lonlat_to_cell(lon, lat, res: int) -> np.ndarray:
-    """uint64 cell ids at resolution `res` for arrays of lon/lat degrees."""
+    """uint64 cell ids at resolution `res` for arrays of lon/lat degrees;
+    raises ValueError on a NaN lon or lat, which lies in no cell."""
     if not (0 <= res <= MAX_RES):
         raise ValueError(f"resolution must be 0..{MAX_RES}")
     x, y = mercator_xy(lon, lat)
+    nan = np.isnan(x) | np.isnan(y)
+    if nan.any():
+        raise ValueError(f"{int(nan.sum())} NaN lon/lat rows lie in no cell")
     scale = float(1 << res)
     # clamp in float: a negative index (lat at the Mercator clamp gives
     # y ~ -6e-12, lon < -180 gives x < 0) would wrap in the uint64 cast

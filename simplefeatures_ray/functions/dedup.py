@@ -823,7 +823,7 @@ def exact_substring_removal(ds, *, window: int = 50,
         id_col: pa.array([], pa.int64()), "pos": pa.array([], pa.int32()),
         "gh": pa.array([], pa.uint64())})
     dup = hash_exchange(rows, n_parts, dup_positions, _gram_part(n_parts),
-                        empty=empty_rows)
+                        empty_out=dup_positions(empty_rows))
 
     def pos_lists(t: pa.Table) -> pa.Table:
         # positions pack to little-endian int32 bytes per doc: acero's
@@ -845,7 +845,7 @@ def exact_substring_removal(ds, *, window: int = 50,
     lists_ds = hash_exchange(
         dup, n_doc_buckets, pos_lists,
         lambda t: np.asarray(t[id_col], dtype=np.int64) % n_doc_buckets,
-        empty=empty_dup)
+        empty_out=pos_lists(empty_dup))
 
     def cut(t: pa.Table) -> pa.Table:
         out_schema = pa.schema([

@@ -51,18 +51,20 @@ One Dataset is the k = 1 case.
 
 EAGER: calling hash_exchange() streams each input through
 iter_internal_ref_bundles (exactly ONE execution of each input lineage,
-all k started before any is drained, so they run at once), launches the split/reduce task graph
-WITHOUT waiting for it, and returns a Dataset over the reduce-output
-refs. Nothing is fetched to the driver, and no `schema()` probe runs:
-an input's column types reach `fn` on its own blocks, and a downstream
-`schema()` on the result reads a materialized block. The exchange
-launches only tasks (no actor, thread or subprocess), so nothing it
-starts outlives the job. The trade-off vs the lazy groupby path is
-lineage: reduce outputs are plain objects, so lost blocks are not
-reconstructable — acceptable for a bounded two-wave exchange whose
-inputs the driver still holds refs to, and closable with resilient=True
-(ExchangeHandle pins the split shards and relaunches lost reduce
-outputs on demand, one group at a time).
+all k started before any is drained, so they run at once), launches the
+split/reduce task graph and returns a Dataset over the reduce-output
+refs. Nothing but each output's metadata is fetched to the driver, and
+no `schema()` probe runs: an input's column types reach `fn` on its own
+blocks. The exchange launches only tasks (no actor, thread or
+subprocess), so nothing it starts outlives the job.
+
+RECOVERY is Ray's lineage reconstruction. Every split and reduce
+output is the return of a retryable task whose arguments are block
+refs (and `fn`, put once by the driver), so when a node dies with
+them, Ray re-runs the reduce task that made a lost output, and
+recursively the split tasks and the upstream Ray Data tasks whose
+outputs died with it (Wang et al., "Ownership", NSDI 2021). The
+exchange pins nothing and relaunches nothing itself.
 """
 from __future__ import annotations
 
@@ -151,30 +153,28 @@ def _merge_shards(*shards):
     return (_concat(_partition_slices(shards, n)), sum(c for _, c in shards))
 
 
-def _reduce_part(fn, empty, empty_out, ts):
+def _reduce_part(fn, empty_out, ts):
     """Run `fn` once on one partition's complete rows, one table per
     input (a zero-row table, typed or schema-less, for an input with no
     rows in the partition)."""
     if empty_out is not None and not any(t.num_rows for t in ts):
         return empty_out
-    ts = [t.combine_chunks() if t.num_rows or empty is None else empty
-          for t in ts]
     if not any(t.num_columns for t in ts):
         # fully schema-less partition (every upstream block of every
         # input degenerate): calling fn would KeyError on its columns;
         # emit the degenerate empty unchanged — same state the
         # lazy-empty path produces.
         return ts[0]
-    return fn(*ts) if fn is not None else ts[0]
+    return fn(*[t.combine_chunks() for t in ts])
 
 
-def _reduce_group(fn, empty, empty_out, counts, n, *shards):
+def _reduce_group(fn, empty_out, counts, n, *shards):
     """Run `fn` once per partition of the group's n partitions, in
     ascending order, over the group's shards — `counts[i]` consecutive
     shards per input i; returns the concatenated outputs."""
     cuts = np.cumsum([0, *counts])
     per_input = [_partition_slices(shards[a:b], n) for a, b in zip(cuts[:-1], cuts[1:])]
-    outs = [_reduce_part(fn, empty, empty_out, ts) for ts in zip(*per_input)]
+    outs = [_reduce_part(fn, empty_out, ts) for ts in zip(*per_input)]
     return pa.concat_tables(outs, promote_options="permissive")
 
 
@@ -224,68 +224,32 @@ def _split(bundles, by, n_parts: int, n_groups: int) -> list:
     return splits
 
 
-class ExchangeHandle:
-    """The launched task graph of one hash_exchange; the recovery handle
-    of a resilient one (VERDICT r4 #6).
+def launch_exchange(ds, n_parts: int, fn, by, empty_out: pa.Table | None = None) -> list:
+    """Launch hash_exchange's split and reduce waves (same arguments);
+    returns the reduce tasks' output refs, one block each, in partition
+    order."""
+    import ray
 
-    Holds the split-shard refs plus the reduce recipe so a lost reduce
-    output can be RE-LAUNCHED from the still-held shards instead of
-    failing the job. dataset(recover=True) probes each reduce output
-    with a trivial remote task (no driver fetch) and relaunches the
-    groups whose objects are gone.
-
-    Cost of resilience: the handle PINS the split shards (≈ input
-    bytes) in the object store until it is dropped — drop it once the
-    downstream consumer has produced its own durable output. Recovery
-    is one level deep: if a split shard is lost too, Ray's own lineage
-    reconstruction must recover it (its task args are the upstream
-    block refs)."""
-
-    def __init__(self, ds, n_parts, fn, by, empty=None, empty_out=None):
-        import ray
-
-        inputs = ds if isinstance(ds, tuple) else (ds,)
-        bys = by if isinstance(by, tuple) else (by,) * len(inputs)
-        if len(bys) != len(inputs):
-            raise ValueError(f"by has {len(bys)} entries for {len(inputs)} inputs")
-        if empty is not None and isinstance(ds, tuple):
-            raise ValueError("empty= types a single input; the inputs of a "
-                             "tuple keep their own schemas")
-        cpus = int(ray.cluster_resources().get("CPU", 1))
-        n_groups = min(n_parts, 2 * max(cpus, 1))
-        self.bounds = _group_bounds(n_parts, n_groups)
-        # each lineage executes exactly once; every input's execution
-        # starts (Ray Data runs it in the background from its first
-        # bundle on) before any is drained, so the k inputs run at once
-        streams = [d.iter_internal_ref_bundles() for d in inputs]
-        self.splits = [_split(s, b, n_parts, n_groups) for s, b in zip(streams, bys)]
-        self.recipe = (ray.put(fn), empty, empty_out, [len(s) for s in self.splits])
-        self.outs = [self._launch(g) for g in range(n_groups)]
-
-    def _launch(self, g):
-        import ray
-
-        reduce_task = ray.remote(_reduce_group)
-        return reduce_task.remote(*self.recipe, self.bounds[g + 1] - self.bounds[g],
-                                  *[s[g] for splits in self.splits for s in splits])
-
-    def dataset(self, recover: bool = True):
-        import ray
-        import ray.data as rd
-
-        if recover:
-            probe = ray.remote(lambda t: True)
-            pending = [(g, probe.remote(r)) for g, r in enumerate(self.outs)]
-            for g, pr in pending:
-                try:
-                    ray.get(pr)
-                except Exception:
-                    self.outs[g] = self._launch(g)
-        return rd.from_arrow_refs(list(self.outs))
+    inputs = ds if isinstance(ds, tuple) else (ds,)
+    bys = by if isinstance(by, tuple) else (by,) * len(inputs)
+    if len(bys) != len(inputs):
+        raise ValueError(f"by has {len(bys)} entries for {len(inputs)} inputs")
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    n_groups = min(n_parts, 2 * max(cpus, 1))
+    bounds = _group_bounds(n_parts, n_groups)
+    # each lineage executes exactly once; every input's execution
+    # starts (Ray Data runs it in the background from its first
+    # bundle on) before any is drained, so the k inputs run at once
+    streams = [d.iter_internal_ref_bundles() for d in inputs]
+    splits = [_split(s, b, n_parts, n_groups) for s, b in zip(streams, bys)]
+    reduce_task = ray.remote(_reduce_group)
+    fn_ref, counts = ray.put(fn), [len(s) for s in splits]
+    return [reduce_task.remote(fn_ref, empty_out, counts, bounds[g + 1] - bounds[g],
+                               *[s[g] for input_splits in splits for s in input_splits])
+            for g in range(n_groups)]
 
 
-def hash_exchange(ds, n_parts: int, fn, by, empty=None,
-                  empty_out: pa.Table | None = None, resilient: bool = False):
+def hash_exchange(ds, n_parts: int, fn, by, empty_out: pa.Table | None = None):
     """Co-partition `ds` — one Dataset, or a tuple of k Datasets — into
     n_parts partitions by `by` and run `fn` (an Arrow-table kernel)
     exactly once per partition, as fn(t_0, …, t_{k-1}) with that
@@ -293,7 +257,8 @@ def hash_exchange(ds, n_parts: int, fn, by, empty=None,
     kernel outputs in partition order, empty partitions included so the
     output schema is stable — `fn` must be schema-stable on empty input,
     same contract as bucketed_join's bucket_fn. Each output block is a
-    contiguous run of whole partitions (see the module docstring).
+    contiguous run of whole partitions (see the module docstring). A
+    lost output is recovered by Ray's lineage reconstruction.
 
     `by`: each row's partition, computed inside the split tasks — a list
     of key columns (relational.key_partition), or a function
@@ -306,21 +271,13 @@ def hash_exchange(ds, n_parts: int, fn, by, empty=None,
     of its own blocks, or as pa.table({}) when every block of that input
     is schema-less (a zero-row lazy input). A partition where every
     input is schema-less is emitted as pa.table({}) without calling `fn`.
-    fn=None (one Dataset) passes each partition's rows through.
 
-    `empty`: typed zero-row table matching the schema of a
-    single-Dataset `ds`, fed to `fn` in place of the rows of a partition
-    that has none (needed when the input may have no typed block at all
-    — a from-refs Dataset can't infer schema otherwise). Not accepted
-    with a tuple `ds`: a k-input kernel types a schema-less input itself.
-    `empty_out`: typed zero-row OUTPUT table returned directly for
-    partitions with no rows in any input — use for kernels that don't
-    tolerate empty input.
-    `resilient`: return an ExchangeHandle instead of a Dataset — the
-    handle pins the split shards and can relaunch lost reduce outputs
-    (handle.dataset(recover=True)); see ExchangeHandle.
+    `empty_out`, the one empty-partition option: the output of a
+    partition with no rows in any input, returned without calling `fn`
+    — for kernels that don't tolerate empty input, or whose input may
+    have no typed block at all (a typed fn(empty) is then
+    empty_out=fn(empty)).
     """
     import ray.data as rd
 
-    handle = ExchangeHandle(ds, n_parts, fn, by, empty, empty_out)
-    return handle if resilient else rd.from_arrow_refs(handle.outs)
+    return rd.from_arrow_refs(launch_exchange(ds, n_parts, fn, by, empty_out))

@@ -22,10 +22,17 @@ Design:
     file bytes without parsing parquet;
   * the driver fetches the reduce tasks' lineage tables straight from
     their refs (no Dataset round trip) and merges the rows into
-    `<out>/_manifest.json` (atomic rename). A resumed run loads the
-    manifest, filters already-completed buckets out of the stream
-    before the exchange (the only map the sink adds, and only then),
-    and only writes the missing buckets.
+    `<out>/_manifest.json` (atomic rename). The manifest also records
+    the bucket layout, `partition_col` and `n_buckets`. A resumed run
+    loads the manifest, refuses it with ValueError unless it names the
+    same layout (other buckets would hold the completed rows a second
+    time), filters already-completed buckets out of the stream before
+    the exchange (the only map the sink adds, and only then), and only
+    writes the missing buckets.
+
+Manifest (version 3): {"version", "partition_col", "n_buckets",
+"partitions": {bucket: {rows, bytes, content_hash, seconds}},
+"n_partitions", "total_rows"}.
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..stages.exchange import ExchangeHandle
+from ..stages.exchange import launch_exchange
 
 MANIFEST = "_manifest.json"
 
@@ -58,20 +65,29 @@ def _bucket_of(values, n_buckets: int) -> np.ndarray:
     ) % n_buckets
 
 
-def load_manifest(out_dir: str) -> dict:
+def _load_doc(out_dir: str) -> dict:
     path = os.path.join(out_dir, MANIFEST)
     if not os.path.exists(path):
         return {}
     with open(path) as f:
-        data = json.load(f)
-    return {int(k): v for k, v in data.get("partitions", {}).items()}
+        return json.load(f)
 
 
-def _save_manifest(out_dir: str, partitions: dict):
+def _partitions(doc: dict) -> dict:
+    return {int(k): v for k, v in doc.get("partitions", {}).items()}
+
+
+def load_manifest(out_dir: str) -> dict:
+    return _partitions(_load_doc(out_dir))
+
+
+def _save_manifest(out_dir: str, layout: dict, partitions: dict):
     path = os.path.join(out_dir, MANIFEST)
     tmp = path + ".tmp"
     doc = {
-        "version": 2,  # 2: content_hash is the sha256 of the file bytes
+        # 2: content_hash is the sha256 of the file bytes; 3: the layout
+        "version": 3,
+        **layout,
         "partitions": {str(k): v for k, v in sorted(partitions.items())},
         "n_partitions": len(partitions),
         "total_rows": int(sum(p["rows"] for p in partitions.values())),
@@ -127,8 +143,7 @@ def write_buckets(ds, n_buckets: int, by, part_dir, stats=None,
             row.update(stats(t))
         return pa.Table.from_pylist([row], schema=schema)
 
-    outs = ExchangeHandle(ds, n_buckets, kernel, by,
-                          empty_out=schema.empty_table()).outs
+    outs = launch_exchange(ds, n_buckets, kernel, by, empty_out=schema.empty_table())
     return pa.concat_tables(ray.get(outs)).to_pylist()
 
 
@@ -136,11 +151,19 @@ def checkpointed_write(ds, out_dir: str, partition_col: str,
                        n_buckets: int = 64, resume: bool = True) -> dict:
     """Write `ds` to bucketed parquet under out_dir with lineage manifest.
 
-    Returns the manifest document. Safe to re-run: completed buckets are
-    skipped (their rows are filtered out before the exchange).
+    Returns the manifest document. Safe to re-run with the same
+    partition_col and n_buckets: completed buckets are skipped (their
+    rows are filtered out before the exchange); resuming a manifest of
+    another layout raises ValueError.
     """
     os.makedirs(out_dir, exist_ok=True)
-    done = load_manifest(out_dir) if resume else {}
+    layout = {"partition_col": partition_col, "n_buckets": n_buckets}
+    doc = _load_doc(out_dir) if resume else {}
+    found = {k: doc.get(k) for k in layout}
+    if doc and found != layout:
+        raise ValueError(f"{out_dir} holds buckets of layout {found}; resuming "
+                         f"with {layout} would write their rows again")
+    done = _partitions(doc)
     done_ids = np.fromiter(done, dtype=np.int64)
 
     def bucket(t: pa.Table) -> np.ndarray:
@@ -154,7 +177,7 @@ def checkpointed_write(ds, out_dir: str, partition_col: str,
     partitions = dict(done)
     for row in lineage:
         partitions[row.pop("bucket")] = row
-    return _save_manifest(out_dir, partitions)
+    return _save_manifest(out_dir, layout, partitions)
 
 
 def verify_manifest(out_dir: str) -> dict:

@@ -100,7 +100,9 @@ def read_spatial(path: str, bbox=None, exact: bool = True):
         dirs.append(os.path.join(path, f"cell={cell}", "data.parquet"))
     if not dirs:
         raise FileNotFoundError("no partitions intersect the bbox")
-    ds = rd.read_parquet(dirs)
+    # partitioning=None: don't infer a hive 'cell' column from the
+    # bucket directory names — the data columns are the contract
+    ds = rd.read_parquet(dirs, partitioning=None)
     if bbox is not None and exact:
         lon_col, lat_col = doc["lon_col"], doc["lat_col"]
         lon0, lat0, lon1, lat1 = bbox

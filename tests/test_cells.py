@@ -252,3 +252,10 @@ def test_edge_coordinates_stay_at_their_resolution(res):
     x0, y0, x1, y1 = cell_bounds_xy(cells)
     assert y0[2] == 0.0 and y1[3] == 1.0
     assert x1[5] == 1.0 and x0[7] == 0.0 and x1[8] == 1.0
+
+
+@pytest.mark.parametrize("lon, lat", [(np.nan, 7.0), (5.0, np.nan), (np.nan, np.nan)])
+def test_nan_coordinate_lies_in_no_cell(lon, lat):
+    """A NaN lon or lat raises instead of landing in cell index 0."""
+    with pytest.raises(ValueError, match="NaN"):
+        lonlat_to_cell(np.array([5.0, lon]), np.array([7.0, lat]), 3)

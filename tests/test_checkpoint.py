@@ -126,10 +126,9 @@ def test_spatial_sink_bbox_pruning(ray_session, tmp_path):
     rng = np.random.default_rng(11)
     lon = rng.uniform(-170, 170, 5000)
     lat = rng.uniform(-60, 60, 5000)
-    ds = rd.from_arrow(pa.table({
-        "pid": pa.array(np.arange(5000)),
-        "lon": pa.array(lon), "lat": pa.array(lat),
-    })).repartition(8)
+    t = pa.table({"pid": pa.array(np.arange(5000)),
+                  "lon": pa.array(lon), "lat": pa.array(lat)})
+    ds = rd.from_arrow(t).repartition(8)
     out = str(tmp_path / "spatial")
     doc = write_spatial(ds, out, res=3)
     assert doc["total_rows"] == 5000
@@ -143,6 +142,9 @@ def test_spatial_sink_bbox_pruning(ray_session, tmp_path):
     assert pruned_fraction(out, bbox) > 0.5
     # full read round-trips
     assert read_spatial(out).count() == 5000
+    # the cell=<hex> directory names add no column
+    for box in (None, bbox):
+        assert read_spatial(out, box).schema().base_schema == t.schema
 
 
 def test_spatial_sink_keeps_polar_rows(ray_session, tmp_path):
@@ -160,6 +162,53 @@ def test_spatial_sink_keeps_polar_rows(ray_session, tmp_path):
     doc = write_spatial(ds, out, res=3)
     assert doc["total_rows"] == 3
     assert sorted(read_spatial(out).to_pandas()["pid"]) == [0, 1, 2]
+
+
+def test_spatial_sink_refuses_nan_coordinates(ray_session, tmp_path):
+    """A NaN or null lon/lat lies in no cell: the write fails loudly and
+    leaves no manifest, instead of filing the row under cell index 0
+    where no bbox read finds it."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from simplefeatures_ray.state.spatial_sink import MANIFEST, write_spatial
+
+    for lon, lat in (([5.0, float("nan")], [7.0, 7.0]), ([5.0, None], [7.0, 7.0]),
+                     ([5.0, 5.0], [7.0, float("nan")])):
+        ds = rd.from_arrow(pa.table({"pid": pa.array([0, 1]),
+                                     "lon": pa.array(lon, pa.float64()),
+                                     "lat": pa.array(lat, pa.float64())}))
+        out = str(tmp_path / "nan")
+        with pytest.raises(ValueError, match="NaN"):
+            write_spatial(ds, out, res=3)
+        assert not os.path.exists(os.path.join(out, MANIFEST))
+
+
+def test_resume_with_another_layout_raises(ray_session, tmp_out):
+    """The manifest names its bucket layout; resuming with another
+    n_buckets or partition_col, or over a manifest that names none,
+    raises instead of writing the completed rows a second time."""
+    from simplefeatures_ray.state.checkpoint import MANIFEST, checkpointed_write
+
+    ds = _make_ds(1000)
+    doc = checkpointed_write(ds, tmp_out, partition_col="key", n_buckets=8)
+    assert (doc["partition_col"], doc["n_buckets"]) == ("key", 8)
+    mpath = os.path.join(tmp_out, MANIFEST)
+    killed = json.load(open(mpath))
+    for b in sorted(killed["partitions"])[:4]:
+        del killed["partitions"][b]
+    json.dump(killed, open(mpath, "w"))
+    for col, n in (("key", 16), ("id", 8)):
+        with pytest.raises(ValueError, match="layout"):
+            checkpointed_write(ds, tmp_out, partition_col=col, n_buckets=n)
+    for k in ("partition_col", "n_buckets"):
+        del killed[k]
+    json.dump(killed, open(mpath, "w"))
+    with pytest.raises(ValueError, match="layout"):
+        checkpointed_write(ds, tmp_out, partition_col="key", n_buckets=8)
+    # resume=False starts over with any layout
+    doc = checkpointed_write(ds, tmp_out, partition_col="key", n_buckets=16, resume=False)
+    assert doc["total_rows"] == 1000 and doc["n_buckets"] == 16
 
 
 def test_resume_ignores_stale_tmp_from_crash(ray_session, tmp_out):
@@ -217,9 +266,8 @@ checkpointed_write(_wide_ds(), sys.argv[2], partition_col="key", n_buckets=16)
 """
 
 
-def _raylet_children(gcs_address: str) -> dict:
-    """{pid: process title} of the worker processes of the raylet
-    attached to `gcs_address`."""
+def _procs() -> dict:
+    """{pid: (ppid, argv)} of the live processes."""
     procs = {}
     for pid in filter(str.isdigit, os.listdir("/proc")):
         try:
@@ -230,8 +278,20 @@ def _raylet_children(gcs_address: str) -> dict:
         except OSError:
             continue
         procs[int(pid)] = (ppid, argv)
-    raylets = {pid for pid, (_, argv) in procs.items()
-               if argv[0].endswith("/raylet") and f"--gcs-address={gcs_address}" in argv}
+    return procs
+
+
+def _raylets(gcs_address: str, procs: dict) -> set:
+    """Pids of the raylets in `procs` attached to `gcs_address`."""
+    return {pid for pid, (_, argv) in procs.items()
+            if argv[0].endswith("/raylet") and f"--gcs-address={gcs_address}" in argv}
+
+
+def _raylet_children(gcs_address: str) -> dict:
+    """{pid: process title} of the worker processes of the raylet
+    attached to `gcs_address`."""
+    procs = _procs()
+    raylets = _raylets(gcs_address, procs)
     return {pid: argv[0] for pid, (ppid, argv) in procs.items() if ppid in raylets}
 
 

@@ -20,7 +20,7 @@ import pytest
 
 import ray.data as rd
 
-from simplefeatures_ray.stages.exchange import hash_exchange
+from simplefeatures_ray.stages.exchange import hash_exchange, launch_exchange
 
 
 def _mk(n, parts, seed=0, n_blocks=4):
@@ -50,7 +50,7 @@ def test_group_complete_and_exact(ray_session):
         })
 
     out = hash_exchange(ds, P, per_part, lambda t: t["__bucket"],
-                        empty=t.slice(0, 0)).to_pandas()
+                        empty_out=per_part(t.slice(0, 0))).to_pandas()
     assert len(out) == P
     assert out["n"].sum() == 5000
     b = np.asarray(t["__bucket"])
@@ -70,7 +70,7 @@ def test_empty_partitions_typed(ray_session):
     def f(g: pa.Table) -> pa.Table:
         return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
-    out = hash_exchange(ds, 6, f, lambda t: t["__bucket"], empty=t.slice(0, 0)).to_pandas()
+    out = hash_exchange(ds, 6, f, lambda t: t["__bucket"], empty_out=f(t.slice(0, 0))).to_pandas()
     assert list(out["n"]) == [0, 0, 0, 2, 0, 0]
 
 
@@ -85,7 +85,7 @@ def test_empty_out_skips_fn(ray_session):
         return pa.table({"m": pa.array([int(x.max())], pa.int64())})
 
     out = hash_exchange(
-        ds, 4, brittle, lambda t: t["__bucket"], empty=None,
+        ds, 4, brittle, lambda t: t["__bucket"],
         empty_out=pa.table({"m": pa.array([], pa.int64())})).to_pandas()
     assert list(out["m"]) == [5]
 
@@ -96,7 +96,7 @@ def test_schemaless_empty_blocks_tolerated(ray_session):
     t = pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()),
                   "__bucket": pa.array([0, 0, 1, 1], pa.int32())})
     e = t.slice(0, 0)
-    first = hash_exchange(rd.from_arrow(t), 4, None, lambda t: t["__bucket"], empty=e)
+    first = hash_exchange(rd.from_arrow(t), 4, lambda g: g, lambda t: t["__bucket"], empty_out=e)
 
     def rebucket(g: pa.Table) -> pa.Table:
         k = np.asarray(g["k"], dtype=np.int64)
@@ -104,7 +104,7 @@ def test_schemaless_empty_blocks_tolerated(ray_session):
                          "__bucket": pa.array((k % 3).astype(np.int32))})
 
     second = hash_exchange(first.map_batches(rebucket, batch_format="pyarrow"),
-                           3, None, lambda t: t["__bucket"], empty=e)
+                           3, lambda g: g, lambda t: t["__bucket"], empty_out=e)
     got = sorted(r["k"] for r in second.take_all())
     assert got == [1, 2, 3, 4]
 
@@ -117,7 +117,8 @@ def test_parity_with_groupby(ray_session):
         out = g.group_by("k").aggregate([("v", "sum")])
         return out.rename_columns(["k", "vs"])
 
-    a = hash_exchange(ds, P, agg, lambda t: t["__bucket"], empty=t.slice(0, 0)).to_pandas()
+    a = hash_exchange(ds, P, agg, lambda t: t["__bucket"],
+                      empty_out=agg(t.slice(0, 0))).to_pandas()
     b = (ds.groupby("__bucket").map_groups(agg, batch_format="pyarrow")
          .to_pandas())
     a = a.sort_values(["k", "vs"]).reset_index(drop=True)
@@ -135,55 +136,8 @@ def test_zero_input_blocks(ray_session):
     def f(g: pa.Table) -> pa.Table:
         return pa.table({"n": pa.array([g.num_rows], pa.int64())})
 
-    out = hash_exchange(ds, 3, f, lambda t: t["__bucket"], empty=t.slice(0, 0)).to_pandas()
+    out = hash_exchange(ds, 3, f, lambda t: t["__bucket"], empty_out=f(t.slice(0, 0))).to_pandas()
     assert list(out["n"]) == [0, 0, 0]
-
-
-def test_resilient_exchange_recovers_lost_reduce(ray_session):
-    """VERDICT r4 #6: kill a reduce output object; the ExchangeHandle
-    relaunches it from the still-held split shards and the co-partition
-    result is unchanged."""
-    import ray
-    import ray.data as rd
-
-    from simplefeatures_ray.stages.exchange import hash_exchange
-
-    n = 5000
-    t = pa.table({
-        "k": pa.array(np.arange(n, dtype=np.int64) % 37),
-        "v": pa.array(np.arange(n, dtype=np.int64)),
-        "__bucket": pa.array((np.arange(n, dtype=np.int64) * 2654435761)
-                             % 8),
-    })
-
-    def per_part(tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas().groupby("k", as_index=False)["v"].sum()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    ds = rd.from_arrow(t).repartition(6)
-    handle = hash_exchange(ds, 8, per_part, lambda t: t["__bucket"], empty=t.slice(0, 0),
-                           resilient=True)
-    ref_df = (handle.dataset().to_pandas()
-              .sort_values(["k", "v"]).reset_index(drop=True))
-
-    # simulate loss of two reduce outputs
-    ray.get(handle.outs[1])  # ensure materialized before freeing
-    ray.get(handle.outs[4])
-    from ray._private.internal_api import free
-
-    free([handle.outs[1], handle.outs[4]])
-    import time
-
-    time.sleep(0.5)
-    got = (handle.dataset(recover=True).to_pandas()
-           .sort_values(["k", "v"]).reset_index(drop=True))
-    assert got.equals(ref_df)
-    # brute-force expected
-    exp = (t.to_pandas().groupby("k", as_index=False)["v"].sum()
-           .sort_values(["k", "v"]).reset_index(drop=True))
-    g2 = (got.groupby("k", as_index=False)["v"].sum()
-          .sort_values(["k", "v"]).reset_index(drop=True))
-    assert g2.equals(exp)
 
 
 def test_single_partition_multi_block(ray_session):
@@ -256,9 +210,9 @@ def test_grouped_reduce_once_per_partition(ray_session, P, n_blocks):
         return pa.table({"part": pa.array([int(b[0]) if len(b) else -1], pa.int64()),
                          "n": pa.array([g.num_rows], pa.int64())})
 
-    # `empty`: fn runs once for EVERY partition, empties included, in
-    # partition order (empties report -1)
-    out = hash_exchange(ds, P, per_part, lambda t: t["__bucket"], empty=t.slice(0, 0))
+    # without `empty_out`, fn runs once for EVERY partition, empties
+    # included, in partition order (empties report -1)
+    out = hash_exchange(ds, P, per_part, lambda t: t["__bucket"])
     df = out.to_pandas()
     assert len(df) == P
     assert df["part"].tolist() == [p if counts[p] else -1 for p in range(P)]
@@ -276,7 +230,7 @@ def test_grouped_reduce_once_per_partition(ray_session, P, n_blocks):
 
     # the rows themselves, in partition order
     rows = hash_exchange(ds, P, lambda g: g.sort_by("id"), lambda t: t["__bucket"],
-                         empty=t.slice(0, 0))
+                         empty_out=t.slice(0, 0))
     assert pa.concat_tables(_blocks(rows)).equals(_by_part(t))
 
 
@@ -289,7 +243,7 @@ def test_schemaless_block_inside_coalesced_run(ray_session):
               t.slice(1000, 1000), pa.table({}), t.slice(2000, 1000)]
     ds = rd.from_arrow_refs([ray.put(p) for p in pieces])
     out = hash_exchange(ds, P, lambda g: g.sort_by("id"), lambda t: t["__bucket"],
-                        empty=t.slice(0, 0))
+                        empty_out=t.slice(0, 0))
     assert pa.concat_tables(_blocks(out)).equals(_by_part(t))
 
 
@@ -301,32 +255,10 @@ def test_fanin_tree_level(ray_session, monkeypatch):
     # 24 blocks -> 8 runs of <= 3 blocks -> one concat level of 3 rows
     t, ds = _sparse(6000, P, seed=9, n_blocks=24)
     out = hash_exchange(ds, P, lambda g: g.sort_by("id"), lambda t: t["__bucket"],
-                        empty=t.slice(0, 0))
+                        empty_out=t.slice(0, 0))
     assert pa.concat_tables(_blocks(out)).equals(_by_part(t))
     splits = exchange._split(ds.iter_internal_ref_bundles(), lambda t: t["__bucket"], P, 8)
     assert len(splits) <= 3 and all(len(s) == 8 for s in splits)
-
-
-def test_resilient_relaunch_one_group_of_many(ray_session):
-    import time
-
-    import ray
-    from ray._private.internal_api import free
-
-    P = 64
-    t, ds = _sparse(5000, P, seed=13, n_blocks=6)
-    handle = hash_exchange(ds, P, lambda g: g.sort_by("id"), lambda t: t["__bucket"],
-                           empty=t.slice(0, 0), resilient=True)
-    assert len(handle.outs) == 8
-    want = _by_part(t)
-    assert pa.concat_tables(_blocks(handle.dataset())).equals(want)
-    lost = handle.outs[3]
-    ray.get(lost)
-    free([lost])
-    time.sleep(0.5)
-    got = pa.concat_tables(_blocks(handle.dataset(recover=True)))
-    assert handle.outs[3] != lost
-    assert got.equals(want)
 
 
 # --------------------------------------------------------------------------- #
@@ -433,10 +365,6 @@ def test_input_with_zero_blocks(ray_session):
     none = hash_exchange((rd.from_arrow_refs([]), rd.from_arrow_refs([])), P, never,
                          lambda t: t["__bucket"])
     assert sum(t.num_rows for t in _blocks(none)) == 0
-    # `empty` types one input; a tuple's inputs keep their own schemas
-    with pytest.raises(ValueError):
-        hash_exchange((da, rd.from_arrow_refs([])), P, summary, lambda t: t["__bucket"],
-                      empty=a.slice(0, 0))
 
 
 def test_two_inputs_fanin_tree_level_on_one_input(ray_session, monkeypatch):
@@ -448,26 +376,6 @@ def test_two_inputs_fanin_tree_level_on_one_input(ray_session, monkeypatch):
     a, b, da, db = _two_inputs(P, seed=9, a_blocks=24, b_blocks=2)
     out = hash_exchange((da, db), P, _kernels()[1], lambda t: t["__bucket"])
     assert pa.concat_tables(_blocks(out)).equals(_both_ref(a, b))
-
-
-def test_two_inputs_resilient_relaunch(ray_session):
-    import time
-
-    import ray
-    from ray._private.internal_api import free
-
-    P = 64
-    a, b, da, db = _two_inputs(P, seed=13)
-    handle = hash_exchange((da, db), P, _kernels()[1], lambda t: t["__bucket"], resilient=True)
-    want = _both_ref(a, b)
-    assert pa.concat_tables(_blocks(handle.dataset())).equals(want)
-    lost = handle.outs[2]
-    ray.get(lost)
-    free([lost])
-    time.sleep(0.5)
-    got = pa.concat_tables(_blocks(handle.dataset(recover=True)))
-    assert handle.outs[2] != lost
-    assert got.equals(want)
 
 
 # --------------------------------------------------------------------------- #
@@ -482,10 +390,9 @@ def test_out_of_range_partition_raises(ray_session, bad):
     import ray
 
     t = pa.table({"k": pa.array([0, 1, 3, bad, 2], pa.int64())})
-    handle = hash_exchange(rd.from_arrow(t), 4, None, lambda t: t["k"],
-                           resilient=True)
+    outs = launch_exchange(rd.from_arrow(t), 4, lambda g: g, lambda t: t["k"])
     with pytest.raises(ValueError, match=rf"\[{bad}\]"):
-        ray.get(handle.outs)
+        ray.get(outs)
 
 
 def _own_columns(P, keys, cols):
@@ -527,3 +434,109 @@ def test_key_by_fn_sees_own_columns(ray_session):
         assert got.column_names == want.column_names
         order = [(c, "ascending") for c in want.column_names]
         assert got.sort_by(order).equals(want.sort_by(order))
+
+
+# --------------------------------------------------------------------------- #
+# node loss: Ray's lineage reconstruction re-runs the lost reduce tasks
+# --------------------------------------------------------------------------- #
+
+_NODE_LOSS_JOB = """
+import signal
+import sys
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray
+import ray.data as rd
+from ray.cluster_utils import Cluster
+from ray.data import DataContext
+
+# a terminated job still runs `finally` and shuts its cluster down
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+small = {"object_store_memory": 80 << 20, "include_dashboard": False}
+# the head node has no CPU, so every task runs on the worker node
+cluster = Cluster(initialize_head=True, head_node_args={"num_cpus": 0, **small})
+try:
+    # connect before the worker node exists: a driver binds to a raylet
+    # of its own host, which would otherwise be either node
+    ray.init(address=cluster.address, logging_level="ERROR")
+    print("GCS", cluster.gcs_address, flush=True)
+    worker = cluster.add_node(num_cpus=2, **small)
+    DataContext.get_current().enable_progress_bars = False
+    from simplefeatures_ray.stages.exchange import hash_exchange
+
+    rng = np.random.default_rng(0)
+    a = pa.table({"k": rng.integers(0, 1000, 100_000), "v": rng.random(100_000)})
+    b = pa.table({"k": rng.integers(0, 1000, 50_000), "w": rng.random(50_000)})
+
+    def plus_one(t):
+        return t.set_column(1, t.column_names[1], pc.add(t[1], 1.0))
+
+    def one(t):
+        return t.sort_by([("k", "ascending"), ("v", "ascending")])
+
+    def two(ta, tb):
+        return one(pa.concat_tables([ta, tb.rename_columns(["k", "v"])]))
+
+    def exchanges():
+        da, db = (rd.from_arrow(t).repartition(n).map_batches(plus_one, batch_format="pyarrow")
+                  for t, n in ((a, 6), (b, 4)))
+        return (hash_exchange(da, 8, one, ["k"]),
+                hash_exchange((da, db), 8, two, (["k"], ["k"])))
+
+    def rows(ds):
+        return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+    want = [rows(ds) for ds in exchanges()]
+    lost = exchanges()
+    refs = [r for ds in lost for r in ds.to_arrow_refs()]
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    where = ray.experimental.get_object_locations(refs)
+    assert all(w["node_ids"] == [worker.node_id] for w in where.values()), where
+    cluster.remove_node(worker)
+    cluster.add_node(num_cpus=2, **small)
+    got = [rows(ds) for ds in lost]
+    assert [g.num_rows for g in got] == [100_000, 150_000]
+    assert all(g.equals(w) for g, w in zip(got, want))
+    print("RECOVERED", flush=True)
+finally:
+    ray.shutdown()
+    cluster.shutdown()
+"""
+
+
+def test_node_loss_recovered_by_lineage():
+    """A 2-node cluster loses the node holding every reduce output of a
+    one-input and of a two-input exchange; Ray resubmits the lost tasks
+    and both Datasets give the rows of an uninterrupted run. Runs in its
+    own process, since the session's Ray is a one-node cluster."""
+    import os
+    import subprocess
+    import sys
+    import time
+
+    from test_checkpoint import _procs, _raylets
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", _NODE_LOSS_JOB], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        proc.terminate()
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    if "GCS " in out:
+        gcs = out.split("GCS ", 1)[1].split()[0]
+        deadline = time.time() + 30
+        while _raylets(gcs, _procs()):
+            assert time.time() < deadline, f"raylets left running: {_raylets(gcs, _procs())}"
+            time.sleep(0.2)
+    assert proc.returncode == 0 and "RECOVERED" in out, err[-3000:]
+    assert "Attempting to recover" in err, "no lost object was resubmitted"

@@ -120,3 +120,14 @@ def test_parallelism_invariance(ray_session):
               .to_pandas().sort_values("doc_id").reset_index(drop=True))
         outs.append(df)
     assert outs[0].equals(outs[1]) and outs[1].equals(outs[2])
+
+
+def test_zero_document_corpus(ray_session):
+    """No document: zero rows, typed like any other result."""
+    tbl = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    res = exact_substring_removal(rd.from_arrow(tbl), window=3, n_parts=8,
+                                  n_doc_buckets=4).materialize()
+    assert res.count() == 0
+    assert res.schema().base_schema == pa.schema([
+        ("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+        ("n_removed", pa.int64()), ("clean_text", pa.string())])
