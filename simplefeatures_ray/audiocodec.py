@@ -78,7 +78,7 @@ def wav_decode(data: bytes):
     return arr, rate
 
 
-def audio_features(samples: np.ndarray, rate: int, n_bands: int = 8) -> np.ndarray:
+def audio_features(samples: np.ndarray, n_bands: int = 8) -> np.ndarray:
     """Fixed-length float32 feature vector: RMS, zero-crossing rate,
     peak, and n_bands log-spaced spectral energies (numpy FFT)."""
     mono = samples.mean(axis=1) if samples.ndim == 2 else samples

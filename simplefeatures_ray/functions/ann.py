@@ -283,19 +283,18 @@ class _HyperplaneSig:
 
     n_tables independent hash tables of n_bits each (OR-amplification).
     Emissions are KEY-ONLY rows (lsh_table, lsh_bucket, id) — the
-    embeddings themselves never ride the bucket shuffle. With
-    multiprobe=True each row additionally lands in its n_bits 1-bit-flip
-    neighbor buckets, so a pair is a candidate iff some table has their
-    signatures within hamming distance 2 — the recall of many extra
-    tables at the shuffle cost of key rows only."""
+    embeddings themselves never ride the bucket shuffle. Each row also
+    lands in its n_bits 1-bit-flip neighbor buckets (multiprobe), so a
+    pair is a candidate iff some table has their signatures within
+    hamming distance 2 — the recall of many extra tables at the shuffle
+    cost of key rows only."""
 
     def __init__(self, dim, n_bits=6, n_tables=8, seed=99,
-                 id_col="vec_id", vec_col="embedding", multiprobe=True):
+                 id_col="vec_id", vec_col="embedding"):
         rng = np.random.default_rng(seed)
         self.planes = rng.normal(size=(n_tables, n_bits, dim)).astype(np.float32)
         self.id_col = id_col
         self.vec_col = vec_col
-        self.multiprobe = multiprobe
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         m = _normalize(_batch_matrix(batch, self.vec_col))
@@ -308,10 +307,7 @@ class _HyperplaneSig:
             sig = np.zeros(n, dtype=np.int64)
             for b in range(n_bits):
                 sig |= bits[:, b].astype(np.int64) << b
-            emit = [sig]
-            if self.multiprobe:
-                emit += [sig ^ (1 << b) for b in range(n_bits)]
-            for s in emit:
+            for s in [sig] + [sig ^ (1 << b) for b in range(n_bits)]:
                 out_t.append(np.full(n, ti, np.int32))
                 out_b.append(s)
                 out_i.append(ids)
@@ -323,8 +319,7 @@ class _HyperplaneSig:
 
 
 def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
-                           vec_col="embedding", n_bits=6, n_tables=8,
-                           multiprobe=True, n_parts=256, n_join_buckets=32):
+                           vec_col="embedding", n_bits=6, n_tables=8):
     """Approximate near-dup pairs (id_a < id_b, exact cosine >= t).
 
     Pipeline: key-only LSH bucket emission -> coarse-partitioned
@@ -349,26 +344,21 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
     dim = len(ds.take(1)[0][vec_col])
     # size the partition fan-out to the corpus: fixed 256-way coarse
     # partitions + 32 join buckets drown a small input in task overhead
-    # (and at web scale the caps below leave them at their maxima).
-    # count() is O(1) metadata for the parquet-rooted gated inputs.
-    try:
-        n_rows = ds.count()
-    except Exception:
-        n_rows = None
-    if n_rows:
-        # floor of 16: fewer buckets UNDER-parallelize the per-bucket
-        # map_groups tasks (measured: 4 buckets ran 4x slower than 16
-        # on the same input); the caps only bite on small corpora
-        n_parts = int(min(n_parts, max(16, n_rows // 64)))
-        n_join_buckets = int(min(n_join_buckets, max(16, n_rows // 256)))
+    # (at web scale the fan-outs sit at those caps). Floor of 16: fewer
+    # buckets UNDER-parallelize the per-bucket tasks (measured: 4 buckets
+    # ran 4x slower than 16 on the same input). count() is O(1) metadata
+    # for the parquet-rooted gated inputs.
+    n_rows = ds.count()
+    n_parts = min(256, max(16, n_rows // 64))
+    join_buckets = min(32, max(16, n_rows // 256))
 
     def sig_fn(batch: pa.Table) -> pa.Table:
         from ..stages.worker_cache import get_cached
 
         kern = get_cached(
-            f"hyperplane-{dim}-{n_bits}-{n_tables}-{multiprobe}-{vec_col}",
+            f"hyperplane-{dim}-{n_bits}-{n_tables}-{vec_col}",
             build=lambda _: _HyperplaneSig(dim, n_bits, n_tables, id_col=id_col,
-                                           vec_col=vec_col, multiprobe=multiprobe))
+                                           vec_col=vec_col))
         return kern(batch)
 
     sigs = ds.map_batches(sig_fn, batch_format="pyarrow")
@@ -424,8 +414,8 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
     emb = ds.select_columns([id_col, vec_col])
     emb_a = emb.map_batches(rename("id_a", "__vec_a"), batch_format="pyarrow")
     emb_b = emb.map_batches(rename("id_b", "__vec_b"), batch_format="pyarrow")
-    j = bucketed_join(pairs, emb_a, key="id_a", n_buckets=n_join_buckets)
-    j = bucketed_join(j, emb_b, key="id_b", n_buckets=n_join_buckets)
+    j = bucketed_join(pairs, emb_a, key="id_a", n_buckets=join_buckets)
+    j = bucketed_join(j, emb_b, key="id_b", n_buckets=join_buckets)
 
     def verify(t: pa.Table) -> pa.Table:
         def decode(col):

@@ -290,7 +290,7 @@ def bucketed_pairs_vectorized(keys: np.ndarray, ids: np.ndarray,
     return res
 
 
-def dedup_pairs(pairs_ds, extra_cols=()):
+def dedup_pairs(pairs_ds):
     """Distinct (id_a, id_b) rows: coarse-partition shuffle + vectorized
     duplicate drop per partition (a pair surfaces from several bands)."""
 
@@ -472,8 +472,7 @@ def _cc_label_join(t: pa.Table, *, lab_ref) -> pa.Table:
 
 def connected_components(pairs_ds, a_col: str = "id_a", b_col: str = "id_b",
                          id_out: str = "doc_id", label_out: str = "cluster_id",
-                         max_rounds: int = 50, n_buckets: int = 32,
-                         strategy: str = "broadcast"):
+                         max_rounds: int = 50):
     """Connected components over a near-dup PAIR list — the clustering
     step after MinHash/SimHash pair generation: every member of a dup
     cluster maps to the cluster's minimum doc id, so "keep one doc per
@@ -485,24 +484,14 @@ def connected_components(pairs_ds, a_col: str = "id_a", b_col: str = "id_b",
         label_0(v)    = min(v, incident neighbours)       # edge-local
         label_t+1(v)  = min(label_t(v), min_{u~v} label_t(u))
 
-    strategy="broadcast" (default): the LABEL table (one row per node
-    appearing in a pair — a small fraction of the corpus for realistic
-    near-dup rates) is the engine's usual broadcast small side. Each
-    round is ONE streaming pass over the distributed edge list
-    (broadcast_join + per-batch combiner mins), a driver-side merge, and
-    FULL path compression (label <- label[label] to fixpoint — pure
-    numpy over the label array). Compression collapses pointer chains
-    entirely, so even path graphs converge in ~2 edge rounds. No
-    all-to-all shuffle at any point.
-
-    strategy="shuffle": fully distributed fallback for pair graphs whose
-    label table exceeds broadcast size — per round, one bucketed hash
-    join (edges ⋈ labels, coarse hash partitions), one combiner
-    grouped-min, and one distributed pointer-jump self-join
-    (label(v) <- label(label(v)), O(log diameter) rounds). Per-round
-    shuffle volume is O(|edges| + |nodes|), never corpus-sized.
-    Convergence is a driver scalar: labels are monotone nonincreasing
-    minima, so sum(label) strictly decreases until the fixpoint.
+    The LABEL table (one row per node appearing in a pair — a small
+    fraction of the corpus for realistic near-dup rates) is the engine's
+    usual broadcast small side. Each round is ONE streaming pass over the
+    distributed edge list (per-batch label join + combiner mins), a
+    driver-side merge, and FULL path compression (label <- label[label]
+    to fixpoint — pure numpy over the label array). Compression collapses
+    pointer chains entirely, so even path graphs converge in ~2 edge
+    rounds. No all-to-all shuffle at any point.
 
     The edge list is materialized once; only label state crosses rounds
     (bounds lineage depth across iterations).
@@ -515,7 +504,6 @@ def connected_components(pairs_ds, a_col: str = "id_a", b_col: str = "id_b",
     import ray
 
     from .agg import grouped_agg
-    from .relational import bucketed_join
 
     empty = pa.table({id_out: pa.array([], pa.int64()),
                       label_out: pa.array([], pa.int64())})
@@ -531,121 +519,53 @@ def connected_components(pairs_ds, a_col: str = "id_a", b_col: str = "id_b",
         return ray.data.from_arrow(empty)
 
     def init_label(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table({"node": t["node"],
                          "label": pc.min_element_wise(t["node"], t["dst"])})
 
     def to_dst(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return pa.table({"node": pc.cast(t["dst"], pa.int64()),
                          "label": pc.cast(t["label"], pa.int64())})
 
-    if strategy == "broadcast":
-        from .relational import broadcast_join
+    init = grouped_agg(
+        edges.map_batches(init_label, batch_format="pyarrow"),
+        "node", {"label": ("label", "min")}, combine="driver")
+    node = np.asarray(init["node"].to_numpy(), dtype=np.int64)
+    order = np.argsort(node)
+    node = node[order]
+    label = np.asarray(init["label"].to_numpy(), dtype=np.int64)[order]
 
-        init = grouped_agg(
-            edges.map_batches(init_label, batch_format="pyarrow"),
-            "node", {"label": ("label", "min")}, combine="driver")
-        node = np.asarray(init["node"].to_numpy(), dtype=np.int64)
-        order = np.argsort(node)
-        node = node[order]
-        label = np.asarray(init["label"].to_numpy(), dtype=np.int64)[order]
+    def compress(lab: np.ndarray) -> np.ndarray:
+        # label values are always node ids present in `node`, so the
+        # searchsorted lookup is total; label(u) <= u keeps it monotone
+        while True:
+            nxt = lab[np.searchsorted(node, lab)]
+            if np.array_equal(nxt, lab):
+                return lab
+            lab = nxt
 
-        def compress(lab: np.ndarray) -> np.ndarray:
-            # label values are always node ids present in `node`, so the
-            # searchsorted lookup is total; label(u) <= u keeps it monotone
-            while True:
-                nxt = lab[np.searchsorted(node, lab)]
-                if np.array_equal(nxt, lab):
-                    return lab
-                lab = nxt
-
-        label = compress(label)
-        for _ in range(max_rounds):
-            lab_tbl = pa.table({"node": node, "label": label})
-            # task-based broadcast join (zero-copy ray.get of the small
-            # label table per batch) — broadcast_join's ACTOR pool costs
-            # a pool spin-up per ROUND, which dominated iterative CC
-            lab_ref = ray.put(lab_tbl)
-            msgs = edges.map_batches(
-                _cc_label_join, fn_kwargs={"lab_ref": lab_ref},
-                batch_format="pyarrow")
-            part = grouped_agg(
-                msgs.map_batches(to_dst, batch_format="pyarrow"),
-                "node", {"label": ("label", "min")}, combine="driver")
-            idx = np.searchsorted(
-                node, np.asarray(part["node"].to_numpy(), dtype=np.int64))
-            new = label.copy()
-            np.minimum.at(new, idx,
-                          np.asarray(part["label"].to_numpy(), dtype=np.int64))
-            new = compress(new)
-            if np.array_equal(new, label):
-                break
-            label = new
-        return ray.data.from_arrow(
-            pa.table({id_out: node, label_out: label}))
-
-    # ---- strategy="shuffle": fully distributed rounds ---- #
-    # Labels must stay int64 every round: a float label would bucket by
-    # the non-integer hash path of key_partition while the int edges
-    # bucket by the int path (empty joins, stalled propagation), and
-    # mixed int/float keys would split groups in grouped_agg.
-    def canon(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({"node": pc.cast(t["node"], pa.int64()),
-                         "label": pc.cast(t["label"], pa.int64())})
-
-    labels = grouped_agg(edges.map_batches(init_label, batch_format="pyarrow"),
-                         "node", {"label": ("label", "min")},
-                         combine="shuffle")
-    labels = labels.map_batches(canon, batch_format="pyarrow").materialize()
-    prev_sum = labels.sum("label")
-
+    label = compress(label)
     for _ in range(max_rounds):
-        msgs = bucketed_join(edges, labels, key="node", n_buckets=n_buckets)
-        cand = msgs.map_batches(to_dst, batch_format="pyarrow").union(labels)
-        labels = grouped_agg(cand, "node", {"label": ("label", "min")},
-                             combine="shuffle")
-        labels = labels.map_batches(canon, batch_format="pyarrow").materialize()
-
-        # pointer jumping: label(v) <- label(label(v)). Every label IS a
-        # node id present in the label table (labels are minima over node
-        # ids), so the inner self-join is total; label(u) <= u makes the
-        # jump monotone without an extra min. Halves chain depth per
-        # round -> O(log diameter) rounds instead of O(diameter).
-        def as_key_node(t: pa.Table) -> pa.Table:
-            return pa.table({"__key": t["label"], "node": t["node"]})
-
-        def as_key_label(t: pa.Table) -> pa.Table:
-            return pa.table({"__key": t["node"], "label": t["label"]})
-
-        jumped = bucketed_join(
-            labels.map_batches(as_key_node, batch_format="pyarrow"),
-            labels.map_batches(as_key_label, batch_format="pyarrow"),
-            key="__key", n_buckets=n_buckets)
-
-        def drop_key(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return pa.table({"node": pc.cast(t["node"], pa.int64()),
-                             "label": pc.cast(t["label"], pa.int64())})
-
-        labels = jumped.map_batches(drop_key, batch_format="pyarrow").materialize()
-        cur_sum = labels.sum("label")
-        if cur_sum == prev_sum:
+        lab_tbl = pa.table({"node": node, "label": label})
+        # task-based broadcast join (zero-copy ray.get of the small
+        # label table per batch) — broadcast_join's ACTOR pool costs
+        # a pool spin-up per ROUND, which dominated iterative CC
+        lab_ref = ray.put(lab_tbl)
+        msgs = edges.map_batches(
+            _cc_label_join, fn_kwargs={"lab_ref": lab_ref},
+            batch_format="pyarrow")
+        part = grouped_agg(
+            msgs.map_batches(to_dst, batch_format="pyarrow"),
+            "node", {"label": ("label", "min")}, combine="driver")
+        idx = np.searchsorted(
+            node, np.asarray(part["node"].to_numpy(), dtype=np.int64))
+        new = label.copy()
+        np.minimum.at(new, idx,
+                      np.asarray(part["label"].to_numpy(), dtype=np.int64))
+        new = compress(new)
+        if np.array_equal(new, label):
             break
-        prev_sum = cur_sum
-
-    def rename(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({id_out: pc.cast(t["node"], pa.int64()),
-                         label_out: pc.cast(t["label"], pa.int64())})
-
-    return labels.map_batches(rename, batch_format="pyarrow")
+        label = new
+    return ray.data.from_arrow(pa.table({id_out: node, label_out: label}))
 
 
 def _gram_part(n_parts: int):

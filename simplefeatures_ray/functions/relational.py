@@ -97,8 +97,7 @@ def known_empty(ds) -> pa.Table | None:
     return s.empty_table() if isinstance(s, pa.Schema) else None
 
 
-def broadcast_join(big_ds, small, keys, right_keys=None, join_type="inner",
-                   small_cols=None):
+def broadcast_join(big_ds, small, keys, right_keys=None, join_type="inner"):
     """big Dataset ⋈ small table/Dataset without shuffling the big side.
 
     Runs as PLAIN-FUNCTION tasks with a per-worker-process cache of the
@@ -110,10 +109,7 @@ def broadcast_join(big_ds, small, keys, right_keys=None, join_type="inner",
 
     from ..stages.worker_cache import get_cached
 
-    small_tbl = collect_table(small)
-    if small_cols:
-        small_tbl = small_tbl.select(small_cols)
-    small_ref = ray.put(small_tbl.combine_chunks())
+    small_ref = ray.put(collect_table(small).combine_chunks())
     keys_l = [keys] if isinstance(keys, str) else list(keys)
     rkeys_l = (keys_l if right_keys is None
                else [right_keys] if isinstance(right_keys, str)

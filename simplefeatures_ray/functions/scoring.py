@@ -256,8 +256,7 @@ def bigram_lm_sql(table: str = "documents", id_col: str = "doc_id",
     """
 
 
-def _word_buckets(batch: pa.Table, id_col: str, text_col: str,
-                  n_buckets: int, cache: dict):
+def _word_buckets(batch: pa.Table, text_col: str, n_buckets: int, cache: dict):
     """(row_index_in_batch, bucket) int64 arrays for every word instance:
     the DuckDB-twin tokenization (text.py _word_table), sha256-derived
     word hash modulo n_buckets, hashed once per DISTINCT word per batch
@@ -319,7 +318,7 @@ def dsir_importance(corpus_ds, target_ds, *, n_buckets: int = 64,
 
     def hist_kernel(t: pa.Table) -> pa.Table:
         cache = get_cached(f"dsir-wh-{n_buckets}", build=lambda _: {})
-        _, bk = _word_buckets(t, id_col, text_col, n_buckets, cache)
+        _, bk = _word_buckets(t, text_col, n_buckets, cache)
         return pa.table({"bucket": pa.array(np.arange(n_buckets), pa.int64()),
                          "n": pa.array(np.bincount(bk, minlength=n_buckets)
                                        .astype(np.int64))})
@@ -341,7 +340,7 @@ def dsir_importance(corpus_ds, target_ds, *, n_buckets: int = 64,
 
     def weight_kernel(t: pa.Table) -> pa.Table:
         cache = get_cached(f"dsir-wh-{n_buckets}", build=lambda _: {})
-        rows, bk = _word_buckets(t, id_col, text_col, n_buckets, cache)
+        rows, bk = _word_buckets(t, text_col, n_buckets, cache)
         w = np.zeros(len(t), dtype=np.int64)
         np.add.at(w, rows, wq[bk])
         return pa.table({id_col: t[id_col], "dsir_w": pa.array(w)})
@@ -398,7 +397,7 @@ def nb_train_score(ds, *, label_col: str, id_col: str = "doc_id",
 
     def hist_kernel(t: pa.Table) -> pa.Table:
         cache = get_cached(f"nb-wh-{n_buckets}", build=lambda _: {})
-        rows, bk = _word_buckets(t, id_col, text_col, n_buckets, cache)
+        rows, bk = _word_buckets(t, text_col, n_buckets, cache)
         lab = np.asarray(t[label_col]).astype(bool)
         cnt = np.bincount(lab[rows].astype(np.int64) * n_buckets + bk,
                           minlength=2 * n_buckets).astype(np.int64)
@@ -425,7 +424,7 @@ def nb_train_score(ds, *, label_col: str, id_col: str = "doc_id",
 
     def score_kernel(t: pa.Table) -> pa.Table:
         cache = get_cached(f"nb-wh-{n_buckets}", build=lambda _: {})
-        rows, bk = _word_buckets(t, id_col, text_col, n_buckets, cache)
+        rows, bk = _word_buckets(t, text_col, n_buckets, cache)
         s = np.full(len(t), prior, dtype=np.int64)
         np.add.at(s, rows, wq[bk])
         return pa.table({id_col: t[id_col],

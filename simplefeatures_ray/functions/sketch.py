@@ -283,8 +283,7 @@ def bloom_anti_sql(table_expr: str, key_col: str, block_values_sql: str,
     """
 
 
-def heavy_hitters(ds, value_col: str, k: int = 20, capacity: int = 512,
-                  tie_col_order: str = "value"):
+def heavy_hitters(ds, value_col: str, k: int = 20, capacity: int = 512):
     """Top-k heavy hitters with EXACT final counts, at streaming scale:
 
       phase 1 (sketch): per-block Misra-Gries / SpaceSaving summaries of

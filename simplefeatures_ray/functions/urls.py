@@ -89,14 +89,12 @@ def per_domain_cap(ds, cap: int, domain_col: str = "domain",
     return grouped_topk(ds, [domain_col], order_col, cap, descending=False)
 
 
-def blocklist_filter(ds, blocked: set[str], domain_col: str = "domain",
-                     invert: bool = False):
+def blocklist_filter(ds, blocked: set[str], domain_col: str = "domain"):
     """Drop rows whose registrable domain is on a blocklist (robots/
     spam/adult lists in real crawls). The blocklist is a broadcast set
     baked into the task closure — a pure streaming filter, never a
     shuffle; for multi-GB lists swap the closure for a ray.put ref and
-    a worker-cached frozenset (stages/worker_cache pattern).
-    invert=True keeps ONLY blocked rows (audit mode)."""
+    a worker-cached frozenset (stages/worker_cache pattern)."""
     blocked = frozenset(blocked)
 
     def kernel(t: pa.Table) -> pa.Table:
@@ -104,7 +102,7 @@ def blocklist_filter(ds, blocked: set[str], domain_col: str = "domain",
 
         m = pc.is_in(t[domain_col],
                      value_set=pa.array(sorted(blocked), pa.string()))
-        return t.filter(m if invert else pc.invert(m))
+        return t.filter(pc.invert(m))
 
     return ds.map_batches(kernel, batch_format="pyarrow")
 

@@ -49,15 +49,13 @@ def _asof_match(lk, lt, rk, rt, direction: str) -> pa.Array:
     return pa.array(order[pos], mask=~ok)
 
 
-def tumbling_window_agg(ds, ts_col: str, width_s: float, keys, spec,
-                        combine: str = "shuffle"):
+def tumbling_window_agg(ds, ts_col: str, width_s: float, keys, spec):
     """Aggregate per (window, *keys). spec as in functions.agg.grouped_agg.
     Adds window_start (epoch seconds, int64).
 
-    combine defaults to "shuffle": the (window x key) partial space grows
-    without bound over long time ranges, so streaming partials to the
-    driver (combine="driver") is only safe for short interactive
-    windows — pass it explicitly when that is known."""
+    The partials combine through a shuffle: the (window x key) partial
+    space grows without bound over long time ranges, so streaming them
+    to the driver is not safe."""
     from .agg import grouped_agg
 
     width_us = int(width_s * 1_000_000)
@@ -69,14 +67,13 @@ def tumbling_window_agg(ds, ts_col: str, width_s: float, keys, spec,
 
     keyed = ds.map_batches(add_window, batch_format="pyarrow")
     keys = [keys] if isinstance(keys, str) else list(keys)
-    return grouped_agg(keyed, ["window_start"] + keys, spec, combine=combine)
+    return grouped_agg(keyed, ["window_start"] + keys, spec, combine="shuffle")
 
 
-def sliding_window_agg(ds, ts_col: str, width_s: float, slide_s: float, keys, spec,
-                       combine: str = "shuffle"):
+def sliding_window_agg(ds, ts_col: str, width_s: float, slide_s: float, keys, spec):
     """Overlapping windows: event at t belongs to every window
     [k*slide, k*slide + width) containing t — flat-map into window rows,
-    then combiner aggregation."""
+    then combiner aggregation through a shuffle (as tumbling_window_agg)."""
     from .agg import grouped_agg
 
     width_us = int(width_s * 1_000_000)
@@ -101,12 +98,11 @@ def sliding_window_agg(ds, ts_col: str, width_s: float, slide_s: float, keys, sp
 
     keyed = ds.map_batches(explode, batch_format="pyarrow")
     keys = [keys] if isinstance(keys, str) else list(keys)
-    return grouped_agg(keyed, ["window_start"] + keys, spec, combine=combine)
+    return grouped_agg(keyed, ["window_start"] + keys, spec, combine="shuffle")
 
 
 def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
-              right_cols, n_buckets: int = 32, direction: str = "backward",
-              tie_break: str | None = None):
+              right_cols, n_buckets: int = 32, direction: str = "backward"):
     """For each left row, the latest right row with ts_right <= ts_left
     (direction='backward') or the earliest with ts_right >= ts_left
     (direction='forward') sharing `key`. Bucketed sort-merge: both sides
@@ -116,18 +112,14 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
     right_cols: columns of the right side to carry (suffixed _right if
     clashing).
 
-    tie_break: column used to pick ONE right row when several share the
-    same (key, ts_right) — the row with the maximum tie_break value wins.
-    Without it, the pick among tied timestamps would depend on block
-    arrival order and differ across runs. Defaults to the first entry of
-    right_cols.
+    Ties: when several right rows share the same (key, ts_right), the
+    one with the largest right_cols[0] wins. Without that rule the pick
+    among tied timestamps would depend on block arrival order and differ
+    across runs.
 
     Output: the left columns, then ts_right and the other right_cols
     (suffixed _right where a left column has the name); a left row
     without a match carries nulls there."""
-    if tie_break is None and right_cols:
-        tie_break = right_cols[0]
-
     rhs_cols = [key, ts_right] + [c for c in right_cols if c not in (key, ts_right)]
     rout = [c for c in rhs_cols if c != key]
     # a right side with no rows anywhere arrives schema-less; its columns
@@ -144,11 +136,11 @@ def asof_join(left_ds, right_ds, key: str, ts_left: str, ts_right: str,
         rnames = [c + "_right" if c in lhs.column_names else c for c in rout]
         lhs = lhs.take(pc.sort_indices(lhs, [(ts_left, "ascending")]))
         if rhs.num_rows:
-            if tie_break is not None and tie_break in rhs_cols:
-                # Deterministic tie-break: keep the max-tie_break row per
-                # (key, ts_right).
+            if right_cols:
+                # deterministic tie-break: keep the max-right_cols[0] row
+                # per (key, ts_right)
                 idx, _, rank = grouped_order(rhs, [key, ts_right],
-                                             [(tie_break, "descending")])
+                                             [(right_cols[0], "descending")])
                 rhs = rhs.take(idx[rank == 0])
             match = _asof_match(
                 np.asarray(lhs[key], dtype=np.int64), as_int64(lhs[ts_left]),

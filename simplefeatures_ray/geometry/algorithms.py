@@ -417,10 +417,6 @@ def dump(g: Geometry):
     return list(g.flatten())
 
 
-def dump_coordinates(g: Geometry) -> np.ndarray:
-    return g.all_xy()
-
-
 # --------------------------------------------------------------------------- #
 # rotating calipers (reference geom/alg_rotating_calipers.go)
 # --------------------------------------------------------------------------- #

@@ -174,23 +174,6 @@ def _closure_many(g: Geometry, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     return out
 
 
-def _side_points(p, q):
-    """Sample points offset left/right of edge pq by a relative epsilon."""
-    mx = (p[0] + q[0]) / 2.0
-    my = (p[1] + q[1]) / 2.0
-    dx = q[0] - p[0]
-    dy = q[1] - p[1]
-    ln = math.hypot(dx, dy)
-    scale = max(1.0, abs(mx), abs(my))
-    # additive + small-slope: must stay ABOVE the snap tolerance (_on_tol)
-    # but far BELOW feature sizes even at large coordinates (a 1e-7*scale
-    # offset at UTM-scale coords overshoots a 1-unit-wide buffer)
-    eps = 1e-7 + 1e-9 * scale
-    nx = -dy / ln
-    ny = dx / ln
-    return (mx + nx * eps, my + ny * eps), (mx - nx * eps, my - ny * eps), (mx, my)
-
-
 _OPS = {
     "intersection": lambda a, b: a and b,
     "union": lambda a, b: a or b,

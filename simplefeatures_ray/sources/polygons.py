@@ -76,9 +76,3 @@ def make_polygons(n_polys: int = 64) -> pa.Table:
         }
     )
 
-
-def write_polygons_parquet(n_polys: int, path: str) -> str:
-    import pyarrow.parquet as pq
-
-    pq.write_table(make_polygons(n_polys), path)
-    return path

@@ -11,18 +11,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..geometry import from_wkb, to_wkb, from_wkt, to_wkt
-from ..geometry.algorithms import (
-    area,
-    centroid,
-    convex_hull,
-    densify,
-    envelope,
-    length,
-    point_on_surface,
-    simplify,
-    snap_to_grid,
-)
-from ..geometry.ops import boundary, is_simple
+from ..geometry.algorithms import area, centroid, envelope, length
 from ..geometry.validate import validate
 
 
@@ -97,48 +86,6 @@ def geom_transform(fn, wkb_col: str = "wkb", out_col: str | None = None):
         if out_col in batch.column_names:
             return batch.set_column(batch.column_names.index(out_col), out_col, arr)
         return batch.append_column(out_col, arr)
-
-    return kernel
-
-
-def geom_simplify(threshold: float, wkb_col: str = "wkb", out_col: str | None = None):
-    return geom_transform(lambda g: simplify(g, threshold), wkb_col, out_col)
-
-
-def geom_densify(max_dist: float, wkb_col: str = "wkb", out_col: str | None = None):
-    return geom_transform(lambda g: densify(g, max_dist), wkb_col, out_col)
-
-
-def geom_snap_to_grid(decimals: int, wkb_col: str = "wkb", out_col: str | None = None):
-    return geom_transform(lambda g: snap_to_grid(g, decimals), wkb_col, out_col)
-
-
-def geom_convex_hull(wkb_col: str = "wkb", out_col: str = "hull_wkb"):
-    return geom_transform(convex_hull, wkb_col, out_col)
-
-
-def geom_boundary(wkb_col: str = "wkb", out_col: str = "boundary_wkb"):
-    return geom_transform(boundary, wkb_col, out_col)
-
-
-def geom_point_on_surface(wkb_col: str = "wkb"):
-    def kernel(batch: pa.Table) -> pa.Table:
-        xs, ys = [], []
-        for w in batch[wkb_col].to_pylist():
-            p = point_on_surface(from_wkb(w))
-            xs.append(p[0] if p else None)
-            ys.append(p[1] if p else None)
-        return batch.append_column("pos_x", pa.array(xs, pa.float64())).append_column(
-            "pos_y", pa.array(ys, pa.float64())
-        )
-
-    return kernel
-
-
-def geom_is_simple(wkb_col: str = "wkb"):
-    def kernel(batch: pa.Table) -> pa.Table:
-        vals = [is_simple(from_wkb(w)) for w in batch[wkb_col].to_pylist()]
-        return batch.append_column("is_simple", pa.array(vals, pa.bool_()))
 
     return kernel
 

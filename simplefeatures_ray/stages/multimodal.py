@@ -296,7 +296,7 @@ class DecodeAudio:
             samples, rate = wav_decode(b or b"")
             rates[i] = rate
             secs[i] = len(samples) / rate if rate else 0.0
-            feats.append(audio_features(samples, rate, self.n_bands))
+            feats.append(audio_features(samples, self.n_bands))
         flat = (np.concatenate(feats) if feats
                 else np.zeros(0, dtype=np.float32))
         out = batch.drop_columns([self.bytes_col])

@@ -23,12 +23,14 @@ Design:
   * the driver fetches the reduce tasks' lineage tables straight from
     their refs (no Dataset round trip) and merges the rows into
     `<out>/_manifest.json` (atomic rename). The manifest also records
-    the bucket layout, `partition_col` and `n_buckets`. A resumed run
-    loads the manifest, refuses it with ValueError unless it names the
-    same layout (other buckets would hold the completed rows a second
-    time), filters already-completed buckets out of the stream before
-    the exchange (the only map the sink adds, and only then), and only
-    writes the missing buckets.
+    the bucket layout, `partition_col` and `n_buckets`. Once it is
+    saved, every `part=<bucket>` directory it does not list is removed,
+    so a write over another layout leaves no stale rows in the
+    directory. A resumed run loads the manifest, refuses it with
+    ValueError unless it names the same layout (other buckets would
+    hold the completed rows a second time), filters already-completed
+    buckets out of the stream before the exchange (the only map the
+    sink adds, and only then), and only writes the missing buckets.
 
 Manifest (version 3): {"version", "partition_col", "n_buckets",
 "partitions": {bucket: {rows, bytes, content_hash, seconds}},
@@ -39,6 +41,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import shutil
 import time
 
 import numpy as np
@@ -177,7 +181,12 @@ def checkpointed_write(ds, out_dir: str, partition_col: str,
     partitions = dict(done)
     for row in lineage:
         partitions[row.pop("bucket")] = row
-    return _save_manifest(out_dir, layout, partitions)
+    doc = _save_manifest(out_dir, layout, partitions)
+    for name in os.listdir(out_dir):
+        m = re.fullmatch(r"part=(\d+)", name)
+        if m and int(m[1]) not in partitions:
+            shutil.rmtree(os.path.join(out_dir, name))
+    return doc
 
 
 def verify_manifest(out_dir: str) -> dict:

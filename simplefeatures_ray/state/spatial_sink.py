@@ -82,11 +82,10 @@ def write_spatial(ds, out_dir: str, lon_col: str = "lon", lat_col: str = "lat",
     return doc
 
 
-def read_spatial(path: str, bbox=None, exact: bool = True):
+def read_spatial(path: str, bbox=None):
     """Dataset over a write_spatial() directory, pruned to the buckets
-    whose data bbox intersects `bbox` = (lon0, lat0, lon1, lat1).
-    exact=True additionally row-filters to the bbox (prune is
-    partition-granular otherwise)."""
+    whose data bbox intersects `bbox` = (lon0, lat0, lon1, lat1), then
+    row-filtered to the bbox (the prune is partition-granular)."""
     import ray.data as rd
 
     with open(os.path.join(path, MANIFEST)) as f:
@@ -103,7 +102,7 @@ def read_spatial(path: str, bbox=None, exact: bool = True):
     # partitioning=None: don't infer a hive 'cell' column from the
     # bucket directory names — the data columns are the contract
     ds = rd.read_parquet(dirs, partitioning=None)
-    if bbox is not None and exact:
+    if bbox is not None:
         lon_col, lat_col = doc["lon_col"], doc["lat_col"]
         lon0, lat0, lon1, lat1 = bbox
 

@@ -197,7 +197,7 @@ def test_raster_tile_disc_coverage_nonzero():
 
     res = 6
     cell = (1 << (2 * res)) | 0b010110  # arbitrary res-6 cell
-    x0, y0, x1, y1 = (float(v) for v in cell_bounds_xy(np.array([cell], dtype=np.uint64)))
+    x0, y0, x1, y1 = (float(v[0]) for v in cell_bounds_xy(np.array([cell], dtype=np.uint64)))
     cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
     ring = np.stack([cx + e._DISC_UX, cy + e._DISC_UY], axis=1)
     ring = np.concatenate([ring, ring[:1]], axis=0)

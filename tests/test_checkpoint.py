@@ -211,6 +211,24 @@ def test_resume_with_another_layout_raises(ray_session, tmp_out):
     assert doc["total_rows"] == 1000 and doc["n_buckets"] == 16
 
 
+def test_write_over_another_layout_leaves_no_stale_files(ray_session, tmp_out):
+    """resume=False at 8 buckets, then at 4: the directory holds only
+    the 4-bucket layout, so a plain parquet read of it sees each row
+    once."""
+    import ray.data as rd
+
+    from simplefeatures_ray.state.checkpoint import checkpointed_write, verify_manifest
+
+    ds = _make_ds(1000)
+    checkpointed_write(ds, tmp_out, partition_col="key", n_buckets=8)
+    doc = checkpointed_write(ds, tmp_out, partition_col="key", n_buckets=4,
+                             resume=False)
+    assert sorted(os.listdir(tmp_out)) == sorted(
+        ["_manifest.json"] + [f"part={b}" for b in doc["partitions"]])
+    assert rd.read_parquet(tmp_out).count() == 1000
+    assert set(verify_manifest(tmp_out).values()) == {"ok"}
+
+
 def test_resume_ignores_stale_tmp_from_crash(ray_session, tmp_out):
     """A crash between write and atomic rename leaves part=N/data.parquet
     .tmp.<pid> litter and no manifest entry; the rerun must rewrite the

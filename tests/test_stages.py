@@ -648,10 +648,42 @@ def test_wav_codec_and_audio_stage(ray_session):
     assert (out["sample_rate"] == 8000).all()
     assert np.allclose(out["duration_s"], 0.25)
     # features equal direct computation for row 0
-    s0, r0 = wav_decode(tbl["audio_bytes"][0].as_py())
-    direct = audio_features(s0, r0)
+    s0, _ = wav_decode(tbl["audio_bytes"][0].as_py())
+    direct = audio_features(s0)
     got = np.asarray(out.iloc[0]["audio_features"], dtype=np.float32)
     assert np.allclose(got, direct)
+
+
+def test_embedding_near_dup_lsh_equals_brute_force(ray_session):
+    """On a seeded table of base vectors and their noisy copies the LSH
+    path returns exactly the brute-force pairs with cosine >= t."""
+    import ray.data as rd
+
+    from simplefeatures_ray.functions.ann import embedding_near_dup_lsh
+
+    rng = np.random.default_rng(11)
+    base = rng.normal(size=(60, 16))
+    src = np.concatenate([np.arange(60), rng.integers(0, 60, 40)])
+    vecs = (base[src] + np.where(np.arange(100)[:, None] < 60, 0.0,
+                                 rng.normal(scale=0.05, size=(100, 16))))
+    vecs = vecs.astype(np.float32)
+    ids = rng.permutation(1000)[:100].astype(np.int64)
+    tbl = pa.table({"vec_id": ids, "embedding": [v.tolist() for v in vecs]})
+
+    unit = vecs.astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    cos = unit @ unit.T
+    i, j = np.triu_indices(100, k=1)
+    # no pair sits at the threshold, so float rounding cannot flip one
+    assert not np.any(np.abs(cos[i, j] - 0.9) < 0.01)
+    hit = cos[i, j] >= 0.9
+    want = {(min(a, b), max(a, b)) for a, b in zip(ids[i[hit]].tolist(),
+                                                   ids[j[hit]].tolist())}
+    assert len(want) >= 40
+
+    out = embedding_near_dup_lsh(rd.from_arrow(tbl).repartition(4), 0.9).to_pandas()
+    assert set(zip(out["id_a"].tolist(), out["id_b"].tolist())) == want
+    assert len(out) == len(want)
 
 
 def test_ann_tensor_extension_column(ray_session):
@@ -717,23 +749,29 @@ def test_connected_components_broadcast(ray_session):
     assert got == want
 
 
-def test_connected_components_shuffle_and_empty(ray_session):
+def test_connected_components_empty(ray_session):
     import pyarrow as pa
     import ray
 
     from simplefeatures_ray.functions.dedup import connected_components
-
-    pairs = pa.table({"id_a": [2, 3, 4, 10], "id_b": [1, 2, 3, 11]})
-    out = (connected_components(ray.data.from_arrow(pairs),
-                                strategy="shuffle", n_buckets=4)
-           .to_pandas().sort_values("doc_id"))
-    assert out["cluster_id"].tolist() == [1, 1, 1, 1, 10, 10]
 
     emp = pa.table({"id_a": pa.array([], pa.int64()),
                     "id_b": pa.array([], pa.int64())})
     e = connected_components(ray.data.from_arrow(emp))
     assert e.count() == 0
     assert [f.name for f in e.schema().base_schema] == ["doc_id", "cluster_id"]
+
+
+def test_blocklist_filter_drops_blocked_domains(ray_session):
+    import ray.data as rd
+
+    from simplefeatures_ray.functions.urls import blocklist_filter
+
+    domains = ["a.com", "b.org", "a.com", "c.net", None, "b.org.uk", "d.io"]
+    tbl = pa.table({"doc_id": pa.array(range(len(domains)), pa.int64()),
+                    "domain": pa.array(domains, pa.string())})
+    out = blocklist_filter(rd.from_arrow(tbl).repartition(3), {"a.com", "b.org"})
+    assert sorted(out.to_pandas()["doc_id"].tolist()) == [3, 4, 5, 6]
 
 
 def test_url_normalize_rules(ray_session):
