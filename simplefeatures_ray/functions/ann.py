@@ -341,7 +341,13 @@ def embedding_near_dup_lsh(ds, threshold: float, *, id_col="vec_id",
         small and the same shape is genuinely sublinear; the gate keeps
         0.4 because the synthetic tables contain no higher-cosine pairs.
     """
-    dim = len(ds.take(1)[0][vec_col])
+    first = ds.take(1)
+    if not first:  # no rows, no pairs: an empty table typed like verify's output
+        import ray.data as rd
+
+        return rd.from_arrow(pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                                        ("cosine", pa.float64())]).empty_table())
+    dim = len(first[0][vec_col])
     # size the partition fan-out to the corpus: fixed 256-way coarse
     # partitions + 32 join buckets drown a small input in task overhead
     # (at web scale the fan-outs sit at those caps). Floor of 16: fewer

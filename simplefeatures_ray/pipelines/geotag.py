@@ -4,20 +4,18 @@ join vs polygons -> two-stage cell histogram -> deterministic tile
 assignment.
 
 A flagship job is two Ray Data executions, with no materialize():
-  * UPSTREAM: one geotag task per input block (geotag_block: extract ->
-    encode -> join over the whole block, in slices of at most
-    batch_size rows), drained once through iter_internal_ref_bundles.
-    As the blocks arrive the driver cuts them into runs
-    (exchange.block_runs, the exchange's own run rule) and launches one
-    coalesce-and-count task per run: it returns the run as ONE block
-    plus the run's partial cell counts (the histogram's combiner). The
-    driver sums the partials into the tile table; the refs to the
-    coalesced blocks keep the joined rows pinned in the object store,
-    so the lineage runs exactly once.
-  * SINK: tile assignment is a lazy map over the coalesced blocks, so it
-    runs in the consumer's own execution (the checkpointed sink's
-    exchange, which computes each row's bucket in its split tasks) over
-    a few blocks, not one task per read block.
+  * UPSTREAM: the caller's Dataset with no engine operator on top (so
+    its read gets Ray Data's whole CPU budget), drained once through
+    iter_internal_ref_bundles into one plain geotag-and-count task per
+    block: geotag_block plus the block's partial cell counts (the
+    histogram's combiner). At most 2 × cluster CPUs are unfinished; a
+    full window stops the driver pulling, which backpressures the read,
+    and the tasks take every CPU the read leaves, at any file count.
+    The driver sums the partials into the tile table; the joined blocks'
+    refs pin their rows in the object store, so the lineage runs once.
+  * SINK: tile assignment, a lazy map over the joined blocks in
+    batch_size-row tasks, runs in the consumer's own execution (the
+    checkpointed sink's exchange) as a few tasks, not one per block.
 Every task's state (compiled regexes, the polygon index, the tile table)
 is built once per worker process by stages/worker_cache. At 10^12 pages
 on a multi-node cluster every stage here scales horizontally; only
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..stages.exchange import block_runs
+from ..stages.exchange import task_window
 from ..stages.extract import extract_geo_batch
 from ..stages.join import build_polygon_index, spatial_join_batch
 from ..stages.tiling import (assign_tiles_batch, cell_histogram, encode_cells,
@@ -55,25 +53,25 @@ def geotag_block(block: pa.Table, *, index_ref, res: int, batch_size: int) -> pa
     return pa.concat_tables(outs) if outs else block
 
 
-def _coalesce_and_count(*blocks):
-    """One run of joined blocks -> (the run as one block, its partial
-    cell counts). Zero-row blocks, schema-less when Ray's map operators
-    emit them, are dropped; a run of nothing else comes out as
-    pa.table({}) with an empty partial."""
-    rows = [b for b in blocks if b.num_rows]
-    run = pa.concat_tables(rows) if rows else pa.table({})
-    return run, partial_cell_counts()(run)
+def _geotag_and_count(block, kw: dict):
+    """One input block -> (geotag_block(block, **kw), its partial cell
+    counts). Nested in `kw`, index_ref arrives as the ref worker_cache
+    keys on. A zero-row block gives pa.table({}) and an empty partial."""
+    from ray.data.block import BlockAccessor
+
+    block = BlockAccessor.for_block(block).to_arrow()
+    joined = geotag_block(block, **kw) if block.num_rows else pa.table({})
+    return joined, partial_cell_counts()(joined)
 
 
 def geotag_join_tiles(pages_ds, polygons: pa.Table, *, res: int = DEFAULT_RES,
                       batch_size: int = 2048):
     """pages Dataset + polygon table -> Dataset of OUT_COLUMNS.
 
-    Runs the upstream execution and the coalesce-and-count wave before
-    it returns (see the module docstring); the returned Dataset is the
-    lazy tile assignment over the coalesced blocks, which the caller's
-    own execution runs. `batch_size` is the most rows one kernel call
-    gets.
+    Runs the upstream execution and its geotag-and-count wave before it
+    returns (see the module docstring); the returned Dataset is the lazy
+    tile assignment over the joined blocks, which the caller's own
+    execution runs. `batch_size` is the most rows one kernel call gets.
 
     Deterministic CONTENT at any parallelism: extraction is per-row pure,
     the join emits (point, poly_id)-sorted rows, and tile ids come from a
@@ -86,25 +84,27 @@ def geotag_join_tiles(pages_ds, polygons: pa.Table, *, res: int = DEFAULT_RES,
     import ray
     import ray.data as rd
 
-    index_ref = ray.put(build_polygon_index(polygons))
-    joined = pages_ds.map_batches(
-        geotag_block,
-        fn_kwargs={"index_ref": index_ref, "res": res, "batch_size": batch_size},
-        batch_format="pyarrow",
-        batch_size=None,  # one task per input block, sliced inside
-    )
-    coalesce = ray.remote(num_returns=2)(_coalesce_and_count)
-    runs = [coalesce.remote(*run) for run in block_runs(joined.iter_internal_ref_bundles())]
+    kw = {"index_ref": ray.put(build_polygon_index(polygons)), "res": res,
+          "batch_size": batch_size}
+    task, window = ray.remote(num_returns=2)(_geotag_and_count), task_window()
+    runs, pending = [], []
+    for bundle in pages_ds.iter_internal_ref_bundles():
+        for ref, _ in bundle.blocks:
+            if len(pending) == window:
+                _, pending = ray.wait(pending)
+            runs.append(task.remote(ref, kw))
+            pending.append(runs[-1][1])
     partials = ray.get([partial for _, partial in runs])
     # every joined row has a cell (the inner join keeps only finite
-    # points), so a run without counts holds no rows; dropping it leaves
-    # no schema-less block for the assign map to meet
+    # points), so a block without counts holds no rows; dropping it
+    # leaves no schema-less block for the assign map to meet
     blocks = [block for (block, _), p in zip(runs, partials) if p.num_rows]
     tiles = tile_table(cell_histogram(partials))
     out = rd.from_arrow_refs(blocks).map_batches(
         assign_tiles_batch,
         fn_kwargs={"tiles_ref": ray.put(tiles)},
         batch_format="pyarrow",
+        batch_size=batch_size,
     )
     return out.select_columns(
         [c for c in OUT_COLUMNS if c != "poly_name" or "name" in polygons.column_names])

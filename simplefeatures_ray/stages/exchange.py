@@ -21,12 +21,11 @@ Both waves are sized to the cluster, not to the key domain, so the task
 and object counts do not grow with blocks × partitions:
   * SPLIT: one task per COALESCED RUN of consecutive upstream blocks.
     A run ends before its blocks' metadata size would pass
-    DataContext.target_max_block_size, or at _FANIN blocks (block_runs,
-    the rule the flagship's coalesce-and-count wave shares). The task
-    concatenates the run, computes every row's partition p (a p outside
-    [0, P) raises ValueError), stable-sorts the run by p and cuts it
-    into R shards, one per reduce group, each with its row count per
-    partition.
+    DataContext.target_max_block_size, or at _FANIN blocks (block_runs).
+    The task concatenates the run, computes every row's partition p (a
+    p outside [0, P) raises ValueError), stable-sorts the run by p and
+    cuts it into R shards, one per reduce group, each with its row count
+    per partition.
   * REDUCE: R = min(P, 2 × cluster CPUs) tasks. Group g owns the
     contiguous partition range [⌈g·P/R⌉, ⌈(g+1)·P/R⌉) — partition p goes
     to group p·R // P. The task cuts each shard at its partition counts
@@ -178,12 +177,16 @@ def _reduce_group(fn, empty_out, counts, n, *shards):
     return pa.concat_tables(outs, promote_options="permissive")
 
 
+def task_window() -> int:
+    """2 × cluster CPUs: the reduce width R, and the geotag wave's window."""
+    import ray
+
+    return 2 * max(int(ray.cluster_resources().get("CPU", 1)), 1)
+
+
 def block_runs(bundles):
-    """Cut a RefBundle stream into runs of consecutive block refs, as it
-    arrives: a run ends before its blocks' metadata size would pass
-    DataContext.target_max_block_size, or at _FANIN blocks. The one
-    run rule of the engine: the exchange's split wave and the flagship's
-    coalesce-and-count wave (pipelines/geotag) both cut by it."""
+    """Cut a RefBundle stream, as it arrives, into the split wave's runs
+    of consecutive block refs (the run rule in the module docstring)."""
     from ray.data import DataContext
 
     target = DataContext.get_current().target_max_block_size
@@ -234,8 +237,7 @@ def launch_exchange(ds, n_parts: int, fn, by, empty_out: pa.Table | None = None)
     bys = by if isinstance(by, tuple) else (by,) * len(inputs)
     if len(bys) != len(inputs):
         raise ValueError(f"by has {len(bys)} entries for {len(inputs)} inputs")
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    n_groups = min(n_parts, 2 * max(cpus, 1))
+    n_groups = min(n_parts, task_window())
     bounds = _group_bounds(n_parts, n_groups)
     # each lineage executes exactly once; every input's execution
     # starts (Ray Data runs it in the background from its first

@@ -1,4 +1,4 @@
-"""Per-worker-process state cache for stateless map_batches tasks.
+"""Per-worker-process state cache for stateless tasks (map_batches or plain).
 
 Every stateful stage runs as a plain-function task whose kernel object
 is built ONCE PER WORKER PROCESS and cached here: tasks run in Ray's

@@ -12,6 +12,18 @@ def _sorted(df):
                           kind="mergesort").reset_index(drop=True)
 
 
+def _digest(ds):
+    """sha256 of a flagship output canonicalized by sorting its columns
+    by name and its rows by all columns: content is deterministic, row
+    order is not."""
+    import hashlib
+
+    df = ds.to_pandas()
+    df = df.reindex(sorted(df.columns), axis=1)
+    df = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
+    return hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def small_run(ray_session):
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
@@ -108,24 +120,14 @@ def test_golden_output_hash(ray_session):
     bit-for-bit regression gate (north rule: reproduce join rows and tile
     ids exactly). If an intentional semantic change moves this hash,
     update the pin in the same commit and say why."""
-    import hashlib
-
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
     from simplefeatures_ray.sources.pages import pages_dataset
     from simplefeatures_ray.sources.polygons import make_polygons
 
-    def canon(df):
-        # content is deterministic, row order is not — canonicalize by
-        # sorting
-        df = df.reindex(sorted(df.columns), axis=1)
-        return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
-
-    df = canon(geotag_join_tiles(pages_dataset(3000), make_polygons(64)).to_pandas())
-    digest = hashlib.sha256(df.to_csv(index=False).encode()).hexdigest()
-    df2 = canon(geotag_join_tiles(
+    digest = _digest(geotag_join_tiles(pages_dataset(3000), make_polygons(64)))
+    assert _digest(geotag_join_tiles(
         pages_dataset(3000, override_num_blocks=2), make_polygons(64), batch_size=333
-    ).to_pandas())
-    assert hashlib.sha256(df2.to_csv(index=False).encode()).hexdigest() == digest
+    )) == digest
     # pin (update deliberately, never casually):
     assert digest == GOLDEN_FLAGSHIP_3000, digest
 
@@ -136,6 +138,106 @@ def test_golden_output_hash(ray_session):
 # underlying join rows and tile ids are unchanged (at the time, a content
 # check against the since-removed global-sort variant proved it).
 GOLDEN_FLAGSHIP_3000 = "a78d17dab18b18121cf2f72f69e07109e1eba763d0d2a0461a4263b7d256a4f4"
+
+
+def _pages_3000():
+    """The rows of pages_dataset(3000) as one Arrow table."""
+    import pyarrow as pa
+
+    from simplefeatures_ray.sources.pages import gen_pages_batch
+
+    return gen_pages_batch(pa.table({"id": pa.array(np.arange(3000, dtype=np.int64))}))
+
+
+def test_flagship_over_split_parquet_read(ray_session, tmp_path):
+    """The benchmark's input shape: the pages as 3 parquet files, read by
+    rd.read_parquet, which splits each file's read into several blocks.
+    The flagship over it gives the golden rows."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
+    from simplefeatures_ray.sources.polygons import make_polygons
+
+    table = _pages_3000()
+    for i in range(3):
+        pq.write_table(table.slice(1000 * i, 1000), tmp_path / f"pages-{i}.parquet")
+    out = geotag_join_tiles(rd.read_parquet(str(tmp_path)), make_polygons(64))
+    assert _digest(out) == GOLDEN_FLAGSHIP_3000
+
+
+@pytest.mark.parametrize("n_blocks,batch_size", [(1, 2048), (7, 333), (40, 50)])
+def test_flagship_invariant_to_blocks_and_batch_size(ray_session, n_blocks, batch_size):
+    """Metamorphic relation: the output rows do not depend on the input's
+    block count or on batch_size."""
+    import ray.data as rd
+
+    from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
+    from simplefeatures_ray.sources.polygons import make_polygons
+
+    table = _pages_3000()
+    cuts = np.linspace(0, table.num_rows, n_blocks + 1).astype(int)
+    ds = rd.from_arrow([table.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])])
+    assert ds.num_blocks() == n_blocks
+    out = geotag_join_tiles(ds, make_polygons(64), batch_size=batch_size)
+    assert _digest(out) == GOLDEN_FLAGSHIP_3000
+
+
+def test_geotag_wave_window(ray_session, monkeypatch):
+    """On a 40-block input no more than 2 × cluster CPUs geotag tasks are
+    ever unfinished at once, and the wave does reach that window. A spy
+    on the task's launches counts the launched tasks not yet finished
+    after each launch; the count only falls between launches, so its
+    maximum is the most ever unfinished. Each task first sleeps 50 ms so
+    the launches outrun the tasks."""
+    import ray
+    import ray.data as rd
+
+    from simplefeatures_ray.pipelines import geotag
+    from simplefeatures_ray.sources.polygons import make_polygons
+
+    real_remote, real_wait = ray.remote, ray.wait
+    launched, unfinished = [], []
+
+    def spy_remote(*args, **kwargs):
+        decorate = real_remote(*args, **kwargs)
+        if args:
+            return decorate
+
+        def wrap(fn):
+            if fn is not geotag._geotag_and_count:
+                return decorate(fn)
+
+            def slow(block, kw):
+                import time
+
+                time.sleep(0.05)
+                return fn(block, kw)
+
+            task = decorate(slow)
+
+            class Spy:
+                @staticmethod
+                def remote(*a):
+                    refs = task.remote(*a)
+                    launched.append(refs[1])
+                    _, rest = real_wait(launched, num_returns=len(launched),
+                                        timeout=0, fetch_local=False)
+                    unfinished.append(len(rest))
+                    return refs
+
+            return Spy
+        return wrap
+
+    table = _pages_3000()
+    ds = rd.from_arrow([table.slice(75 * i, 75) for i in range(40)])
+    monkeypatch.setattr(ray, "remote", spy_remote)
+    out = geotag.geotag_join_tiles(ds, make_polygons(64))
+    monkeypatch.undo()
+    window = 2 * int(ray.cluster_resources()["CPU"])
+    assert len(launched) == 40
+    assert max(unfinished) == window, unfinished
+    assert _digest(out) == GOLDEN_FLAGSHIP_3000
 
 
 def test_extracted_text_byte_identical(ray_session):
@@ -160,7 +262,7 @@ def test_extracted_text_byte_identical(ray_session):
 def test_branch_cache_cluster_safety(ray_session):
     """Cluster-safety invariant (VERDICT r4 #1): the joined rows never
     spill to a node-local path; they live in the distributed object
-    store (the coalesced blocks)."""
+    store (the joined blocks)."""
     import glob
 
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
@@ -178,8 +280,6 @@ def test_flagship_on_intl_corpus(ray_session):
     """VERDICT r4 #2 'done' bar: the flagship runs on a >=50%-non-ASCII
     corpus with bit-identical content at different parallelism, and its
     per-row invariant (engine extraction == reference text) holds."""
-    import hashlib
-
     import pyarrow as pa
 
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
@@ -200,19 +300,13 @@ def test_flagship_on_intl_corpus(ray_session):
     out = ExtractGeotags().extract(batch)
     assert out["text"].to_pylist() == batch["text"].to_pylist()
 
-    def canon(df):
-        df = df.reindex(sorted(df.columns), axis=1)
-        return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
-
     polys = make_polygons(64)
-    a = canon(geotag_join_tiles(
-        pages_dataset(3000, intl=True), polys).to_pandas())
-    assert len(a) > 0
-    b = canon(geotag_join_tiles(
+    a = geotag_join_tiles(pages_dataset(3000, intl=True), polys)
+    assert a.count() > 0
+    ha = _digest(a)
+    hb = _digest(geotag_join_tiles(
         pages_dataset(3000, override_num_blocks=2, intl=True), polys,
-        batch_size=333).to_pandas())
-    ha = hashlib.sha256(a.to_csv(index=False).encode()).hexdigest()
-    hb = hashlib.sha256(b.to_csv(index=False).encode()).hexdigest()
+        batch_size=333))
     assert ha == hb
     # pin, like GOLDEN_FLAGSHIP_3000: a change to the intl analysis
     # values that is consistent at both parallelisms must still show
@@ -266,7 +360,7 @@ def test_no_geotagged_page(ray_session, tmp_path, pages):
     import pyarrow as pa
     import ray.data as rd
 
-    from simplefeatures_ray.pipelines.geotag import _coalesce_and_count, geotag_join_tiles
+    from simplefeatures_ray.pipelines.geotag import _geotag_and_count, geotag_join_tiles
     from simplefeatures_ray.sources.pages import gen_pages_batch, page_coords
     from simplefeatures_ray.sources.polygons import make_polygons
     from simplefeatures_ray.state.checkpoint import checkpointed_write
@@ -281,6 +375,8 @@ def test_no_geotagged_page(ray_session, tmp_path, pages):
     manifest = checkpointed_write(out, str(tmp_path), partition_col="tile_id")
     assert manifest["n_partitions"] == 0 and manifest["total_rows"] == 0
     assert len(out.to_pandas()) == 0
-    # a run made only of schema-less blocks coalesces to one, uncounted
-    run, partial = _coalesce_and_count(pa.table({}), pa.table({}))
-    assert run.num_rows == 0 and partial.num_rows == 0
+    # a schema-less or zero-row input block gives pa.table({}), uncounted,
+    # without touching the kernels (so no index is needed)
+    for block in (pa.table({}), table.slice(0, 0)):
+        joined, partial = _geotag_and_count(block, {})
+        assert joined.equals(pa.table({})) and partial.num_rows == 0

@@ -144,10 +144,11 @@ def test_topk_explicit_ties_no_probe(ray_session):
 
 def test_flagship_job_two_executions(ray_session, tmp_path):
     """A flagship job (geotag_join_tiles + checkpointed_write) is two Ray
-    Data executions: the upstream (read -> geotag task), drained once by
-    the coalesce-and-count wave, and the sink's map (assign -> Project),
-    drained by the sink's exchange, which buckets the rows in its split
-    tasks. No materialize() and no histogram execution."""
+    Data executions: the upstream, which is the input's own operator
+    chain with no engine map on top, drained once by the geotag-and-count
+    wave of plain tasks, and the sink's map (assign -> Project), drained
+    by the sink's exchange, which buckets the rows in its split tasks.
+    No materialize() and no histogram execution."""
     from simplefeatures_ray.pipelines.geotag import geotag_join_tiles
     from simplefeatures_ray.sources.pages import pages_dataset
     from simplefeatures_ray.sources.polygons import make_polygons
@@ -158,4 +159,5 @@ def test_flagship_job_two_executions(ray_session, tmp_path):
         manifest = checkpointed_write(out, str(tmp_path), partition_col="tile_id")
     assert manifest["total_rows"] > 0
     assert len(calls) == 2, calls
-    assert "geotag_block" in calls[0] and "assign_tiles_batch" in calls[1], calls
+    assert "gen_pages_batch" in calls[0] and "geotag_block" not in calls[0], calls
+    assert "assign_tiles_batch" in calls[1], calls

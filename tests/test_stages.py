@@ -686,6 +686,23 @@ def test_embedding_near_dup_lsh_equals_brute_force(ray_session):
     assert len(out) == len(want)
 
 
+def test_embedding_near_dup_lsh_empty_input(ray_session):
+    """A 0-row input gives no pairs as a typed empty Dataset, not an
+    IndexError from probing the vector width."""
+    import ray
+    import ray.data as rd
+
+    from simplefeatures_ray.functions.ann import embedding_near_dup_lsh
+
+    tbl = pa.table({"vec_id": pa.array([], pa.int64()),
+                    "embedding": pa.array([], pa.list_(pa.float32()))})
+    out = pa.concat_tables(ray.get(embedding_near_dup_lsh(rd.from_arrow(tbl), 0.9)
+                                   .to_arrow_refs()))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                                    ("cosine", pa.float64())])
+
+
 def test_ann_tensor_extension_column(ray_session):
     """Regression (round-3 fuzz): Datasets built via from_pandas carry
     embeddings as Ray tensor-extension columns (no .values attribute);
