@@ -10,7 +10,8 @@ A flagship job is two Ray Data executions, with no materialize():
     block: geotag_block plus the block's partial cell counts (the
     histogram's combiner). At most 2 × cluster CPUs are unfinished; a
     full window stops the driver pulling, which backpressures the read,
-    and the tasks take every CPU the read leaves, at any file count.
+    and the tasks take every CPU the read leaves. Each read block is one
+    task, so the wave is as wide as Ray's read split makes the input.
     The driver sums the partials into the tile table; the joined blocks'
     refs pin their rows in the object store, so the lineage runs once.
   * SINK: tile assignment, a lazy map over the joined blocks in
@@ -50,7 +51,7 @@ def geotag_block(block: pa.Table, *, index_ref, res: int, batch_size: int) -> pa
     outs = [spatial_join_batch(encode(extract_geo_batch(block.slice(i, batch_size))),
                                index_ref=index_ref)
             for i in range(0, block.num_rows, batch_size)]
-    return pa.concat_tables(outs) if outs else block
+    return pa.concat_tables(outs) if outs else pa.table({})
 
 
 def _geotag_and_count(block, kw: dict):
@@ -59,8 +60,7 @@ def _geotag_and_count(block, kw: dict):
     keys on. A zero-row block gives pa.table({}) and an empty partial."""
     from ray.data.block import BlockAccessor
 
-    block = BlockAccessor.for_block(block).to_arrow()
-    joined = geotag_block(block, **kw) if block.num_rows else pa.table({})
+    joined = geotag_block(BlockAccessor.for_block(block).to_arrow(), **kw)
     return joined, partial_cell_counts()(joined)
 
 
