@@ -1790,34 +1790,25 @@ def events_value_percentiles(sf_dir: str):
 
 def docs_rollup_counts(sf_dir: str):
     """OLAP ROLLUP in one data pass: doc count + char sum by
-    (lang, source), (lang), and grand total. The data sees ONE combiner
-    aggregate at the finest level; the coarser grouping sets derive from
-    that |groups|-sized result (driver-side — it is already tiny), so
-    rollup costs nothing extra at 100 TB. Rolled-up dimensions use the
-    'ALL' sentinel rather than NULL so the value-hash compare is
-    NULL-free on both sides."""
-    from simplefeatures_ray.functions.agg import grouped_agg
-    from simplefeatures_ray.functions.relational import collect_table
+    (lang, source), (lang), and grand total (functions/agg.rollup_agg:
+    each batch emits the partials of every grouping set, one driver
+    combine merges them). Rolled-up dimensions use the 'ALL' sentinel
+    rather than NULL so the value-hash compare is NULL-free on both
+    sides."""
+    import pyarrow.compute as pc
+
+    from simplefeatures_ray.functions.agg import rollup_agg
 
     ds = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
-    fine = collect_table(grouped_agg(
-        ds, ["lang", "source"],
-        {"n_docs": (None, "count"), "chars_sum": ("n_chars", "sum")},
-        combine="shuffle")).to_pandas()
-
-    import pandas as pd
-
-    by_lang = (fine.groupby("lang", as_index=False)[["n_docs", "chars_sum"]]
-               .sum().assign(source="ALL"))
-    total = pd.DataFrame([{
-        "lang": "ALL", "source": "ALL",
-        "n_docs": fine["n_docs"].sum(), "chars_sum": fine["chars_sum"].sum(),
-    }])
-    out = pd.concat([fine, by_lang, total], ignore_index=True)
-    out["n_docs"] = out["n_docs"].astype("int64")
-    out["chars_sum"] = out["chars_sum"].astype("int64")
-    return pa.Table.from_pandas(
-        out[["lang", "source", "n_docs", "chars_sum"]], preserve_index=False)
+    out = rollup_agg(ds, ["lang", "source"],
+                     {"n_docs": (None, "count"), "chars_sum": ("n_chars", "sum")})
+    gid = np.asarray(out["grouping_id"])
+    return pa.table({
+        "lang": pc.if_else(pa.array(gid & 2 > 0), "ALL", out["lang"]),
+        "source": pc.if_else(pa.array(gid & 1 > 0), "ALL", out["source"]),
+        "n_docs": pc.cast(out["n_docs"], pa.int64()),
+        "chars_sum": pc.cast(out["chars_sum"], pa.int64()),
+    })
 
 
 def events_funnel(sf_dir: str):
@@ -1967,8 +1958,7 @@ def _docs_with_urls(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id"])
 
     def derive(t: pa.Table) -> pa.Table:
-        u = derive_doc_urls(np.asarray(t["doc_id"]))
-        return t.append_column("url", pa.array(u, pa.string()))
+        return t.append_column("url", derive_doc_urls(np.asarray(t["doc_id"])))
 
     return ds.map_batches(derive, batch_format="pyarrow")
 
@@ -2181,14 +2171,13 @@ def ann_pq_topk(sf_dir: str):
     oracle replays training, encoding and ADC in DuckDB CTEs
     (functions/ann.pq_sql). Approximate ANN, exactly gated."""
     from simplefeatures_ray.functions.ann import (
-        pq_encode, pq_topk, pq_train_exact)
+        _batch_matrix, pq_encode, pq_topk, pq_train_exact)
+    from simplefeatures_ray.functions.relational import collect_table
 
     qids, qmat = _query_matrix(sf_dir)
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    sample = (ds.filter(expr="vec_id < 256").to_pandas()
-              .sort_values("vec_id"))
-    smat = np.stack([np.asarray(v, dtype=np.float64)
-                     for v in sample["embedding"]])
+    sample = collect_table(ds.filter(expr="vec_id < 256")).sort_by("vec_id")
+    smat = _batch_matrix(sample, "embedding").astype(np.float64)
     books = pq_train_exact(smat, m=8, ks=16, iters=2)
     codes = pq_encode(ds, books, round_dist=4)
     return pq_topk(codes, qids, qmat, books, k=5, quantize=4)

@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._arrow import aggregate, group_ids, nan_to_null
+from ._arrow import aggregate, group_ids, nan_to_null, run_starts
 
 # sum of an all-missing group is 0, not null (pandas' skipna sum)
 _SUM0 = pc.ScalarAggregateOptions(min_count=0)
@@ -230,41 +230,43 @@ def exact_quantiles(ds, col: str, qs, group_keys=None):
     Quantile semantics match DuckDB's quantile_disc: index =
     max(0, ceil(q*n) - 1) into the sorted multiset. Returns a pyarrow
     Table with one row per group (or a single row) and one column per
-    requested quantile (q50, q90, ...).
+    requested quantile (q50, q90, ...). NULL and NaN values are
+    skipped (a group with no other value has no row) and a NULL key is
+    a group; with no values the grouped result has no rows and the
+    ungrouped one a single all-NULL row, as in DuckDB.
     """
-    import pandas as pd
+    from .relational import collect_table, known_type
 
     group_keys = ([group_keys] if isinstance(group_keys, str)
                   else list(group_keys or []))
+    keys = group_keys + [col]
+    qcols = [f"q{int(round(q * 100))}" for q in qs]
 
     partial = ds.map_batches(
-        lambda t: aggregate(t, group_keys + [col], [("__n", None, None, None)]),
+        lambda t: aggregate(t, keys, [("__n", None, None, None)]),
         batch_format="pyarrow")
-    from .relational import collect_table
-
-    merged = collect_table(partial).to_pandas()
-    merged = (merged.groupby(group_keys + [col], sort=False)["__n"]
-              .sum().reset_index())
-
-    def q_of(sub: pd.DataFrame) -> dict:
-        sub = sub.sort_values(col, kind="mergesort")
-        counts = sub["__n"].to_numpy()
-        vals = sub[col].to_numpy()
-        cum = np.cumsum(counts)
-        n = int(cum[-1])
-        row = {}
-        for q in qs:
-            idx = max(0, int(np.ceil(q * n)) - 1)
-            row[f"q{int(round(q * 100))}"] = vals[np.searchsorted(cum, idx + 1)]
-        return row
-
-    if group_keys:
-        rows = []
-        for key, sub in merged.groupby(group_keys, sort=True):
-            key = key if isinstance(key, tuple) else (key,)
-            rows.append({**dict(zip(group_keys, key)), **q_of(sub)})
-        return pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False)
-    return pa.Table.from_pandas(pd.DataFrame([q_of(merged)]), preserve_index=False)
+    h = collect_table(partial)
+    if h.num_rows:
+        h = h.filter(pc.is_valid(nan_to_null(h[col])))
+    else:  # no blocks: type the columns from the input when Ray knows it
+        h = pa.table({k: pa.nulls(0, known_type(ds, k)) for k in keys})
+    if not h.num_rows:
+        return pa.table({**{k: h[k] for k in group_keys},
+                         **{c: pa.nulls(0 if group_keys else 1, h.schema.field(col).type)
+                            for c in qcols}})
+    # the value histogram, sorted by group then value
+    h = aggregate(h, keys, [("__n", "__n", "sum", None)]).sort_by(
+        [(k, "ascending") for k in keys])
+    n = np.asarray(h["__n"], dtype=np.int64)
+    cum = np.cumsum(n)
+    starts = run_starts(group_ids(h, group_keys))
+    base = cum[starts] - n[starts]
+    total = np.append(base[1:], cum[-1]) - base
+    out = {k: h[k].take(starts) for k in group_keys}
+    for c, q in zip(qcols, qs):
+        idx = np.maximum(0, np.ceil(q * total).astype(np.int64) - 1)
+        out[c] = h[col].take(np.searchsorted(cum, base + idx + 1))
+    return pa.table(out)
 
 
 def exact_quantiles_continuous(ds, col: str, qs, n_bins: int = 4096,

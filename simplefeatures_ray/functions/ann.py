@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._arrow import drop_duplicates, grouped_order
+from ._arrow import drop_duplicates, grouped_order, ranks
 
 
 def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
@@ -152,9 +152,16 @@ def ivf_topk(ds, query_ids, query_matrix, k: int, *, n_clusters=16, nprobe=4,
     """
     import ray
 
-    sample_tbl = ds.limit(sample_rows).to_pandas()
-    sample = np.stack(sample_tbl[vec_col].to_numpy())
-    cents = kmeans_lite(sample, n_clusters)
+    from .relational import collect_table
+
+    sample_tbl = collect_table(ds.limit(sample_rows))
+    if not sample_tbl.num_rows:  # no rows, no neighbours: typed like merge_topk's output
+        import ray.data as rd
+
+        return rd.from_arrow(pa.schema([
+            ("query_id", pa.int64()), (id_col, pa.int64()),
+            ("cosine", pa.float64()), ("rank", pa.int64())]).empty_table())
+    cents = kmeans_lite(_batch_matrix(sample_tbl, vec_col), n_clusters)
     cents_ref = ray.put(cents)
     qm = _normalize(np.asarray(query_matrix, dtype=np.float32))
     probes = (qm @ cents.T).argsort(axis=1)[:, ::-1][:, :nprobe]  # (nq, nprobe)
@@ -615,12 +622,11 @@ def pq_topk(codes_ds, query_ids, query_matrix, books: np.ndarray, k: int,
 
     parts = collect_table(codes_ds.map_batches(partial,
                                                batch_format="pyarrow"))
-    df = parts.to_pandas()
-    df = df.sort_values(["query_id", "adc_dist", id_col],
-                        kind="mergesort").groupby("query_id").head(k)
-    df["rank"] = df.groupby("query_id").cumcount()
-    return pa.Table.from_pandas(df.reset_index(drop=True),
-                                preserve_index=False)
+    t = parts.sort_by([("query_id", "ascending"), ("adc_dist", "ascending"),
+                       (id_col, "ascending")])
+    rank = ranks(np.asarray(t["query_id"]))
+    keep = rank < k
+    return t.filter(keep).append_column("rank", pa.array(rank[keep]))
 
 
 def pq_sql(table: str = "embeddings", id_col: str = "vec_id",

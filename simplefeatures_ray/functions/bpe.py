@@ -4,11 +4,11 @@ The missing rung between text analysis and model training in a
 training-data pipeline: learn the byte-pair-encoding merge table from
 the corpus itself. Distributed shape per iteration:
 
-  map_batches    per-batch DISTINCT-word frequencies (pandas
-                 value_counts bounds the Python symbolization loop to
-                 the batch's vocabulary, not its token count), current
-                 merge list applied in rank order, adjacent-symbol-pair
-                 counts weighted by word frequency -> partial rows
+  map_batches    per-batch DISTINCT-word frequencies (bounding the
+                 Python symbolization loop by the batch's vocabulary,
+                 not its token count), current merge list applied in
+                 rank order, adjacent-symbol-pair counts weighted by
+                 word frequency -> partial rows
   grouped_agg    combiner sum of the partials through one coarse
                  shuffle (volume = distinct pair types per block,
                  never token count)
@@ -28,24 +28,21 @@ Dataset end-to-end, so a web-scale vocabulary never lands on the
 driver.
 
 Tokenization matches the corpus standard elsewhere in the engine
-(functions/scoring._bigram_tables): RE2 word runs `[\\w']+`,
+(functions/scoring._bigram_arrow): RE2 word runs `[\\w']+`,
 lowercased, empties dropped.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
-def _word_freqs(t: pa.Table, text_col: str) -> pd.Series:
-    import pyarrow.compute as pc
-
+def _word_freqs(t: pa.Table, text_col: str) -> pa.StructArray:
+    """(values, counts) of the batch's distinct lowercased words."""
     words = pc.split_pattern_regex(t[text_col], pattern=r"[^\w']+")
     flat = pc.utf8_lower(pc.list_flatten(words))
-    s = pd.Series(np.asarray(flat, dtype=object))
-    s = s[s != ""]
-    return s.value_counts(sort=False)
+    return pc.value_counts(flat.filter(pc.not_equal(flat, "")))
 
 
 def _apply_merges(word: str, merges: list[tuple[str, str]]) -> list[str]:
@@ -74,7 +71,8 @@ def _pair_counts_kernel(text_col: str, merges: list[tuple[str, str]]):
     def kernel(t: pa.Table) -> pa.Table:
         freqs = _word_freqs(t, text_col)
         counts: dict[tuple[str, str], int] = {}
-        for word, n in freqs.items():
+        for word, n in zip(freqs.field("values").to_pylist(),
+                           freqs.field("counts").to_pylist()):
             syms = _apply_merges(word, merges)
             for i in range(len(syms) - 1):
                 key = (syms[i], syms[i + 1])
@@ -116,8 +114,8 @@ def word_freq_dataset(ds, text_col: str = "text"):
 
     def partial(t: pa.Table) -> pa.Table:
         f = _word_freqs(t, text_col)
-        return pa.table({"word": pa.array(f.index, pa.string()),
-                         "n": pa.array(f.to_numpy(np.int64))})
+        return pa.table({"word": pc.cast(f.field("values"), pa.string()),
+                         "n": f.field("counts")})
 
     p = ds.map_batches(partial, batch_format="pyarrow")
     return grouped_agg(p, "word", {"freq": ("n", "sum")},
@@ -171,13 +169,10 @@ def _vocab_top_pair(words_ds, merges: list[tuple[str, str]]):
 
 
 def _top_pair(tbl: pa.Table) -> tuple[str, str, int] | None:
-    df = tbl.to_pandas()
-    if not len(df):
+    if not len(tbl):
         return None
-    df = df.sort_values(["n", "left", "right"],
-                        ascending=[False, True, True], kind="mergesort")
-    r = df.iloc[0]
-    return str(r["left"]), str(r["right"]), int(r["n"])
+    r = _local_top_pair(tbl).to_pylist()[0]
+    return r["left"], r["right"], r["n"]
 
 
 def train_bpe(ds, num_merges: int = 8, text_col: str = "text") -> pa.Table:
@@ -187,24 +182,17 @@ def train_bpe(ds, num_merges: int = 8, text_col: str = "text") -> pa.Table:
     exact integers and the tie-break is total."""
     words = word_freq_dataset(ds, text_col)
     merges: list[tuple[str, str]] = []
-    rows = []
-    for rank in range(num_merges):
+    counts = []
+    for _ in range(num_merges):
         top = _vocab_top_pair(words, merges)
         if top is None or top[2] < 1:
             break
-        left, right, n = top
-        rows.append({"rank": rank, "left": left, "right": right, "n": n})
-        merges.append((left, right))
-    if not rows:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "left": pa.array([], pa.string()),
-                         "right": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64())})
-    df = pd.DataFrame(rows)
-    df["rank"] = df["rank"].astype("int64")
-    df["n"] = df["n"].astype("int64")
-    return pa.Table.from_pandas(df[["rank", "left", "right", "n"]],
-                                preserve_index=False)
+        merges.append(top[:2])
+        counts.append(top[2])
+    return pa.table({"rank": pa.array(range(len(merges)), pa.int64()),
+                     "left": pa.array([a for a, _ in merges], pa.string()),
+                     "right": pa.array([b for _, b in merges], pa.string()),
+                     "n": pa.array(counts, pa.int64())})
 
 
 def reference_bpe(texts: list[str], num_merges: int = 8) -> list[dict]:
@@ -257,8 +245,6 @@ def bpe_encode(ds, merges, id_col: str = "doc_id", text_col: str = "text",
     merges: list of (left, right) pairs in rank order, or the pa.Table
     produced by train_bpe (columns left, right, rank).
     """
-    import pyarrow.compute as pc
-
     if isinstance(merges, pa.Table):
         order = np.argsort(np.asarray(merges["rank"]))
         merges = [(merges["left"][int(i)].as_py(),

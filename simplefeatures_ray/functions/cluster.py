@@ -20,9 +20,9 @@ each step instead of compounding. Init = the k lowest-id vectors
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+from ._arrow import grouped_order, run_starts
 from .ann import _batch_matrix
 
 
@@ -91,16 +91,20 @@ def kmeans(ds, id_col: str = "vec_id", vec_col: str = "embedding",
                        "round_dist": round_dist},
             batch_format="pyarrow",
         )
-        merged = collect_table(part).to_pandas()
-        newC = C.copy()
-        if len(merged):
-            g = merged.groupby("cluster", sort=True)
-            for cl, sub in g:
-                n = int(sub["n"].sum())
-                s = np.sum([np.frombuffer(b, dtype=np.float64)
-                            for b in sub["sums"]], axis=0)
-                newC[int(cl)] = np.round(s / n, round_centroid)
-        C = newC
+        merged = collect_table(part)
+        if merged.num_rows:
+            # partial rows grouped by cluster in table order, each run
+            # summed by one np.sum (whose float order is not a left fold)
+            idx, g, _ = grouped_order(merged, ["cluster"])
+            merged = merged.take(idx)
+            sums = np.frombuffer(b"".join(merged["sums"].to_pylist()),
+                                 dtype=np.float64).reshape(len(idx), -1)
+            n = np.asarray(merged["n"], dtype=np.int64)
+            cl = np.asarray(merged["cluster"])
+            s = run_starts(g)
+            for a, b in zip(s, np.append(s[1:], len(g))):
+                C[cl[a]] = np.round(sums[a:b].sum(axis=0) / n[a:b].sum(),
+                                    round_centroid)
 
     ref = ray.put(C)
 

@@ -97,6 +97,13 @@ def known_empty(ds) -> pa.Table | None:
     return s.empty_table() if isinstance(s, pa.Schema) else None
 
 
+def known_type(ds, col: str) -> pa.DataType:
+    """The type of `ds`'s column `col` when known_empty(ds) knows it,
+    else the null type."""
+    e = known_empty(ds)
+    return e.schema.field(col).type if e is not None else pa.null()
+
+
 def broadcast_join(big_ds, small, keys, right_keys=None, join_type="inner"):
     """big Dataset ⋈ small table/Dataset without shuffling the big side.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def logistic_score(ds, weights: dict[str, float], bias: float = 0.0,
@@ -62,26 +63,11 @@ QUALITY_BIAS = -3.2
 # --------------------------------------------------------------------------- #
 
 
-def _bigram_tables(batch: pa.Table, id_col: str, text_col: str):
-    """Per-batch (doc, prev, cur) bigram rows + (doc, term) unigram rows
-    with the corpus-standard tokenization (text._word_table: RE2 word
-    runs, lowercased) — order-preserving so bigrams are consecutive."""
-    bi, uni = _bigram_arrow(batch, id_col, text_col)
-    return (
-        {"doc": np.asarray(bi["doc"]),
-         "prev": np.asarray(bi["prev"], dtype=object),
-         "cur": np.asarray(bi["cur"], dtype=object)},
-        {"doc": np.asarray(uni["doc"]),
-         "term": np.asarray(uni["term"], dtype=object)},
-    )
-
-
 def _bigram_arrow(batch: pa.Table, id_col: str, text_col: str):
-    """Arrow-native twin of _bigram_tables: (bigrams, unigrams) as
-    pa.Tables — the term columns never materialize as Python objects
-    (the hot-path cost of the old pandas kernels)."""
-    import pyarrow.compute as pc
-
+    """Per-batch (doc, prev, cur) bigram rows + (doc, term) unigram rows
+    as pa.Tables, with the corpus-standard tokenization (text._word_table:
+    RE2 word runs, lowercased) — order-preserving so bigrams are
+    consecutive; the terms never materialize as Python objects."""
     words = pc.split_pattern_regex(batch[text_col], pattern=r"[^\w']+")
     flat = pc.utf8_lower(pc.list_flatten(words))
     parents = pc.list_parent_indices(words)
@@ -141,8 +127,6 @@ def bigram_lm_perplexity(ds, id_col: str = "doc_id", text_col: str = "text",
     # unigram partials (kind=1, cur='' — tokenization drops empty terms,
     # so '' can never collide with a real token)
     def counts_partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         bi, uni = _bigram_arrow(t, id_col, text_col)
         gb = aggregate(bi, ["prev", "cur"], [("count_all", None, None, None)])
         gu = aggregate(uni, ["term"], [("count_all", None, None, None)])
@@ -164,27 +148,21 @@ def bigram_lm_perplexity(ds, id_col: str = "doc_id", text_col: str = "text",
     counts = collect_table(grouped_agg(
         ds.map_batches(counts_partial, batch_format="pyarrow"),
         ["kind", "prev", "cur"], {"n": ("n", "sum")},
-        combine="shuffle")).to_pandas()
-    bi_counts = (counts[counts["kind"] == 0][["prev", "cur", "n"]]
-                 .reset_index(drop=True))
-    uni_counts = (counts[counts["kind"] == 1][["prev", "n"]]
-                  .rename(columns={"prev": "term"}).reset_index(drop=True))
+        combine="shuffle"))
+    bi_counts = counts.filter(pc.equal(counts["kind"], 0)).select(["prev", "cur", "n"])
+    uni_counts = counts.filter(pc.equal(counts["kind"], 1)).select(["prev", "n"])
 
-    vocab_size = int(len(uni_counts))
+    vocab_size = uni_counts.num_rows
     if min_count > 1:
-        bi_counts = bi_counts[bi_counts["n"] >= min_count]
-        uni_counts = uni_counts[uni_counts["n"] >= min_count]
+        bi_counts = bi_counts.filter(pc.greater_equal(bi_counts["n"], min_count))
+        uni_counts = uni_counts.filter(pc.greater_equal(uni_counts["n"], min_count))
 
-    bi_ref = ray.put(pa.Table.from_pandas(bi_counts, preserve_index=False))
-    uni_ref = ray.put(pa.Table.from_pandas(
-        uni_counts.rename(columns={"term": "prev", "n": "cn"}),
-        preserve_index=False))
+    bi_ref = ray.put(bi_counts)
+    uni_ref = ray.put(uni_counts.rename_columns(["prev", "cn"]))
     a = float(alpha)
     aV = a * float(vocab_size)
 
     def score(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         bi_c = ray.get(bi_ref)
         uni_c = ray.get(uni_ref)
         bi, _ = _bigram_arrow(t, id_col, text_col)
@@ -193,10 +171,9 @@ def bigram_lm_perplexity(ds, id_col: str = "doc_id", text_col: str = "text",
                              "ppl": pa.array([], pa.float64()),
                              "n_bigrams": pa.array([], pa.int64())})
         # acero hash joins (no per-row Python); the row-index sort
-        # restores the original bigram order so the per-doc log-prob
-        # summation order stays exactly the pandas-merge order
-        # (deterministic at any parallelism; a doc's bigrams never
-        # split across batches)
+        # restores the original bigram order, so each doc sums its
+        # log-probs in bigram order (deterministic at any parallelism;
+        # a doc's bigrams never split across batches)
         bi = bi.append_column("__i", pa.array(np.arange(len(bi))))
         j = bi.join(bi_c, keys=["prev", "cur"], join_type="left outer")
         j = j.join(uni_c, keys="prev", join_type="left outer")
@@ -261,8 +238,6 @@ def _word_buckets(batch: pa.Table, text_col: str, n_buckets: int, cache: dict):
     the DuckDB-twin tokenization (text.py _word_table), sha256-derived
     word hash modulo n_buckets, hashed once per DISTINCT word per batch
     (cache persists across batches on the worker)."""
-    import pyarrow.compute as pc
-
     from .dedup import _sha_word_hash
 
     words = pc.split_pattern_regex(

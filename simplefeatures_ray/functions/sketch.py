@@ -24,8 +24,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ._arrow import aggregate, dictionary_codes
 
@@ -78,26 +78,26 @@ def hll_distinct(ds, keys, value_col: str, p: int = 8, salt: str = "hll",
         return aggregate(t.append_column("__j", pa.array(j)), keys + ["__j"],
                          [("__rho", pa.array(rho), "max", None)])
 
-    from .agg import grouped_agg
+    from .relational import collect_table, known_type
 
-    regs_ds = ds.map_batches(partial, batch_format="pyarrow")
-    regs = grouped_agg(regs_ds, keys + ["__j"], {"M": ("__rho", "max")},
-                       combine="driver").to_pandas()
-
+    regs = collect_table(ds.map_batches(partial, batch_format="pyarrow"))
+    if not regs.num_rows:
+        return pa.table({**{k: pa.nulls(0, known_type(ds, k)) for k in keys},
+                         "hll_estimate": pa.array([], pa.float64())})
+    regs = aggregate(regs, keys + ["__j"], [("M", "__rho", "max", None)])
+    M = np.asarray(regs["M"], dtype=np.int64)
+    # one row per key group, keys ascending
+    g = aggregate(regs, keys, [("S", pa.array(np.ldexp(1.0, -M)), "sum", None),
+                               ("n", None, "count_all", None)]
+                  ).sort_by([(k, "ascending") for k in keys])
     alpha = 0.7213 / (1.0 + 1.079 / m)
-    rows = []
-    for key, sub in regs.groupby(keys, sort=True):
-        key = key if isinstance(key, tuple) else (key,)
-        M = sub["M"].to_numpy()
-        n_present = len(M)
-        V = m - n_present
-        S = float(np.sum(np.ldexp(1.0, -M.astype(np.int64)))) + float(V)
-        E = (alpha * float(m * m)) / S
-        if E <= 2.5 * m and V > 0:
-            E = m * np.log(m / float(V))
-        rows.append({**dict(zip(keys, key)),
-                     "hll_estimate": np.round(E, round_to) + 0.0})
-    return pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False)
+    V = m - np.asarray(g["n"], dtype=np.int64)
+    S = np.asarray(g["S"], dtype=np.float64) + V
+    E = (alpha * float(m * m)) / S
+    small = (E <= 2.5 * m) & (V > 0)
+    E = np.where(small, m * np.log(m / np.maximum(V, 1).astype(np.float64)), E)
+    return pa.table({**{k: g[k] for k in keys},
+                     "hll_estimate": pa.array(np.round(E, round_to) + 0.0)})
 
 
 def hll_sql(table_expr: str, keys, value_col: str, p: int = 8,
@@ -144,7 +144,7 @@ def cms_counts(ds, value_col: str, query_values, depth: int = 4,
 
     Per-batch combiner: a depth x width int64 counter matrix built with
     np.add.at over factorized values, emitted as (d, cell, n) rows; the
-    grouped SUM exchange carries <= depth x width rows per block. The
+    driver sums <= depth x width rows per block into one matrix. The
     estimate for a key is min over depth of its cells — always >= the
     true count (one-sided error bounded by 2N/width per row).
     """
@@ -170,13 +170,13 @@ def cms_counts(ds, value_col: str, query_values, depth: int = 4,
                          "__cell": np.concatenate(cells),
                          "__n": np.concatenate(ns)})
 
-    from .agg import grouped_agg
+    from .relational import collect_table
 
-    part = ds.map_batches(partial, batch_format="pyarrow")
-    sk = grouped_agg(part, ["__d", "__cell"], {"n": ("__n", "sum")},
-                     combine="driver").to_pandas()
+    part = collect_table(ds.map_batches(partial, batch_format="pyarrow"))
     mat = np.zeros((depth, width), dtype=np.int64)
-    mat[sk["__d"].to_numpy(), sk["__cell"].to_numpy()] = sk["n"].to_numpy()
+    if part.num_rows:  # no rows: every counter stays 0
+        np.add.at(mat, (np.asarray(part["__d"]), np.asarray(part["__cell"])),
+                  np.asarray(part["__n"]))
 
     qv = list(query_values)
     ests = []
@@ -283,16 +283,30 @@ def bloom_anti_sql(table_expr: str, key_col: str, block_values_sql: str,
     """
 
 
+def _value_counts(t: pa.Table, col: str) -> pa.Table:
+    """(value, n): how often each non-null value of `t[col]` occurs,
+    values as strings."""
+    v = pc.cast(t[col], pa.string())
+    return aggregate(pa.table({"value": v}).filter(pc.is_valid(v)), ["value"],
+                     [("n", None, "count_all", None)])
+
+
+def _most_frequent(t: pa.Table, limit: int) -> pa.Table:
+    """The `limit` rows of a (value, n) table with the largest n, ties
+    broken by value ascending."""
+    return t.sort_by([("n", "descending"), ("value", "ascending")]).slice(0, limit)
+
+
 def heavy_hitters(ds, value_col: str, k: int = 20, capacity: int = 512):
     """Top-k heavy hitters with EXACT final counts, at streaming scale:
 
       phase 1 (sketch): per-block Misra-Gries / SpaceSaving summaries of
-        `capacity` counters (vectorized: one pandas value_counts per
-        block, truncated to capacity with the standard undercount
-        decrement) merged on the driver — counter merge volume is
-        O(blocks x capacity), never row count. Any value with true
-        frequency > n/capacity is GUARANTEED present in the merged
-        summary (Misra-Gries invariant survives summary merging).
+        `capacity` counters (one grouped count per block, truncated to
+        capacity with the standard undercount decrement) merged on the
+        driver — counter merge volume is O(blocks x capacity), never
+        row count. Any value with true frequency > n/capacity is
+        GUARANTEED present in the merged summary (Misra-Gries
+        invariant survives summary merging).
       phase 2 (verify): the merged candidate set (<= capacity values)
         broadcasts into one exact recount pass, so the reported counts
         are EXACT and SQL-checkable — the same candidates-then-verify
@@ -303,41 +317,34 @@ def heavy_hitters(ds, value_col: str, k: int = 20, capacity: int = 512):
     capacity >> k (default 512 >> 20): any item in the true top k with
     count > n/capacity cannot be missed.
     """
-    import pandas as pd
-
     import ray
 
     from .relational import collect_table
 
     def summary(t: pa.Table) -> pa.Table:
-        s = t[value_col].to_pandas().value_counts()
-        if len(s) > capacity:
+        s = _value_counts(t, value_col)
+        if s.num_rows > capacity:
             # SpaceSaving-style truncation: keep top `capacity`, charge
             # every kept counter with the largest evicted count (an
             # OVERestimate per counter; the guarantee needs only that
             # kept >= true - error, preserved under merge)
-            evicted_max = int(s.iloc[capacity])
-            s = s.iloc[:capacity] + evicted_max
-        return pa.table({"value": pa.array(s.index.astype(str)),
-                         "n_est": pa.array(s.to_numpy(), pa.int64())})
+            s = _most_frequent(s, capacity + 1)
+            evicted_max = s["n"][capacity]
+            s = s.slice(0, capacity)
+            s = s.set_column(1, "n", pc.add(s["n"], evicted_max))
+        return s
 
     partials = collect_table(ds.map_batches(summary, batch_format="pyarrow"))
-    merged = (partials.to_pandas().groupby("value", sort=False)["n_est"]
-              .sum().sort_values(ascending=False))
-    cand = merged.index[: capacity].to_numpy()
-    cand_ref = ray.put(set(cand.tolist()))
+    if not partials.num_rows:
+        return pa.table({"value": pa.array([], pa.string()),
+                         "n": pa.array([], pa.int64())})
+    merged = aggregate(partials, ["value"], [("n", "n", "sum", None)])
+    cand_ref = ray.put(_most_frequent(merged, capacity)["value"].combine_chunks())
 
     def recount(t: pa.Table) -> pa.Table:
-        cset = ray.get(cand_ref)
-        s = t[value_col].to_pandas().astype(str)
-        s = s[s.isin(cset)].value_counts()
-        return pa.table({"value": pa.array(s.index),
-                         "n": pa.array(s.to_numpy(), pa.int64())})
+        c = _value_counts(t, value_col)
+        return c.filter(pc.is_in(c["value"], value_set=ray.get(cand_ref)))
 
-    exact = (collect_table(ds.map_batches(recount, batch_format="pyarrow"))
-             .to_pandas().groupby("value", sort=False)["n"].sum()
-             .reset_index())
-    exact = exact.sort_values(["n", "value"], ascending=[False, True],
-                              kind="mergesort").head(k)
-    return pa.table({"value": pa.array(exact["value"].to_numpy(), pa.string()),
-                     "n": pa.array(exact["n"].to_numpy(), pa.int64())})
+    exact = collect_table(ds.map_batches(recount, batch_format="pyarrow"))
+    return _most_frequent(
+        aggregate(exact, ["value"], [("n", "n", "sum", None)]), k)

@@ -724,49 +724,38 @@ def repetition_metrics(ds, id_col: str = "doc_id", text_col: str = "text",
     The repetition filters of Rae et al. (Gopher) §A1.1 applied to the
     corpus: high top-n-gram / duplicate-n-gram fractions flag boiler-
     plate and spam. Entirely batch-local (a row is a whole document);
-    the n-gram grouping is one vectorized pandas groupby over the
-    batch's exploded (row, n-gram) pairs, not a Python loop per row.
+    the n-gram grouping is one vectorized grouped count over the
+    batch's (row, n-gram) pairs, not a Python loop per row.
     """
-    import pandas as pd
-    import pyarrow.compute as pc
+    from ._arrow import aggregate
 
     def kernel(batch: pa.Table) -> pa.Table:
         w = _word_table(batch, id_col, text_col)
-        ids = np.asarray(w[id_col].to_numpy(), dtype=np.int64)
-        terms = w["term"].to_pylist()
-        n = len(ids)
         doc_ids = np.asarray(batch[id_col].to_numpy(), dtype=np.int64)
-        out_n = np.zeros(len(doc_ids), dtype=np.int64)
         pos = {d: i for i, d in enumerate(doc_ids.tolist())}
-        uid, counts = np.unique(ids, return_counts=True)
-        for d, c in zip(uid.tolist(), counts.tolist()):
-            out_n[pos[d]] = c
 
-        def ngram_frames(k: int) -> pd.DataFrame:
-            if n < k:
-                return pd.DataFrame({"d": [], "g": []})
-            same = np.ones(n - k + 1, dtype=bool)
-            for j in range(1, k):
-                same &= ids[: n - k + 1] == ids[j: n - k + 1 + j]
-            idx = np.nonzero(same)[0]
-            grams = [" ".join(terms[i:i + k]) for i in idx.tolist()]
-            return pd.DataFrame({"d": ids[idx], "g": grams})
+        def per_doc(t: pa.Table, aggs):
+            """Batch row of each doc of `t`'s id_col, and `aggs` per doc."""
+            a = aggregate(t, [id_col], aggs)
+            rows = np.array([pos[d] for d in a[id_col].to_pylist()], dtype=np.int64)
+            return rows, [np.asarray(a[name], dtype=np.int64) for name, *_ in aggs]
 
+        def gram_counts(k: int):
+            g = aggregate(_grams(w, id_col, k), [id_col, "g"],
+                          [("c", None, "count_all", None)])
+            c = np.asarray(g["c"], dtype=np.int64)
+            return per_doc(g, [("max", "c", "max", None), ("sum", "c", "sum", None),
+                               ("dup", pa.array(np.where(c > 1, c, 0)), "sum", None)])
+
+        out_n = np.zeros(len(doc_ids), dtype=np.int64)
+        rows, (n,) = per_doc(w, [("n", None, "count_all", None)])
+        out_n[rows] = n
         top_bi = np.zeros(len(doc_ids))
-        bi = ngram_frames(2)
-        if len(bi):
-            cnt = bi.groupby(["d", "g"], sort=False).size().reset_index(name="c")
-            agg = cnt.groupby("d")["c"].agg(["max", "sum"])
-            for d, mx, sm in zip(agg.index, agg["max"], agg["sum"]):
-                top_bi[pos[int(d)]] = mx / sm
+        rows, (mx, sm, _) = gram_counts(2)
+        top_bi[rows] = mx / sm
         dup_tri = np.zeros(len(doc_ids))
-        tri = ngram_frames(3)
-        if len(tri):
-            cnt = tri.groupby(["d", "g"], sort=False).size().reset_index(name="c")
-            cnt["dup"] = np.where(cnt["c"] > 1, cnt["c"], 0)
-            agg = cnt.groupby("d")[["dup", "c"]].sum()
-            for d, dp, sm in zip(agg.index, agg["dup"], agg["c"]):
-                dup_tri[pos[int(d)]] = dp / sm
+        rows, (_, sm, dup) = gram_counts(3)
+        dup_tri[rows] = dup / sm
 
         return pa.table({
             id_col: pa.array(doc_ids, pa.int64()),
@@ -784,9 +773,14 @@ def _ngram_table(batch: pa.Table, id_col: str, text_col: str,
                  k: int) -> "pa.Table":
     """(id, gram) rows for word k-grams of each document, tokenized
     exactly like _word_table (RE2 extract-then-lower)."""
+    return _grams(_word_table(batch, id_col, text_col), id_col, k)
+
+
+def _grams(w: pa.Table, id_col: str, k: int) -> pa.Table:
+    """(id, gram) rows for the word k-grams of a _word_table: k
+    consecutive words of one document, joined by single spaces."""
     import pyarrow.compute as pc
 
-    w = _word_table(batch, id_col, text_col)
     ids = np.asarray(w[id_col].to_numpy(), dtype=np.int64)
     n = len(ids)
     if n < k:
@@ -796,7 +790,7 @@ def _ngram_table(batch: pa.Table, id_col: str, text_col: str,
     for j in range(1, k):
         same &= ids[: n - k + 1] == ids[j: n - k + 1 + j]
     idx = pa.array(np.nonzero(same)[0])
-    terms = w["g" if "g" in w.column_names else "term"].combine_chunks()
+    terms = w["term"].combine_chunks()
     grams = pc.binary_join_element_wise(
         *[terms.slice(j, n - k + 1).take(idx) for j in range(k)], " ")
     return pa.table({id_col: pa.array(ids[np.asarray(idx)], pa.int64()),

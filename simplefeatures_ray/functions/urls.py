@@ -21,59 +21,61 @@ data file, not an algorithm change); extend PSL2 to widen coverage.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # two-label public suffixes recognized by rule 5 (mini-PSL subset)
 PSL2 = ("co.uk", "com.au", "github.io", "co.jp", "com.br")
 
 _URL_RE = (
-    r"^([A-Za-z][A-Za-z0-9+.\-]*)://([^/:?#]+)(?::(\d+))?([^?#]*)"
-    r"(?:\?([^#]*))?(?:#(.*))?$"
+    r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.\-]*)://(?P<host>[^/:?#]+)(?::(?P<port>\d+))?"
+    r"(?P<path>[^?#]*)(?:\?(?P<query>[^#]*))?(?:#.*)?$"
 )
 
 
-def _series(arr: pa.ChunkedArray | pa.Array) -> pd.Series:
-    return pa.table({"x": arr}).to_pandas()["x"]
+def normalize_url_array(urls) -> pa.Table:
+    """Vectorized normalization: Arrow array of raw URLs -> table with
+    url_norm + domain (Arrow RE2 kernels end to end; one regex pass).
+    A value that is not a URL gives null for both."""
+    parts = pc.extract_regex(urls, _URL_RE)
+    scheme = pc.utf8_lower(pc.struct_field(parts, [0]))
+    host = pc.utf8_lower(pc.struct_field(parts, [1]))
+    # an optional group that did not match extracts as ""
+    port = pc.struct_field(parts, [2])
+    path = pc.struct_field(parts, [3])
+    query = pc.struct_field(parts, [4])
 
-
-def normalize_url_series(urls: pd.Series) -> pd.DataFrame:
-    """Vectorized normalization: Series of raw URLs -> DataFrame with
-    url_norm + domain (pandas str kernels end to end; one regex pass)."""
-    parts = urls.str.extract(_URL_RE)
-    scheme = parts[0].str.lower()
-    host = parts[1].str.lower()
-    port = parts[2]
-    path = parts[3].fillna("")
-    query = parts[4].fillna("")
-
-    default_port = ((scheme == "https") & (port == "443")) | (
-        (scheme == "http") & (port == "80")
-    )
-    port_sfx = np.where(port.notna() & ~default_port, ":" + port.fillna(""), "")
+    default_port = pc.or_(
+        pc.and_(pc.equal(scheme, "https"), pc.equal(port, "443")),
+        pc.and_(pc.equal(scheme, "http"), pc.equal(port, "80")))
+    port_sfx = pc.if_else(pc.or_(pc.equal(port, ""), default_port), "",
+                          pc.binary_join_element_wise(":", port, ""))
 
     # rule 4: strip utm_* params (and their trailing separator), then a
     # dangling '&' left by a trailing utm param
-    q = query.str.replace(r"utm_[^&]*(&|$)", "", regex=True).str.rstrip("&")
-    q_sfx = np.where(q != "", "?" + q, "")
+    q = pc.utf8_rtrim(pc.replace_substring_regex(
+        query, r"utm_[^&]*(&|$)", ""), characters="&")
+    q_sfx = pc.if_else(pc.equal(q, ""), "", pc.binary_join_element_wise("?", q, ""))
 
-    url_norm = scheme + "://" + host + port_sfx + path + q_sfx
+    url_norm = pc.binary_join_element_wise(
+        scheme, "://", host, port_sfx, path, q_sfx, "")
 
     # rule 5: registrable domain via the mini-PSL
     psl_alt = "|".join(s.replace(".", r"\.") for s in PSL2)
-    dom3 = host.str.extract(rf"([^.]+\.(?:{psl_alt}))$")[0]
-    dom2 = host.str.extract(r"([^.]+\.[^.]+)$")[0]
-    domain = dom3.fillna(dom2).fillna(host)
-    return pd.DataFrame({"url_norm": url_norm, "domain": domain})
+    dom3 = pc.struct_field(pc.extract_regex(host, rf"(?P<d>[^.]+\.(?:{psl_alt}))$"), [0])
+    dom2 = pc.struct_field(pc.extract_regex(host, r"(?P<d>[^.]+\.[^.]+)$"), [0])
+    domain = pc.coalesce(dom3, dom2, host)
+    return pa.table({"url_norm": pc.cast(url_norm, pa.string()),
+                     "domain": pc.cast(domain, pa.string())})
 
 
 def normalize_urls(ds, url_col: str = "url", keep: list[str] | None = None):
     """Dataset stage: add url_norm + domain columns (streaming, no state)."""
 
     def kernel(t: pa.Table) -> pa.Table:
-        out = normalize_url_series(_series(t[url_col]))
-        t = t.append_column("url_norm", pa.array(out["url_norm"], pa.string()))
-        t = t.append_column("domain", pa.array(out["domain"], pa.string()))
+        out = normalize_url_array(t[url_col])
+        t = t.append_column("url_norm", out["url_norm"])
+        t = t.append_column("domain", out["domain"])
         return t.select(keep + ["url_norm", "domain"]) if keep else t
 
     return ds.map_batches(kernel, batch_format="pyarrow")
@@ -108,33 +110,31 @@ def blocklist_filter(ds, blocked: set[str], domain_col: str = "domain"):
 
 
 # ------------------------------------------------------- deterministic corpus
-def derive_doc_urls(doc_id: np.ndarray) -> pd.Series:
-    """Messy-but-deterministic raw URLs from doc_id — numpy/pandas twin
-    of doc_urls_sql() below (same integer spec on both sides; the
+def derive_doc_urls(doc_id: np.ndarray) -> pa.Array:
+    """Messy-but-deterministic raw URLs from doc_id — numpy twin of
+    doc_urls_sql() below (same integer spec on both sides; the
     NORMALIZATION is the operator under test, derivation is fixture)."""
-    e = pd.Series(doc_id.astype(np.int64))
-    host_n = (e * 7919) % 20
+    e = np.asarray(doc_id, dtype=np.int64)
+    s = e.astype(str)
     tld = np.select(
         [e % 7 <= 1, e % 7 == 2, e % 7 == 3, e % 7 == 4, e % 7 == 5],
         ["co.uk", "com", "org", "github.io", "com.au"],
         default="net",
     )
-    host = "www.site-" + host_n.astype(str) + "." + pd.Series(tld)
-    host = pd.Series(np.where(e % 3 == 0, host.str.upper(), host))
-    scheme = pd.Series(np.where(e % 11 == 0, "HTTPS", "https"))
-    port = pd.Series(np.select([e % 5 == 0, e % 5 == 1], [":443", ":8080"],
-                               default=""))
-    path = "/Articles/" + e.astype(str)
-    query = pd.Series(
-        np.select(
-            [e % 4 == 0, e % 4 == 1, e % 4 == 2],
-            ["?utm_source=feed&id=" + e.astype(str), "?id=" + e.astype(str),
-             "?utm_campaign=x"],
-            default="",
-        )
+    host = np.char.add(np.char.add("www.site-", ((e * 7919) % 20).astype(str)),
+                       np.char.add(".", tld))
+    host = np.where(e % 3 == 0, np.char.upper(host), host)
+    scheme = np.where(e % 11 == 0, "HTTPS", "https")
+    port = np.select([e % 5 == 0, e % 5 == 1], [":443", ":8080"], default="")
+    query = np.select(
+        [e % 4 == 0, e % 4 == 1, e % 4 == 2],
+        [np.char.add("?utm_source=feed&id=", s), np.char.add("?id=", s),
+         "?utm_campaign=x"],
+        default="",
     )
-    frag = pd.Series(np.where(e % 2 == 0, "#Section-2", ""))
-    return scheme + "://" + host + port + path + query + frag
+    frag = np.where(e % 2 == 0, "#Section-2", "")
+    return pc.binary_join_element_wise(
+        scheme, "://", host, port, "/Articles/", s, query, frag, "")
 
 
 def doc_urls_sql(alias: str = "u") -> str:

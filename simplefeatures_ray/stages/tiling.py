@@ -5,11 +5,12 @@ resolution (vectorized Morton/Web-Mercator, simplefeatures_ray.cells).
 
 cell_histogram: two-stage (combiner + final) count per cell, the
 FP-Hadoop two-stage pattern (SURVEY.md §2.6): the combiner,
-partial_cell_counts, runs in the flagship's coalesce tasks
-(pipelines/geotag), the pass that already holds the rows, and emits one
-row per distinct cell per run; the final sum runs on the driver over
-|cells| x |runs| rows. No groupby exchange and no second pass over the
-page rows, and hot 'urban' cells cost one row per run.
+partial_cell_counts, runs in the flagship's geotag tasks
+(pipelines/geotag._geotag_and_count, one per input block), the pass
+that already holds the rows, and emits one row per distinct cell per
+block; the final sum runs on the driver over |cells| x |blocks| rows.
+No groupby exchange and no second pass over the page rows, and hot
+'urban' cells cost one row per block.
 
 assign_tiles: deterministic tile ids from the per-cell histogram —
 tile_id is the rank of the cell in (count desc, cell asc) order, so the

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BANNED = re.compile(r"map_groups\(|_pdarrow|arrow_groups|hash_pandas_object"
@@ -37,3 +38,53 @@ def test_key_partition_null_stable_and_multi_column():
         assert p1[0] == p2[1] and p1[2] == p2[0]
     # a single integer key is its value mod n_parts; NULL goes to 0
     assert key_partition(with_nulls, ["a"], 4).tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("case", ["heavy_hitters", "hll_distinct", "cms_counts",
+                                  "quantiles_grouped", "quantiles", "ivf_topk"])
+def test_zero_row_input_gives_the_duckdb_result(ray_session, case):
+    """A typed input with no rows: each function returns what its DuckDB
+    twin returns on the same table (names, types and rows), not a
+    KeyError from a schema-less collected table."""
+    import duckdb
+    import ray.data as rd
+
+    from simplefeatures_ray.functions.agg import exact_quantiles
+    from simplefeatures_ray.functions.ann import ivf_topk
+    from simplefeatures_ray.functions.relational import collect_table
+    from simplefeatures_ray.functions.sketch import (
+        cms_counts, cms_sql, heavy_hitters, hll_distinct, hll_sql)
+
+    t = pa.table({"vec_id": pa.array([], pa.int64()), "g": pa.array([], pa.string()),
+                  "x": pa.array([], pa.int64()),
+                  "embedding": pa.array([], pa.list_(pa.float32()))})
+    q = "quantile_disc(x, 0.5) AS q50, quantile_disc(x, 0.9) AS q90 FROM t"
+    run, sql = {
+        "heavy_hitters": (lambda ds: heavy_hitters(ds, "g", k=3, capacity=8),
+                          "SELECT g AS value, COUNT(*) AS n FROM t WHERE g IS NOT NULL "
+                          "GROUP BY g ORDER BY n DESC, value LIMIT 3"),
+        "hll_distinct": (lambda ds: hll_distinct(ds, "g", "x"), hll_sql("t", "g", "x")),
+        "cms_counts": (lambda ds: cms_counts(ds, "x", [1, 2]),
+                       cms_sql("t", "x", "SELECT 1::BIGINT AS v UNION ALL SELECT 2::BIGINT")
+                       + " ORDER BY x"),
+        "quantiles_grouped": (lambda ds: exact_quantiles(ds, "x", [0.5, 0.9], "g"),
+                              f"SELECT g, {q} GROUP BY g"),
+        "quantiles": (lambda ds: exact_quantiles(ds, "x", [0.5, 0.9]), f"SELECT {q}"),
+        "ivf_topk": (lambda ds: ivf_topk(ds, [0], np.ones((1, 4)), k=2, n_clusters=2,
+                                         nprobe=1),
+                     """WITH s AS (
+                          SELECT 0::BIGINT AS query_id, vec_id,
+                                 list_cosine_similarity(
+                                   list_transform(embedding, v -> CAST(v AS DOUBLE)),
+                                   [1.0, 1.0, 1.0, 1.0]) AS cosine FROM t),
+                        r AS (SELECT *, ROW_NUMBER() OVER (PARTITION BY query_id
+                                ORDER BY cosine DESC, vec_id) - 1 AS rank FROM s)
+                        SELECT * FROM r WHERE rank < 2"""),
+    }[case]
+    got = collect_table(run(rd.from_arrow(t)))
+    con = duckdb.connect()
+    con.register("t", t)
+    want = con.execute(sql).arrow()
+    assert got.schema.names == want.schema.names
+    assert got.schema.types == want.schema.types
+    assert got.to_pylist() == want.to_pylist()

@@ -135,6 +135,27 @@ def test_repetition_metrics_small(ray_session):
     assert out["dup_trigram_frac"].tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
+def test_repetition_metrics_docs_of_zero_one_and_two_words(ray_session):
+    """A batch whose docs are all too short for a trigram (and one with
+    no bigram at all): every doc still gets a row, 0.0 where the n-gram
+    count is zero."""
+    import pyarrow as pa
+    import ray
+
+    from simplefeatures_ray.functions.text import repetition_metrics
+
+    for texts, n_words, top_bi in [
+        (["", "x", "x y"], [0, 1, 2], [0.0, 0.0, 1.0]),
+        (["", "solo"], [0, 1], [0.0, 0.0]),
+    ]:
+        docs = pa.table({"doc_id": list(range(len(texts))), "text": texts})
+        out = (repetition_metrics(ray.data.from_arrow(docs))
+               .to_pandas().sort_values("doc_id").reset_index(drop=True))
+        assert out["n_words"].tolist() == n_words
+        assert out["top_bigram_frac"].tolist() == top_bi
+        assert out["dup_trigram_frac"].tolist() == [0.0] * len(texts)
+
+
 def test_contamination_check_small(ray_session):
     import pyarrow as pa
     import ray

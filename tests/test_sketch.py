@@ -337,3 +337,21 @@ def test_heavy_hitters_guarantee_and_exact_counts(ray_session):
                           kind="mergesort").head(15)
     assert out["value"].to_pylist() == ref["value"].tolist()
     assert out["n"].to_pylist() == ref["n"].tolist()
+
+
+def test_heavy_hitters_ties_at_the_capacity_cut(ray_session):
+    """More distinct values than `capacity` in every block, many of them
+    tied where the per-block summaries cut, and four heavy values tied
+    with each other where the top k cuts: the counts are still exact
+    and the tie goes to the smaller value."""
+    import ray.data as rd
+
+    from simplefeatures_ray.functions.sketch import heavy_hitters
+
+    vals = [h for h in "dbca" for _ in range(40)]
+    vals += [f"t{i:02d}" for i in range(40) for _ in range(2)]
+    np.random.default_rng(5).shuffle(vals)
+    t = pa.table({"v": pa.array(vals, pa.string())})
+    out = heavy_hitters(rd.from_arrow(t).repartition(4), "v", k=3, capacity=8)
+    assert out["value"].to_pylist() == ["a", "b", "c"]
+    assert out["n"].to_pylist() == [40, 40, 40]

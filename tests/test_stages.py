@@ -792,11 +792,9 @@ def test_blocklist_filter_drops_blocked_domains(ray_session):
 
 
 def test_url_normalize_rules(ray_session):
-    import pandas as pd
+    from simplefeatures_ray.functions.urls import normalize_url_array
 
-    from simplefeatures_ray.functions.urls import normalize_url_series
-
-    raw = pd.Series([
+    raw = pa.array([
         "HTTPS://WWW.Example.CO.UK:443/A/b?utm_source=x&id=1&utm_medium=y#frag",
         "http://host.com:80/p",
         "http://host.com:8080/p?utm_a=1&utm_b=2&q=3",
@@ -804,8 +802,8 @@ def test_url_normalize_rules(ray_session):
         "https://two.net/",
         "https://bare/x",          # single-label host: domain falls back to host
     ])
-    out = normalize_url_series(raw)
-    assert out["url_norm"].tolist() == [
+    out = normalize_url_array(raw)
+    assert out["url_norm"].to_pylist() == [
         "https://www.example.co.uk/A/b?id=1",
         "http://host.com/p",
         "http://host.com:8080/p?q=3",
@@ -813,9 +811,23 @@ def test_url_normalize_rules(ray_session):
         "https://two.net/",
         "https://bare/x",
     ]
-    assert out["domain"].tolist() == [
+    assert out["domain"].to_pylist() == [
         "example.co.uk", "host.com", "host.com", "b.github.io", "two.net", "bare",
     ]
+
+
+def test_normalize_urls_non_url_and_bare_host(ray_session):
+    """A value that is not a URL gives null url_norm and domain; a
+    single-label host with no path normalizes to itself."""
+    import ray.data as rd
+
+    from simplefeatures_ray.functions.relational import collect_table
+    from simplefeatures_ray.functions.urls import normalize_urls
+
+    tbl = pa.table({"doc_id": [0, 1], "url": ["not a url", "http://h"]})
+    out = collect_table(normalize_urls(rd.from_arrow(tbl))).sort_by("doc_id")
+    assert out["url_norm"].to_pylist() == [None, "http://h"]
+    assert out["domain"].to_pylist() == [None, "h"]
 
 
 def test_per_domain_cap_deterministic(ray_session):
