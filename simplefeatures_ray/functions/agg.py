@@ -130,20 +130,24 @@ def grouped_agg(ds, keys, spec: dict, combine: str = "driver"):
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     plan = _plan(spec)
-    partial = ds.map_batches(lambda t: _partial(t, keys, plan),
-                             batch_format="pyarrow")
-    return _finish_combine(partial, keys, combine,
+    return _finish_combine(ds, lambda t: _partial(t, keys, plan), keys, combine,
                            lambda t: _combine(t, keys, spec, plan))
 
 
-def _finish_combine(partial, keys, combine, final):
-    """Run `final` over the collected partials (combine="driver") or
-    once per hash partition of `keys` (combine="shuffle"): a vectorized
-    combine per partition, never per group."""
+def _finish_combine(ds, part, keys, combine, final):
+    """Run `final` over the partials `part` makes of `ds`'s batches, all
+    collected (combine="driver"; with no rows, over `part` of `ds`'s typed
+    0-row table when Ray knows it) or per hash partition of `keys`
+    (combine="shuffle"): a vectorized combine per partition, never per group."""
+    partial = ds.map_batches(part, batch_format="pyarrow")
     if combine == "driver":
-        from .relational import collect_table
+        from .relational import collect_table, known_empty
 
-        return final(collect_table(partial))
+        t = collect_table(partial)
+        if not t.num_columns:
+            e = known_empty(ds)
+            t = t if e is None else part(e)
+        return final(t)
     from ..stages.exchange import hash_exchange
 
     return hash_exchange(partial, 64, final, list(keys))
@@ -216,8 +220,7 @@ def rollup_agg(ds, keys, spec: dict, grouping: str = "rollup",
         return out.rename_columns(
             [grouping_col if c == "__gid" else c for c in out.column_names])
 
-    partial = ds.map_batches(typed_partial, batch_format="pyarrow")
-    return _finish_combine(partial, gkeys_all, combine, final)
+    return _finish_combine(ds, typed_partial, gkeys_all, combine, final)
 
 
 def exact_quantiles(ds, col: str, qs, group_keys=None):

@@ -149,6 +149,8 @@ def bigram_lm_perplexity(ds, id_col: str = "doc_id", text_col: str = "text",
         ds.map_batches(counts_partial, batch_format="pyarrow"),
         ["kind", "prev", "cur"], {"n": ("n", "sum")},
         combine="shuffle"))
+    if not counts.num_columns:  # no rows: Ray never called counts_partial
+        counts = counts_partial(pa.table({id_col: [], text_col: pa.array([], pa.string())}))
     bi_counts = counts.filter(pc.equal(counts["kind"], 0)).select(["prev", "cur", "n"])
     uni_counts = counts.filter(pc.equal(counts["kind"], 1)).select(["prev", "n"])
 

@@ -4,7 +4,7 @@ Point-in-polygon uses crossing-number ray casting, the same algorithm as
 the reference (geom/alg_point_in_ring.go:19-41); Intersects mirrors the
 type-pair dispatch of geom/alg_intersects.go. Point-vs-area work runs in
 one flat kernel, pair_parity_on: (point, polygon) pairs are expanded over
-a flat edge table (flat_edges) and the crossing and on-edge tests run as
+a flat edge table (edge_table) and the crossing and on-edge tests run as
 one numpy pass over the (point, edge) rows, with no per-edge or
 per-polygon Python loop. The join's refinement and points_in_polygons
 (every point against every part of a multipolygon in one call) share it.
@@ -139,30 +139,27 @@ def segment_intersection(a, b, c, d):
 PAIR_CHUNK = 1 << 18
 
 
-def flat_edges(ring_sets):
-    """Per-polygon ring lists (shell first) -> one flat edge table.
-
-    Returns (x1, y1, x2, y2, ring_edge_off, poly_ring_off): contiguous
-    float64 edge arrays (edge e runs (x1[e], y1[e]) -> (x2[e], y2[e])),
-    the edges of ring r are ring_edge_off[r]:ring_edge_off[r + 1], and the
-    rings of polygon j are poly_ring_off[j]:poly_ring_off[j + 1]. Built from
-    one concatenation of all ring vertices with each ring's last vertex
-    masked out as an edge start.
-    """
-    rings = [r for rs in ring_sets for r in rs]
-    poly_ring_off = np.zeros(len(ring_sets) + 1, dtype=np.int64)
-    np.cumsum([len(rs) for rs in ring_sets], out=poly_ring_off[1:])
-    lens = np.fromiter((len(r) for r in rings), dtype=np.int64, count=len(rings))
-    ring_edge_off = np.zeros(len(rings) + 1, dtype=np.int64)
-    np.cumsum(np.maximum(lens - 1, 0), out=ring_edge_off[1:])
-    if not lens.sum():
-        empty = np.zeros(0, dtype=np.float64)
-        return empty, empty, empty, empty, ring_edge_off, poly_ring_off
-    v = np.concatenate([r[:, :2] for r in rings if len(r)])
-    starts = np.ones(len(v), dtype=bool)
-    starts[np.cumsum(lens[lens > 0]) - 1] = False
+def edge_table(xy, ring_len, poly_rings):
+    """(V, 2) ring vertices, vertices per ring, rings per polygon -> (x1, y1,
+    x2, y2, ring_edge_off, poly_ring_off): ring r's n >= 2 vertices give the
+    n - 1 edges ring_edge_off[r]:ring_edge_off[r + 1]; polygon j's rings
+    are poly_ring_off[j]:poly_ring_off[j + 1]."""
+    poly_ring_off = np.zeros(len(poly_rings) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(poly_rings, dtype=np.int64), out=poly_ring_off[1:])
+    ring_edge_off = np.zeros(len(ring_len) + 1, dtype=np.int64)
+    np.cumsum(np.maximum(ring_len - 1, 0), out=ring_edge_off[1:])
+    starts = np.ones(len(xy), dtype=bool)
+    starts[np.cumsum(ring_len)[ring_len > 0] - 1] = False
     e = np.flatnonzero(starts)
-    return v[e, 0], v[e, 1], v[e + 1, 0], v[e + 1, 1], ring_edge_off, poly_ring_off
+    return xy[e, 0], xy[e, 1], xy[e + 1, 0], xy[e + 1, 1], ring_edge_off, poly_ring_off
+
+
+def flat_edges(ring_sets):
+    """Per-polygon ring lists (shell first) -> edge_table."""
+    rings = [r for rs in ring_sets for r in rs]
+    lens = np.fromiter((len(r) for r in rings), dtype=np.int64, count=len(rings))
+    xy = np.concatenate([r[:, :2] for r in rings] + [np.zeros((0, 2))])
+    return edge_table(xy, lens, [len(rs) for rs in ring_sets])
 
 
 def pair_parity_on(px, py, pair_pt, pair_poly, edges, poly_edge_off):

@@ -19,22 +19,25 @@ LEAF_CAP = 16
 NODE_CAP = 16
 
 
-def _str_order(boxes: np.ndarray, cap: int) -> list[np.ndarray]:
-    """Group item indices into STR tiles of <= cap, returning index chunks."""
+def _str_order(boxes: np.ndarray, cap: int) -> np.ndarray:
+    """Item indices in STR order. Every slab holds a multiple of cap items
+    (the last one aside), so the tiles of <= cap are the runs that start
+    at 0, cap, 2 * cap, ..."""
     n = len(boxes)
-    cx = (boxes[:, 0] + boxes[:, 2]) * 0.5
-    cy = (boxes[:, 1] + boxes[:, 3]) * 0.5
+    with np.errstate(invalid="ignore"):  # an empty (+inf, -inf) box has no centre
+        cx = (boxes[:, 0] + boxes[:, 2]) * 0.5
+        cy = (boxes[:, 1] + boxes[:, 3]) * 0.5
     num_leaves = max(1, math.ceil(n / cap))
     s = max(1, math.ceil(math.sqrt(num_leaves)))
-    slab_size = s * cap
     by_x = np.argsort(cx, kind="stable")
-    chunks = []
-    for i in range(0, n, slab_size):
-        slab = by_x[i : i + slab_size]
-        slab = slab[np.argsort(cy[slab], kind="stable")]
-        for j in range(0, len(slab), cap):
-            chunks.append(slab[j : j + cap])
-    return chunks
+    # stable sort by (slab, cy): each slab of s * cap x-neighbours by cy
+    return by_x[np.lexsort((cy[by_x], np.arange(n) // (s * cap)))]
+
+
+def _tile_boxes(boxes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Bounding box of each run boxes[starts[i]:starts[i + 1]]."""
+    return np.concatenate([np.minimum.reduceat(boxes[:, :2], starts, axis=0),
+                           np.maximum.reduceat(boxes[:, 2:], starts, axis=0)], axis=1)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -67,40 +70,26 @@ class STRtree:
             self.items = np.zeros(0, dtype=np.int64)
             self.root = -1
             return
-        chunks = _str_order(boxes, LEAF_CAP)
-        items = np.concatenate(chunks)
-        nb, ns, nc, nl = [], [], [], []
-        children: list[int] = []
-        level = []  # node ids of the level under construction
-        pos = 0
-        for ch in chunks:
-            b = boxes[ch]
-            nb.append([b[:, 0].min(), b[:, 1].min(), b[:, 2].max(), b[:, 3].max()])
-            ns.append(pos)
-            nc.append(len(ch))
-            nl.append(True)
-            level.append(len(nb) - 1)
-            pos += len(ch)
+        items = _str_order(boxes, LEAF_CAP)
+        starts = np.arange(0, n, LEAF_CAP)
+        lvl_boxes = _tile_boxes(boxes[items], starts)
+        nb, ns, nc, children = [lvl_boxes], [starts], [np.diff(starts, append=n)], []
+        level = np.arange(len(starts))  # node ids of the level under construction
         while len(level) > 1:
-            lvl_boxes = np.asarray([nb[i] for i in level])
-            groups = _str_order(lvl_boxes, NODE_CAP)
-            new_level = []
-            for grp in groups:
-                child_ids = [level[k] for k in grp]
-                b = lvl_boxes[grp]
-                nb.append([b[:, 0].min(), b[:, 1].min(), b[:, 2].max(), b[:, 3].max()])
-                ns.append(len(children))
-                nc.append(len(child_ids))
-                nl.append(False)
-                children.extend(child_ids)
-                new_level.append(len(nb) - 1)
-            level = new_level
-        self.node_boxes = np.asarray(nb, dtype=np.float64)
-        self.node_start = np.asarray(ns, dtype=np.int64)
-        self.node_count = np.asarray(nc, dtype=np.int64)
-        self.node_leaf = np.asarray(nl, dtype=bool)
-        self.items = items.astype(np.int64)
-        self.children = np.asarray(children, dtype=np.int64)
+            perm = _str_order(lvl_boxes, NODE_CAP)
+            starts = np.arange(0, len(level), NODE_CAP)
+            lvl_boxes = _tile_boxes(lvl_boxes[perm], starts)
+            nb.append(lvl_boxes)
+            ns.append(sum(map(len, children)) + starts)
+            nc.append(np.diff(starts, append=len(level)))
+            children.append(level[perm])
+            level = level[-1] + 1 + np.arange(len(starts))
+        self.node_boxes = np.concatenate(nb)
+        self.node_start = np.concatenate(ns)
+        self.node_count = np.concatenate(nc)
+        self.node_leaf = np.arange(len(self.node_count)) < len(nc[0])
+        self.items = items
+        self.children = np.concatenate(children or [np.zeros(0, dtype=np.int64)])
         self.root = int(level[0])
 
     def __len__(self):

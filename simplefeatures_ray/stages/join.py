@@ -4,7 +4,8 @@ The big side streams through map_batches; the small polygon side is
 packed on the driver into a flat PolygonIndex (build_polygon_index): an
 STRtree over the polygon boxes plus one flat edge table (four contiguous
 float64 edge arrays with ring->edge and polygon->ring offsets), poly_ids
-and the names as an Arrow string array. It is `ray.put` ONCE and fetched
+and the names as an Arrow string array, built with no per-polygon Python
+(geometry/wkb polygon_edges). It is `ray.put` ONCE and fetched
 once per worker process by the task functions (spatial_join_batch,
 knn_join_batch) through stages/worker_cache, which also caches the
 kernel built from it — never per batch. Candidate generation is the
@@ -27,8 +28,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 import pyarrow as pa
 
-from ..geometry.predicates import flat_edges, pair_parity_on
-from ..geometry.wkb import from_wkb
+from ..geometry.predicates import pair_parity_on
+from ..geometry.wkb import polygon_edges
 from ..rtree import STRtree
 
 
@@ -58,38 +59,27 @@ class PolygonIndex(NamedTuple):
         return self.ring_edge_off[self.poly_ring_off]
 
 
-def _rings(g) -> list:
-    """All rings of a (Multi)Polygon's parts, each part's shell first."""
-    return [r for leaf in g.flatten() for r in leaf.rings]
-
-
 def build_polygon_index(polygons: pa.Table) -> PolygonIndex:
     """Driver-side: polygon table -> PolygonIndex.
 
-    Decodes each WKB once and flattens the rings of all its parts (shell
-    first) into the flat edge table; the per-polygon ring arrays are not
-    kept. Uses the precomputed envelope columns when present; otherwise
-    derives them from the WKB. Plain arrays, cheap to ray.put.
-    """
-    wkbs = polygons["wkb"].to_pylist()
+    One columnar pass decodes the WKB column (geometry/wkb polygon_edges).
+    Boxes: the envelope columns, else each polygon's edge extent (empty for
+    a polygon without edges). Plain arrays, cheap to ray.put."""
+    edges = polygon_edges(polygons["wkb"])
     poly_ids = np.asarray(polygons["poly_id"], dtype=np.int64)
     names = (polygons["name"].combine_chunks().cast(pa.string())
              if "name" in polygons.column_names else None)
-    ring_sets = []
-    boxes = np.zeros((len(wkbs), 4))
-    have_env = all(c in polygons.column_names for c in ("minx", "miny", "maxx", "maxy"))
-    if have_env:
-        boxes[:, 0] = np.asarray(polygons["minx"], dtype=np.float64)
-        boxes[:, 1] = np.asarray(polygons["miny"], dtype=np.float64)
-        boxes[:, 2] = np.asarray(polygons["maxx"], dtype=np.float64)
-        boxes[:, 3] = np.asarray(polygons["maxy"], dtype=np.float64)
-    for i, w in enumerate(wkbs):
-        g = from_wkb(w)
-        ring_sets.append(_rings(g))
-        if not have_env:
-            xy = g.all_xy()
-            boxes[i] = [xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max()]
-    return PolygonIndex(STRtree(boxes), *flat_edges(ring_sets), poly_ids, names)
+    env = ("minx", "miny", "maxx", "maxy")
+    if all(c in polygons.column_names for c in env):
+        boxes = np.stack([np.asarray(polygons[c], dtype=np.float64) for c in env], axis=1)
+    else:
+        x1, y1, x2, y2, ring_edge_off, poly_ring_off = edges
+        off = ring_edge_off[poly_ring_off[:-1]]
+        at = off + np.arange(len(off))  # each polygon's run opens with +-inf
+        lo = np.insert(np.stack([np.minimum(x1, x2), np.minimum(y1, y2)], 1), off, np.inf, 0)
+        hi = np.insert(np.stack([np.maximum(x1, x2), np.maximum(y1, y2)], 1), off, -np.inf, 0)
+        boxes = np.hstack([np.minimum.reduceat(lo, at), np.maximum.reduceat(hi, at)])
+    return PolygonIndex(STRtree(boxes), *edges, poly_ids, names)
 
 
 class BroadcastSpatialJoin:
@@ -494,9 +484,10 @@ def cell_polygon_join(points_ds, polys_ds, cell_size: float,
                       n_buckets: int = 32, n_salts: int = 1):
     """Large x large point-in-POLYGON join: envelope cells co-partition
     the sides exactly like cell_spatial_join (a point is in one cell —
-    exactly-once pairs, no dedup), but the refine stage decodes each
-    candidate polygon's WKB ONCE PER DISTINCT POLYGON PER BATCH into a
-    flat edge table and runs the flat crossing-number kernel
+    exactly-once pairs, no dedup), but the refine stage decodes the WKB
+    of each distinct candidate polygon of a batch ONCE, in one columnar
+    pass (geometry/wkb polygon_edges), into a flat edge table and runs
+    the flat crossing-number kernel
     (geometry/predicates pair_parity_on, reference alg_point_in_ring.go
     semantics) over all (point, polygon) rows at once. This is the
     shuffle-path complement to BroadcastSpatialJoin for polygon corpora
@@ -524,9 +515,8 @@ def cell_polygon_join(points_ds, polys_ds, cell_size: float,
         py = np.asarray(t[y_col], dtype=np.float64)
         pid = np.asarray(t[poly_id_col], dtype=np.int64)
         _, first, poly = np.unique(pid, return_index=True, return_inverse=True)
-        wkbs = t[wkb_col].take(pa.array(first)).to_pylist()
-        x1, y1, x2, y2, ring_edge_off, poly_ring_off = flat_edges(
-            [_rings(from_wkb(w)) for w in wkbs])
+        x1, y1, x2, y2, ring_edge_off, poly_ring_off = polygon_edges(
+            t[wkb_col].take(pa.array(first)))
         parity, on = pair_parity_on(px, py, np.arange(len(t)), poly.reshape(-1),
                                     (x1, y1, x2, y2), ring_edge_off[poly_ring_off])
         keep = parity | on

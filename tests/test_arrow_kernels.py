@@ -88,3 +88,26 @@ def test_zero_row_input_gives_the_duckdb_result(ray_session, case):
     assert got.schema.names == want.schema.names
     assert got.schema.types == want.schema.types
     assert got.to_pylist() == want.to_pylist()
+
+
+def test_zero_row_input_through_the_driver_combine(ray_session):
+    """grouped_agg / rollup_agg with combine="driver" over a typed input
+    with no rows return a typed 0-row table (Ray Data never runs the
+    partial on an empty block, so nothing is collected), and
+    bigram_lm_perplexity, which collects grouped counts, returns no rows."""
+    import ray.data as rd
+
+    from simplefeatures_ray.functions.agg import grouped_agg, rollup_agg
+    from simplefeatures_ray.functions.scoring import bigram_lm_perplexity
+
+    t = pa.table({"g": pa.array([], pa.string()), "v": pa.array([], pa.float64())})
+    spec = {"s": ("v", "sum"), "m": ("v", "mean"), "n": (None, "count")}
+    got = grouped_agg(rd.from_arrow(t), "g", spec)
+    assert got.num_rows == 0
+    assert got.schema == pa.schema([("g", pa.string()), ("s", pa.float64()),
+                                    ("m", pa.float64()), ("n", pa.int64())])
+    assert grouped_agg(rd.from_arrow(t), "g", spec, combine="shuffle").take_all() == []
+    roll = rollup_agg(rd.from_arrow(t), ["g"], {"s": ("v", "sum")})
+    assert roll.schema.names == ["g", "grouping_id", "s"]
+    docs = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    assert bigram_lm_perplexity(rd.from_arrow(docs)).take_all() == []

@@ -1,8 +1,10 @@
 """R-tree tests (reference style: rtree/rtree_test.go, nearest tests)."""
+import math
+
 import numpy as np
 import pytest
 
-from simplefeatures_ray.rtree import STRtree
+from simplefeatures_ray.rtree import LEAF_CAP, NODE_CAP, STRtree
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +142,84 @@ def test_knn_large_path_matches_all_pairs():
         assert a["knn_rank"].to_pylist() == b["knn_rank"].to_pylist()
         assert np.array_equal(a["knn_dist"].to_numpy(),
                               b["knn_dist"].to_numpy())
+
+
+# --------------------------------------------------------------------------- #
+# the loop-free bulk load against the per-chunk builder it replaced
+# --------------------------------------------------------------------------- #
+
+
+def _old_str_chunks(boxes, cap):
+    n = len(boxes)
+    cx = (boxes[:, 0] + boxes[:, 2]) * 0.5
+    cy = (boxes[:, 1] + boxes[:, 3]) * 0.5
+    num_leaves = max(1, math.ceil(n / cap))
+    s = max(1, math.ceil(math.sqrt(num_leaves)))
+    slab_size = s * cap
+    by_x = np.argsort(cx, kind="stable")
+    chunks = []
+    for i in range(0, n, slab_size):
+        slab = by_x[i : i + slab_size]
+        slab = slab[np.argsort(cy[slab], kind="stable")]
+        for j in range(0, len(slab), cap):
+            chunks.append(slab[j : j + cap])
+    return chunks
+
+
+def _old_build(boxes):
+    """The per-chunk STR builder: one Python min/max per tile."""
+    chunks = _old_str_chunks(boxes, LEAF_CAP)
+    nb, ns, nc, nl, children, level, pos = [], [], [], [], [], [], 0
+    for ch in chunks:
+        b = boxes[ch]
+        nb.append([b[:, 0].min(), b[:, 1].min(), b[:, 2].max(), b[:, 3].max()])
+        ns.append(pos)
+        nc.append(len(ch))
+        nl.append(True)
+        level.append(len(nb) - 1)
+        pos += len(ch)
+    while len(level) > 1:
+        lvl_boxes = np.asarray([nb[i] for i in level])
+        new_level = []
+        for grp in _old_str_chunks(lvl_boxes, NODE_CAP):
+            b = lvl_boxes[grp]
+            nb.append([b[:, 0].min(), b[:, 1].min(), b[:, 2].max(), b[:, 3].max()])
+            ns.append(len(children))
+            nc.append(len(grp))
+            nl.append(False)
+            children.extend(level[k] for k in grp)
+            new_level.append(len(nb) - 1)
+        level = new_level
+    return {"node_boxes": np.asarray(nb, dtype=np.float64),
+            "node_start": np.asarray(ns, dtype=np.int64),
+            "node_count": np.asarray(nc, dtype=np.int64),
+            "node_leaf": np.asarray(nl, dtype=bool),
+            "items": np.concatenate(chunks).astype(np.int64),
+            "children": np.asarray(children, dtype=np.int64),
+            "root": int(level[0])}
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 257, 16384])
+@pytest.mark.parametrize("kind", ["random", "identical", "ties_and_nan"])
+def test_bulk_load_matches_per_chunk_builder(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "identical":
+        boxes = np.tile([1.0, 2.0, 3.0, 4.0], (n, 1))
+    else:
+        lo = rng.uniform(-100, 100, (n, 2))
+        boxes = np.concatenate([lo, lo + rng.uniform(0, 5, (n, 2))], axis=1)
+        if kind == "ties_and_nan" and n:
+            boxes = boxes.round(0)  # many equal centres: the stable order decides
+            boxes[rng.random(n) < 0.05, 0] = np.nan
+    t = STRtree(boxes)
+    if n == 0:
+        assert t.root == -1 and len(t.items) == len(t.node_boxes) == 0
+        return
+    want = _old_build(boxes)
+    for name, arr in want.items():
+        got = getattr(t, name)
+        if name == "root":
+            assert got == arr
+        else:
+            assert got.dtype == arr.dtype and got.shape == arr.shape, name
+            assert np.array_equal(got.view(np.uint8), arr.view(np.uint8)), name
